@@ -91,7 +91,11 @@ def run_sweep(spec: SweepSpec, guard: int = None) -> dict:
     if spec.check_name not in CHECKS:
         raise UsageError("unknown check %r" % (spec.check_name,))
     if guard is None:
-        guard = int(os.environ.get("QCONG_GUARD", str(DEFAULT_INSTANCE_GUARD)))
+        raw = os.environ.get("QCONG_GUARD", str(DEFAULT_INSTANCE_GUARD))
+        try:
+            guard = int(raw)
+        except ValueError:
+            raise UsageError("bad QCONG_GUARD value %r (expected an integer)" % (raw,))
     total = spec.instance_count()
     if total > guard:
         raise UsageError(
@@ -99,9 +103,10 @@ def run_sweep(spec: SweepSpec, guard: int = None) -> dict:
             "(raise QCONG_GUARD to override)" % (total, guard)
         )
     items = [(spec.check_name, params) for params in spec.instances()]
-    if spec.jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            chunk = max(1, len(items) // (spec.jobs * 8))
+    workers = min(spec.jobs, os.cpu_count() or 1, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(items) // (workers * 8))
             outcomes = list(pool.map(_sweep_worker, items, chunksize=chunk))
     else:
         outcomes = [_sweep_worker(item) for item in items]
@@ -151,13 +156,13 @@ def _render_rows_csv(rows, out):
 
     if not rows:
         return
-    param_names = sorted(rows[0]["params"])
+    param_names = sorted(set().union(*(row["params"] for row in rows)))
     writer = csv.writer(out)
     writer.writerow(["check"] + param_names + ["modulus", "holds", "residue_at_one", "elapsed_ms"])
     for row in rows:
         writer.writerow(
             [row["check"]]
-            + [row["params"][p] for p in param_names]
+            + [row["params"].get(p, "") for p in param_names]
             + [row["modulus"], row["holds"], row["residue_at_one"], row["elapsed_ms"]]
         )
 

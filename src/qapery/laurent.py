@@ -13,6 +13,17 @@ immutable after construction and safe to share between threads.
     >>> print(q_power(-1) * (q + 3 * q**2))
     1 + 3*q
 
+Two polynomials are multiplied by Kronecker substitution (Schoenhage 1982;
+Harvey, arXiv:0712.4046).  Each operand is scaled by the lcm of its
+coefficient denominators, laid out densely from its lowest exponent and
+packed into a single Python int, one digit of ``w`` bits per exponent, with
+``w = bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b))) + 1``; every
+coefficient of the product then fits a digit with its sign.  One bigint
+multiply (Karatsuba inside CPython) forms the packed product, which is read
+back as balanced digits and divided by the product of the two scales.  The
+cost grows with the exponent span of the operands, not with their number of
+terms: a sparse operand costs as much as a dense one of the same span.
+
 All arithmetic is exact; floats are rejected.  Division lives in
 ``divrem``/``exact_div`` and requires ordinary polynomials (no negative
 exponents); use ``shift_to_ordinary`` first for general Laurent operands.
@@ -20,6 +31,7 @@ exponents); use ``shift_to_ordinary`` first for general Laurent operands.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -146,22 +158,23 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
+        """Product with a scalar or another Laurent polynomial.
+
+        Two polynomials go through one Kronecker-substitution product (see
+        the module docstring).  The digit width is safe because a product
+        coefficient is a sum of at most ``min(len(a), len(b))`` terms, each
+        below ``2**bits(max|a|) * 2**bits(max|b|)`` in size, so it fits in
+        ``bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b)))`` bits
+        plus a sign bit.  Cost grows with the exponent span, not the term
+        count.
+        """
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if not other:
                 return LaurentPoly()
             return LaurentPoly({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+        return _kronecker_mul(self._terms, other._terms)
 
     __rmul__ = __mul__
 
@@ -176,16 +189,15 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power requires a nonnegative integer exponent")
-        result = LaurentPoly.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
-        return result
+        return LaurentPoly.one() if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -281,6 +293,70 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return LaurentPoly({0: x}) if x else LaurentPoly()
     return NotImplemented
+
+
+def _from_clean(terms: dict) -> LaurentPoly:
+    """Wrap a dict of nonzero int/Fraction coefficients without re-checking."""
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly._terms = terms
+    return poly
+
+
+def _integer_scale(terms: dict):
+    """Return (s, {e: s*c}) with s the lcm of the coefficient denominators."""
+    values = terms.values()
+    if set(map(type, values)) == {int}:
+        return 1, terms
+    scale = math.lcm(*[c.denominator for c in values])
+    return scale, {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
+
+
+def _pack(terms: dict, low: int, length: int, width: int) -> int:
+    """The integer sum of c * 2**(8*width*(e - low)) over the terms."""
+    zero = bytes(width)
+    pos = [zero] * length
+    neg = [zero] * length
+    for e, c in terms.items():
+        if c > 0:
+            pos[e - low] = c.to_bytes(width, "little")
+        else:
+            neg[e - low] = (-c).to_bytes(width, "little")
+    return (int.from_bytes(b"".join(pos), "little")
+            - int.from_bytes(b"".join(neg), "little"))
+
+
+def _kronecker_mul(a: dict, b: dict) -> LaurentPoly:
+    """The product of two coefficient dicts by Kronecker substitution."""
+    if not a or not b:
+        return LaurentPoly()
+    square = a is b
+    scale_a, a = _integer_scale(a)
+    scale_b, b = (scale_a, a) if square else _integer_scale(b)
+    low_a, low_b = min(a), min(b)
+    len_a = max(a) - low_a + 1
+    len_b = max(b) - low_b + 1
+    bits = (max(map(abs, a.values())).bit_length()
+            + max(map(abs, b.values())).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) >> 3
+    packed_a = _pack(a, low_a, len_a, width)
+    packed_b = packed_a if square else _pack(b, low_b, len_b, width)
+    # adding half a digit to every digit makes each one nonnegative, so the
+    # coefficients read back without carries or a sign
+    count = len_a + len_b - 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    data = (packed_a * packed_b + bias).to_bytes(count * width, "little")
+    from_bytes = int.from_bytes
+    coeffs = [from_bytes(data[i:i + width], "little") - half
+              for i in range(0, count * width, width)]
+    out = {e: c for e, c in enumerate(coeffs, low_a + low_b) if c}
+    scale = scale_a * scale_b
+    if scale != 1:
+        for e, c in out.items():
+            c = Fraction(c, scale)
+            out[e] = c.numerator if c.denominator == 1 else c
+    return _from_clean(out)
 
 
 #: The generator q and the constant 1, for building expressions.

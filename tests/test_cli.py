@@ -234,3 +234,79 @@ class TestListing:
         code, out, _ = run_cli(capsys, "list-alphas")
         assert code == 0
         assert "ksq" in out and "k^2" in out
+
+
+class TestSweepInputs:
+    def test_csv_mixed_parameter_sets(self, capsys):
+        # only the lambda-mu family takes --lambda/--mu, so the rows differ
+        code, out, _ = run_cli(
+            capsys, "sweep", "classical-sc", "--p", "5", "--n", "1",
+            "--family", "lambda-mu,apery", "--lambda", "2", "--mu", "1", "--format", "csv")
+        assert code == 0
+        lines = out.strip().splitlines()
+        header = lines[0].split(",")
+        assert header[0] == "check" and "lambda" in header and "mu" in header
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:-1]]
+        assert {row["family"] for row in rows} == {"lambda-mu", "apery"}
+        for row in rows:
+            assert len(row) == len(header)
+            if row["family"] == "apery":
+                assert row["lambda"] == "" and row["mu"] == ""
+            else:
+                assert row["lambda"] == "2" and row["mu"] == "1"
+
+    def test_bad_guard_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCONG_GUARD", "abc")
+        code, out, err = run_cli(capsys, "sweep", "corollary", "--m", "1", "--n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "QCONG_GUARD" in err
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestJobsCap:
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        import qapery.cli
+
+        _RecordingExecutor.created = []
+        monkeypatch.setattr(qapery.cli, "ProcessPoolExecutor", _RecordingExecutor)
+        return _RecordingExecutor
+
+    def sweep(self, jobs, count):
+        return run_sweep(SweepSpec(
+            check_name="wolstenholme-q", ranges={"n": (1, count, 1)}, jobs=jobs))
+
+    def test_capped_by_instances(self, executor, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        document = self.sweep(jobs=10 ** 6, count=3)
+        assert executor.created == [3]
+        assert document["summary"]["total"] == 3
+        assert document["spec"]["jobs"] == 10 ** 6
+
+    def test_capped_by_cpu_count(self, executor, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        self.sweep(jobs=10 ** 6, count=12)
+        assert executor.created == [4]
+
+    def test_unknown_cpu_count_runs_serially(self, executor, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        document = self.sweep(jobs=8, count=5)
+        assert executor.created == []
+        assert document["summary"]["total"] == 5
