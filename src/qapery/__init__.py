@@ -47,7 +47,6 @@ from .qcombinatorics import (
 )
 from .qcommute import (
     QPolynomial,
-    QWord,
     coefficient_of,
     expand_linear_form_product,
     qcommute_mul,

@@ -8,6 +8,13 @@ Statements involving 1/[j]_q are verified twice: a multiplied-through
 polynomial form is the primary route and a modular-inverse form is the
 cross-check, since invertibility of [j]_q modulo Phi_m is itself part of
 the claim.
+
+The q-Ljunggren, corollary, main and generalized theorems share one shape,
+
+    lhs == base(q^(m^2)) - c (q^m - 1)^2   (mod Phi_m^3),
+
+and one body, ``_cube_congruence``: each checker builds only its own lhs,
+base and correction factor c.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .qcombinatorics import (
     qbin,
     qbin_pow,
 )
-from .reports import CongruenceReport, PreconditionError, finish_report
+from .reports import CongruenceReport, PreconditionError, _finish_poly, finish_report
 from .sequences import (
     almkvist_zudilin,
     apery,
@@ -34,21 +41,20 @@ from .sequences import (
     apery_q_krz_binform,
     apery_q_lambda_mu,
     apery_q_multivariate,
+    apery_q_multivariate_summand,
     correction_R_lambda_mu,
     correction_R_multivariate,
     get_alpha,
 )
 
 
-def _finish_poly(name, params, residues, mod, started):
-    """Report builder for a conjunction of polynomial congruences."""
-    bad = next((r for r in residues if not r.is_zero()), None)
-    holds = bad is None
-    return finish_report(
-        name, params, str(mod), holds, started,
-        residue_at_one=Fraction(0) if holds else bad(1),
-        first_residue_coeff=None if holds else Fraction(bad.coefficient(bad.min_degree())),
-    )
+def _cube_congruence(name, params, m, lhs, base, c, started):
+    """Report on lhs == base(q^(m^2)) - c (q^m - 1)^2 (mod Phi_m^3)."""
+    mod = Modulus(m, 3)
+    rhs = base.substitute_power(m * m)
+    if c:
+        rhs = rhs - c * (q_power(m) - 1) ** 2
+    return _finish_poly(name, params, [reduce_mod(lhs - rhs, mod)], mod, started)
 
 
 def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
@@ -61,13 +67,8 @@ def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
     params = {"n": n, "a": a, "b": b}
     if n < 1 or a < 0 or b < 0:
         raise PreconditionError("requires n >= 1 and a, b >= 0")
-    mod = Modulus(n, 3)
-    lhs = qbin(a * n, b * n)
-    rhs = qbin(a, b).substitute_power(n * n)
-    coeff = Fraction((a - b) * b * binom(a, b) * (n * n - 1), 24)
-    if coeff:
-        rhs = rhs - coeff * (q_power(n) - 1) ** 2
-    return _finish_poly("ljunggren", params, [reduce_mod(lhs - rhs, mod)], mod, started)
+    c = Fraction((a - b) * b * binom(a, b) * (n * n - 1), 24)
+    return _cube_congruence("ljunggren", params, n, qbin(a * n, b * n), qbin(a, b), c, started)
 
 
 def check_wolstenholme_q(n: int) -> CongruenceReport:
@@ -202,13 +203,9 @@ def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
     params = {"m": m, "n1": n[0], "n2": n[1], "n3": n[2], "n4": n[3], "alpha": alpha.name}
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
-    mod = Modulus(m, 3)
     lhs = apery_q_multivariate(tuple(m * ni for ni in n), alpha)
-    rhs = apery_q_multivariate(n, alpha).substitute_power(m * m)
-    coeff = Fraction(m * m - 1, 12) * correction_R_multivariate(n)
-    if coeff:
-        rhs = rhs - coeff * (q_power(m) - 1) ** 2
-    return _finish_poly("main", params, [reduce_mod(lhs - rhs, mod)], mod, started)
+    c = Fraction(m * m - 1, 12) * correction_R_multivariate(n)
+    return _cube_congruence("main", params, m, lhs, apery_q_multivariate(n, alpha), c, started)
 
 
 def check_corollary(m: int, n: int) -> CongruenceReport:
@@ -222,13 +219,9 @@ def check_corollary(m: int, n: int) -> CongruenceReport:
     params = {"m": m, "n": n}
     if m < 1 or n < 0:
         raise PreconditionError("requires m >= 1 and n >= 0")
-    mod = Modulus(m, 3)
-    lhs = apery_q_krz_binform(m * n)
-    rhs = apery_q_krz_binform(n).substitute_power(m * m)
-    coeff = Fraction(m * m - 1, 12) * n * n * apery(n)
-    if coeff:
-        rhs = rhs - coeff * (q_power(m) - 1) ** 2
-    return _finish_poly("corollary", params, [reduce_mod(lhs - rhs, mod)], mod, started)
+    c = Fraction(m * m - 1, 12) * n * n * apery(n)
+    return _cube_congruence("corollary", params, m, apery_q_krz_binform(m * n),
+                            apery_q_krz_binform(n), c, started)
 
 
 def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") -> CongruenceReport:
@@ -243,23 +236,10 @@ def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") ->
         raise PreconditionError("requires m >= 1 and n >= 0")
     if lam < 2 or mu < 0:
         raise PreconditionError("requires lambda >= 2 and mu >= 0")
-    mod = Modulus(m, 3)
     lhs = apery_q_lambda_mu(m * n, lam, mu, alpha)
-    rhs = apery_q_lambda_mu(n, lam, mu, alpha).substitute_power(m * m)
-    coeff = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
-    if coeff:
-        rhs = rhs - coeff * (q_power(m) - 1) ** 2
-    return _finish_poly("generalized", params, [reduce_mod(lhs - rhs, mod)], mod, started)
-
-
-def _weighted_summand(nt, k, alpha):
-    term = (
-        qbin(nt[0], k) * qbin(nt[2], k)
-        * qbin(nt[0] + nt[1] - k, nt[0]) * qbin(nt[2] + nt[3] - k, nt[2])
-    )
-    if term.is_zero():
-        return term
-    return q_power(alpha(nt, k)) * term
+    c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
+    return _cube_congruence("generalized", params, m, lhs,
+                            apery_q_lambda_mu(n, lam, mu, alpha), c, started)
 
 
 def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
@@ -282,7 +262,7 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     s1 = LaurentPoly.zero()
     s2 = LaurentPoly.zero()
     for k in range(kmax + 1):
-        term = _weighted_summand(mn, k, alpha)
+        term = apery_q_multivariate_summand(mn, k, alpha)
         if k % m == 0:
             s1 = s1 + term
         else:

@@ -203,34 +203,15 @@ def _document_text(document: dict, fmt: str) -> str:
 # compute targets
 # ---------------------------------------------------------------------------
 
-def _compute_value(target: str, args):
-    if target == "apery":
-        (n,) = args
-        return apery(n)
-    if target == "apery-q":
-        (n,) = args
-        return apery_q_krz_binform(n)
-    if target == "zheng":
-        (n,) = args
-        return apery_q_zheng(n)
-    if target == "az":
-        (n,) = args
-        return almkvist_zudilin(n)
-    if target == "qbinom":
-        n, k = args
-        return q_binomial(n, k)
-    if target == "cyclotomic":
-        (m,) = args
-        return cyclotomic(m)
-    if target == "multivariate":
-        n1, n2, n3, n4 = args
-        return apery_multivariate((n1, n2, n3, n4))
-    raise UsageError("unknown compute target %r" % (target,))
-
-
-_COMPUTE_ARITY = {
-    "apery": 1, "apery-q": 1, "zheng": 1, "az": 1,
-    "qbinom": 2, "cyclotomic": 1, "multivariate": 4,
+#: target -> (number of integer arguments, function of those arguments)
+_COMPUTE = {
+    "apery": (1, apery),
+    "apery-q": (1, apery_q_krz_binform),
+    "zheng": (1, apery_q_zheng),
+    "az": (1, almkvist_zudilin),
+    "qbinom": (2, q_binomial),
+    "cyclotomic": (1, cyclotomic),
+    "multivariate": (4, lambda *n: apery_multivariate(n)),
 }
 
 
@@ -267,7 +248,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a sequence value or polynomial")
-    p_compute.add_argument("target", choices=sorted(_COMPUTE_ARITY))
+    p_compute.add_argument("target", choices=sorted(_COMPUTE))
     p_compute.add_argument("args", nargs="*", type=int)
     p_compute.add_argument("--json", action="store_true", dest="as_json")
     p_compute.add_argument("--output", default=None)
@@ -351,10 +332,10 @@ def _collect_params(ns, spec, ranged):
 
 
 def _cmd_compute(ns) -> int:
-    arity = _COMPUTE_ARITY[ns.target]
+    arity, fn = _COMPUTE[ns.target]
     if len(ns.args) != arity:
         raise UsageError("target %r expects %d integer argument(s)" % (ns.target, arity))
-    value = _compute_value(ns.target, ns.args)
+    value = fn(*ns.args)
     if ns.as_json:
         payload = {
             "target": ns.target,

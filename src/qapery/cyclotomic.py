@@ -9,8 +9,6 @@ so multiplying by a power of q never changes divisibility by Phi_m^k.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .laurent import LaurentPoly, divrem, exact_div, ext_gcd, q_power
 
 
@@ -175,4 +173,4 @@ def integer_coefficient_check(f: LaurentPoly) -> bool:
     integer polynomial specializes at q = 1 to an ordinary integer
     congruence.
     """
-    return all(Fraction(c).denominator == 1 for _, c in f.terms())
+    return f.has_integer_coefficients()

@@ -4,20 +4,19 @@ The Gaussian binomial is available through three independent routes that
 must agree (and are tested to): the factorial quotient definition, the
 Pascal-type recurrence, and the square-free product of cyclotomic
 polynomials Phi_d over d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1.
-The cyclotomic product is the cached fast path used throughout the package.
+The cyclotomic product is the memoized production path used throughout the
+package.  It is not the fastest route (a full table builds several times
+slower than by the Pascal recurrence); the other two serve as its oracles.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from fractions import Fraction
 
 from .cyclotomic import Modulus, cyclotomic, reduce_mod
 from .laurent import LaurentPoly, RationalFunctionQ, exact_div, q_power
-from .reports import CongruenceReport, PreconditionError, finish_report
-
-Q_BINOMIAL_METHODS = ("factorial", "pascal", "cyclotomic")
+from .reports import CongruenceReport, PreconditionError, _finish_poly
 
 
 def binom(n: int, k: int) -> int:
@@ -104,7 +103,7 @@ def q_binomial(n: int, k: int, method: str = "cyclotomic") -> LaurentPoly:
 
 
 def qbin(n: int, k: int) -> LaurentPoly:
-    """Cached Gaussian binomial (the cyclotomic-product fast path)."""
+    """Cached Gaussian binomial (the memoized cyclotomic-product path)."""
     if k < 0 or k > n or n < 0:
         return LaurentPoly.zero()
     return _qbin_cyclotomic(n, k)
@@ -173,13 +172,7 @@ def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:
     mod = Modulus(n, 1)
     lhs = qbin(a * n + b, r * n + s)
     rhs = binom(a, r) * qbin(b, s)
-    residue = reduce_mod(lhs - rhs, mod)
-    holds = residue.is_zero()
-    return finish_report(
-        "lucas", params, str(mod), holds, started,
-        residue_at_one=residue(1),
-        first_residue_coeff=None if holds else Fraction(residue.coefficient(residue.min_degree())),
-    )
+    return _finish_poly("lucas", params, [reduce_mod(lhs - rhs, mod)], mod, started)
 
 
 def _compositions(total: int, parts: int, cap: int):
@@ -216,9 +209,4 @@ def check_q_chu_vandermonde(a: int, b: int, n: int) -> CongruenceReport:
             term = term * qbin(n, c)
         total = total + term
     diff = qbin(a * n, b * n) - total
-    holds = diff.is_zero()
-    return finish_report(
-        "chu-vandermonde", params, "identity", holds, started,
-        residue_at_one=diff(1),
-        first_residue_coeff=None if holds else Fraction(diff.coefficient(diff.min_degree())),
-    )
+    return _finish_poly("chu-vandermonde", params, [diff], "identity", started)

@@ -13,20 +13,10 @@ plain multinomial expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import LaurentPoly
 
 #: Expansions beyond this total degree are refused (desk-scale guard).
 TOTAL_DEGREE_GUARD = 16
-
-
-@dataclass(frozen=True)
-class QWord:
-    """A single normal-ordered word: coefficient * x_0^e0 ... x_{v-1}^e."""
-
-    coefficient: LaurentPoly
-    exponents: tuple
 
 
 class QPolynomial:
@@ -73,10 +63,6 @@ class QPolynomial:
             words[exps] = LaurentPoly.one()
         out.words = words
         return out
-
-    def iter_words(self):
-        for exps in sorted(self.words):
-            yield QWord(self.words[exps], exps)
 
     def total_degree(self) -> int:
         if not self.words:

@@ -50,3 +50,20 @@ def finish_report(check_name, parameters, modulus, holds, started,
         elapsed=time.perf_counter() - started,
         first_residue_coeff=first_residue_coeff if not holds else None,
     )
+
+
+def _finish_poly(name, params, residues, mod, started):
+    """Report builder for a conjunction of polynomial congruences.
+
+    `residues` are the reduced differences, which all vanish when the
+    statement holds; `mod` is the Modulus (or "identity").  A failing
+    report carries the first nonzero residue's value at q = 1 and its
+    lowest coefficient.
+    """
+    bad = next((r for r in residues if not r.is_zero()), None)
+    holds = bad is None
+    return finish_report(
+        name, params, str(mod), holds, started,
+        residue_at_one=Fraction(0) if holds else bad(1),
+        first_residue_coeff=None if holds else Fraction(bad.coefficient(bad.min_degree())),
+    )

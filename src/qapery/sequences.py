@@ -7,6 +7,11 @@ reads them off as Taylor coefficients of the rational function
 Laurent form with weight k(k-2n), partial-fraction coefficients a_q(n,k)),
 weighted multivariate and (lambda, mu)-generalized q-sums, their rational
 correction terms, and the Almkvist-Zudilin numbers.
+
+The binomial and Laurent q-forms are the (lambda, mu) = (2, 2) members of
+the generalized family, with weights (n-k)^2 and k(k-2n); both are computed
+by ``apery_q_lambda_mu``.  The partial-fraction route ``apery_q_krz`` is
+built independently and serves as their cross-check.
 """
 
 from __future__ import annotations
@@ -288,13 +293,9 @@ def apery_q_krz_binform(n: int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("apery_q_krz_binform requires n >= 0")
-    total = LaurentPoly.zero()
-    for k in range(n + 1):
-        total = total + q_power((n - k) ** 2) * qbin_pow(n, k, 2) * qbin_pow(n + k, k, 2)
-    return total
+    return apery_q_lambda_mu(n, 2, 2, ALPHA_NKSQ)
 
 
-@lru_cache(maxsize=None)
 def apery_q_zheng(n: int) -> LaurentPoly:
     """The Laurent polynomial sum_k q^(k(k-2n)) C(n,k)_q^2 C(n+k,k)_q^2.
 
@@ -302,10 +303,7 @@ def apery_q_zheng(n: int) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("apery_q_zheng requires n >= 0")
-    total = LaurentPoly.zero()
-    for k in range(n + 1):
-        total = total + q_power(k * (k - 2 * n)) * qbin_pow(n, k, 2) * qbin_pow(n + k, k, 2)
-    return total
+    return apery_q_lambda_mu(n, 2, 2, ALPHA_KK2N)
 
 
 def krz_partial_fraction_coeff(n: int, k: int) -> LaurentPoly:
@@ -330,6 +328,16 @@ def apery_q_krz(n: int) -> LaurentPoly:
     return total
 
 
+def apery_q_multivariate_summand(n, k: int, alpha: AlphaExponent) -> LaurentPoly:
+    """The k-th term of ``apery_q_multivariate`` for a 4-tuple n (0 when a
+    q-binomial vanishes), with alpha an already resolved weight."""
+    n1, n2, n3, n4 = n
+    term = qbin(n1, k) * qbin(n3, k) * qbin(n1 + n2 - k, n1) * qbin(n3 + n4 - k, n3)
+    if term.is_zero():
+        return term
+    return q_power(alpha(n, k)) * term
+
+
 _AQ_MULT_CACHE = {}
 
 
@@ -349,16 +357,11 @@ def apery_q_multivariate(n, alpha="ksq") -> LaurentPoly:
     cacheable = _ALPHAS.get(alpha.name) is alpha
     if cacheable and key in _AQ_MULT_CACHE:
         return _AQ_MULT_CACHE[key]
-    n1, n2, n3, n4 = n
     total = LaurentPoly.zero()
-    for k in range(0, min(n1, n3) + 1):
-        term = (
-            qbin(n1, k) * qbin(n3, k)
-            * qbin(n1 + n2 - k, n1) * qbin(n3 + n4 - k, n3)
-        )
-        if term.is_zero():
-            continue
-        total = total + q_power(alpha(n, k)) * term
+    for k in range(0, min(n[0], n[2]) + 1):
+        term = apery_q_multivariate_summand(n, k, alpha)
+        if not term.is_zero():
+            total = total + term
     if cacheable:
         _AQ_MULT_CACHE[key] = total
     return total
