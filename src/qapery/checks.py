@@ -14,7 +14,8 @@ The q-Ljunggren, corollary, main and generalized theorems share one shape,
     lhs == base(q^(m^2)) - c (q^m - 1)^2   (mod Phi_m^3),
 
 and one body, ``_cube_congruence``: each checker builds only its own lhs,
-base and correction factor c.
+base and correction factor c.  The residue itself comes from
+``_cube_residue``, which the central binomial and S1/S2 checkers share.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .cyclotomic import Modulus, inverse_mod, reduce_mod
+from .cyclotomic import Modulus, _factorize, inverse_mod, reduce_mod
 from .laurent import LaurentPoly, RationalFunctionQ, q_power
 from .qcombinatorics import (
     binom,
@@ -48,13 +49,18 @@ from .sequences import (
 )
 
 
-def _cube_congruence(name, params, m, lhs, base, c, started):
-    """Report on lhs == base(q^(m^2)) - c (q^m - 1)^2 (mod Phi_m^3)."""
-    mod = Modulus(m, 3)
+def _cube_residue(m, lhs, base, c, mod):
+    """Residue of lhs - base(q^(m^2)) + c (q^m - 1)^2 modulo mod."""
     rhs = base.substitute_power(m * m)
     if c:
         rhs = rhs - c * (q_power(m) - 1) ** 2
-    return _finish_poly(name, params, [reduce_mod(lhs - rhs, mod)], mod, started)
+    return reduce_mod(lhs - rhs, mod)
+
+
+def _cube_congruence(name, params, m, lhs, base, c, started):
+    """Report on lhs == base(q^(m^2)) - c (q^m - 1)^2 (mod Phi_m^3)."""
+    mod = Modulus(m, 3)
+    return _finish_poly(name, params, [_cube_residue(m, lhs, base, c, mod)], mod, started)
 
 
 def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
@@ -77,7 +83,8 @@ def check_wolstenholme_q(n: int) -> CongruenceReport:
         C(2n, n)_q == [2]_{q^(n^2)} - (n^2-1)/12 (q^n - 1)^2
         C(2n, n)_q == 2 + n (q^n - 1) + (n-1)(5n-1)/12 (q^n - 1)^2
 
-    together with the equivalence of the two right-hand sides.
+    The two right-hand sides are then congruent to each other as well, so
+    that equivalence needs no residue of its own.
     """
     started = time.perf_counter()
     params = {"n": n}
@@ -85,17 +92,11 @@ def check_wolstenholme_q(n: int) -> CongruenceReport:
         raise PreconditionError("requires n >= 1")
     mod = Modulus(n, 3)
     lhs = qbin(2 * n, n)
-    qn1sq = (q_power(n) - 1) ** 2
-    rhs_x = q_integer(2).substitute_power(n * n) - Fraction(n * n - 1, 12) * qn1sq
-    rhs_x2 = (
-        LaurentPoly.constant(2)
-        + n * (q_power(n) - 1)
-        + Fraction((n - 1) * (5 * n - 1), 12) * qn1sq
-    )
+    qn1 = q_power(n) - 1
+    rhs_x2 = 2 + n * qn1 + Fraction((n - 1) * (5 * n - 1), 12) * qn1 ** 2
     residues = [
-        reduce_mod(lhs - rhs_x, mod),
+        _cube_residue(n, lhs, q_integer(2), Fraction(n * n - 1, 12), mod),
         reduce_mod(lhs - rhs_x2, mod),
-        reduce_mod(rhs_x - rhs_x2, mod),
     ]
     return _finish_poly("wolstenholme-q", params, residues, mod, started)
 
@@ -114,6 +115,18 @@ def _q_integer_cofactors(n):
     return ints, prefix[-1], cofactors
 
 
+def _harmonic_lhs(which, terms):
+    """sum t (sp1), sum t^2 (sp2) or sum_{i<j} t_i t_j (sp3) over the terms."""
+    zero = LaurentPoly.zero()
+    if which == "sp1":
+        return sum(terms, zero)
+    p2 = sum((t * t for t in terms), zero)
+    if which == "sp2":
+        return p2
+    p1 = sum(terms, zero)
+    return Fraction(1, 2) * (p1 * p1 - p2)
+
+
 def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     """Harmonic-sum congruences over 0 < i < n (and 0 < i < j < n):
 
@@ -121,8 +134,9 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
         sp2:  sum 1/[i]_q^2 == -(n-1)(n-5)/12 (q-1)^2                     (mod Phi_n)
         sp3:  sum_{i<j} 1/([i]_q [j]_q) == (n-1)(n-2)/6 (q-1)^2           (mod Phi_n)
 
-    Verified in multiplied-through form and, as a cross-check, with
-    explicit modular inverses of the [i]_q.
+    Verified in multiplied-through form, with the cofactors D/[i]_q of
+    D = prod [i]_q as the terms and the right side times D (sp1) or D^2,
+    and, as a cross-check, with explicit modular inverses of the [i]_q.
     """
     started = time.perf_counter()
     params = {"n": n, "which": which}
@@ -142,26 +156,10 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
         rhs = Fraction((n - 1) * (n - 2), 6) * qm1 ** 2
 
     ints, product, cofactors = _q_integer_cofactors(n)
-    if which == "sp1":
-        primary = reduce_mod(sum(cofactors, LaurentPoly.zero()) - rhs * product, mod)
-    elif which == "sp2":
-        lhs = sum((c * c for c in cofactors), LaurentPoly.zero())
-        primary = reduce_mod(lhs - rhs * product ** 2, mod)
-    else:
-        p1 = sum(cofactors, LaurentPoly.zero())
-        p2 = sum((c * c for c in cofactors), LaurentPoly.zero())
-        lhs = Fraction(1, 2) * (p1 * p1 - p2)
-        primary = reduce_mod(lhs - rhs * product ** 2, mod)
-
+    scale = product if which == "sp1" else product ** 2
+    primary = reduce_mod(_harmonic_lhs(which, cofactors) - rhs * scale, mod)
     inverses = [inverse_mod(p, mod) for p in ints]
-    if which == "sp1":
-        cross = reduce_mod(sum(inverses, LaurentPoly.zero()) - rhs, mod)
-    elif which == "sp2":
-        cross = reduce_mod(sum((h * h for h in inverses), LaurentPoly.zero()) - rhs, mod)
-    else:
-        h1 = sum(inverses, LaurentPoly.zero())
-        h2 = sum((h * h for h in inverses), LaurentPoly.zero())
-        cross = reduce_mod(Fraction(1, 2) * (h1 * h1 - h2) - rhs, mod)
+    cross = reduce_mod(_harmonic_lhs(which, inverses) - rhs, mod)
     return _finish_poly("harmonic-sp", params, [primary, cross], mod, started)
 
 
@@ -246,9 +244,11 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     """Proof-level decomposition of the four-index congruence.
 
     Splits A_q(m*n) into the k == 0 (mod m) part S1 and the rest S2 and
-    verifies: the split is exact; S1 matches the substituted sum with
+    verifies, modulo Phi_m^3: S1 matches the substituted sum with
     correction sum_k ((n1 n2 + n3 n4)/2 - k^2) C(n; k); and S2 collapses to
-    -(m^2-1)/12 (q^m - 1)^2 sum_k k^2 C(n; k); all modulo Phi_m^3.
+    -(m^2-1)/12 (q^m - 1)^2 sum_k k^2 C(n; k).  S1 and S2 partition one list
+    of the summands of A_q(m*n), so the split is exact by construction and
+    needs no residue of its own.
     """
     started = time.perf_counter()
     n = tuple(n)
@@ -258,17 +258,9 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
         raise PreconditionError("requires m >= 1 and nonnegative indices")
     mod = Modulus(m, 3)
     mn = tuple(m * ni for ni in n)
-    kmax = min(mn[0], mn[2])
-    s1 = LaurentPoly.zero()
-    s2 = LaurentPoly.zero()
-    for k in range(kmax + 1):
-        term = apery_q_multivariate_summand(mn, k, alpha)
-        if k % m == 0:
-            s1 = s1 + term
-        else:
-            s2 = s2 + term
-
-    split_residue = apery_q_multivariate(n=mn, alpha=alpha) - (s1 + s2)
+    terms = [apery_q_multivariate_summand(mn, k, alpha) for k in range(min(mn[0], mn[2]) + 1)]
+    s1 = sum(terms[::m], LaurentPoly.zero())
+    s2 = sum((t for k, t in enumerate(terms) if k % m), LaurentPoly.zero())
 
     c_weights = [
         binom(n[0], k) * binom(n[2], k)
@@ -279,19 +271,10 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     r1 = sum((half - k * k) * c for k, c in enumerate(c_weights))
     k2sum = sum(k * k * c for k, c in enumerate(c_weights))
 
-    qm1sq = (q_power(m) - 1) ** 2
     factor = Fraction(m * m - 1, 12)
-    rhs1 = apery_q_multivariate(n, alpha).substitute_power(m * m)
-    if factor * r1:
-        rhs1 = rhs1 - factor * r1 * qm1sq
-    rhs2 = LaurentPoly.zero()
-    if factor * k2sum:
-        rhs2 = rhs2 - factor * k2sum * qm1sq
-
     residues = [
-        split_residue,
-        reduce_mod(s1 - rhs1, mod),
-        reduce_mod(s2 - rhs2, mod),
+        _cube_residue(m, s1, apery_q_multivariate(n, alpha), factor * r1, mod),
+        _cube_residue(m, s2, LaurentPoly.zero(), factor * k2sum, mod),
     ]
     return _finish_poly("s1s2", params, residues, mod, started)
 
@@ -357,14 +340,7 @@ def check_zheng_identity(n: int) -> CongruenceReport:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return _factorize(p) == {p: 1}
 
 
 def check_classical_supercongruences(p: int, n: int, family: str,
@@ -443,11 +419,6 @@ def _generalized_adapter(m, n, alpha="ksq", **kw):
 
 def _classical_adapter(p, n, family, **kw):
     return check_classical_supercongruences(p, n, family, kw.get("lambda"), kw.get("mu"))
-
-
-def _alpha_names():
-    from .sequences import list_alphas
-    return [a.name for a in list_alphas()]
 
 
 CHECKS = {}

@@ -335,7 +335,10 @@ def _cmd_compute(ns) -> int:
     arity, fn = _COMPUTE[ns.target]
     if len(ns.args) != arity:
         raise UsageError("target %r expects %d integer argument(s)" % (ns.target, arity))
-    value = fn(*ns.args)
+    try:
+        value = fn(*ns.args)
+    except ValueError as exc:
+        raise UsageError("bad arguments for %s: %s" % (ns.target, exc))
     if ns.as_json:
         payload = {
             "target": ns.target,

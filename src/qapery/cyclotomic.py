@@ -1,13 +1,15 @@
 """Cyclotomic polynomials and congruence arithmetic modulo their powers.
 
 Phi_m(q) is computed by exact division, Phi_m = (q^m - 1) / prod Phi_d over
-proper divisors d, and memoized.  Congruence of Laurent polynomials modulo
-Phi_m(q)^k is decided by shifting the operand to an ordinary polynomial and
-testing divisibility; this is sound because gcd(q, Phi_m) = 1 for every m,
-so multiplying by a power of q never changes divisibility by Phi_m^k.
+proper divisors d, and memoized.  A Laurent polynomial f has one canonical
+residue modulo Phi_m(q)^k: the unique ordinary r == f with deg r below the
+modulus degree.  It exists because gcd(q, Phi_m) = 1 for every m, so q is
+invertible modulo Phi_m^k; congruence is the vanishing of that residue.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 from .laurent import LaurentPoly, divrem, exact_div, ext_gcd, q_power
 
@@ -114,14 +116,23 @@ class Modulus:
 
 
 def reduce_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
-    """Remainder of q^s * f modulo the modulus polynomial, s from the shift.
+    """The canonical residue of f modulo Phi_m^k.
 
-    The result is zero exactly when f == 0 (mod Phi_m^k); the nonzero
-    residue depends on the shift s and is reported for diagnosis only.
+    This is the unique ordinary r with r == f (mod Phi_m^k) and deg r below
+    the modulus degree, so it is zero exactly when f == 0 (mod Phi_m^k) and
+    does not depend on how f is written.  Negative exponents are cleared by
+    reducing q^(m a) f, with m a >= -min_degree(f), and multiplying by the
+    inverse of q^(m a).  Writing q^m = 1 + x, Phi_m^k divides x^k, so that
+    inverse is the truncated binomial series sum_{j<k} C(-a, j) x^j.
     """
-    g, _ = f.shift_to_ordinary()
-    _, r = divrem(g, mod.polynomial)
-    return r
+    P = mod.polynomial
+    if f.is_ordinary():
+        return divrem(f, P)[1]
+    a = -(f.min_degree() // mod.m)
+    x = q_power(mod.m) - 1
+    u = sum((comb(a + j - 1, j) * (-x) ** j for j in range(mod.k)), LaurentPoly.zero())
+    r = divrem(q_power(mod.m * a) * f, P)[1]
+    return divrem(u * r, P)[1]
 
 
 def congruent(f: LaurentPoly, g: LaurentPoly, mod: Modulus) -> bool:
@@ -129,26 +140,7 @@ def congruent(f: LaurentPoly, g: LaurentPoly, mod: Modulus) -> bool:
     return reduce_mod(f - g, mod).is_zero()
 
 
-def residue_exact(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
-    """The unique ordinary r with r == f (mod Phi_m^k), deg r < deg modulus.
-
-    Unlike ``reduce_mod`` this does not pick up a stray q^s factor; negative
-    exponents are cleared through the modular inverse of q (which exists,
-    Phi_m(0) != 0).
-    """
-    P = mod.polynomial
-    pos = {e: c for e, c in f._terms.items() if e >= 0}
-    neg = {e: c for e, c in f._terms.items() if e < 0}
-    _, r = divrem(LaurentPoly(pos), P)
-    if neg:
-        shift = -min(neg)
-        shifted = LaurentPoly({e + shift: c for e, c in neg.items()})
-        d, u, _ = ext_gcd(q_power(shift), P)
-        if not (d == 1):
-            raise NotInvertibleError("q is not invertible modulo %s" % mod)
-        _, r2 = divrem(u * shifted, P)
-        _, r = divrem(r + r2, P)
-    return r
+residue_exact = reduce_mod
 
 
 def inverse_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
@@ -156,7 +148,7 @@ def inverse_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
 
     Raises NotInvertibleError when f shares a factor with Phi_m.
     """
-    r = residue_exact(f, mod)
+    r = reduce_mod(f, mod)
     if r.is_zero():
         raise NotInvertibleError("zero is not invertible modulo %s" % mod)
     d, u, _ = ext_gcd(r, mod.polynomial)

@@ -193,17 +193,13 @@ def _trunc_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _geometric_inverse(i: int, j: int, bound: int) -> dict:
-    """Series of 1/(1 - x_i - x_j) up to total degree `bound`."""
-    lin = {}
-    for idx in (i, j):
-        e = [0, 0, 0, 0]
-        e[idx] = 1
-        lin[tuple(e)] = 1
+def _geometric_series(u: dict, bound: int) -> dict:
+    """Series of 1/(1 - u) up to total degree `bound`, for u with no
+    constant term: the truncated sum of the powers u^j."""
     total = {(0, 0, 0, 0): 1}
     power = {(0, 0, 0, 0): 1}
     for _ in range(bound):
-        power = _trunc_mul(power, lin, bound)
+        power = _trunc_mul(power, u, bound)
         if not power:
             break
         total = _trunc_add(total, power)
@@ -217,7 +213,9 @@ def _apery_rf_coefficients(bound: int) -> dict:
     sum over j >= 0 of (x1x2x3x4)^j ((1-x1-x2)(1-x3-x4))^-(j+1).
     """
     dinv = _trunc_mul(
-        _geometric_inverse(0, 1, bound), _geometric_inverse(2, 3, bound), bound
+        _geometric_series({(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, bound),
+        _geometric_series({(0, 0, 1, 0): 1, (0, 0, 0, 1): 1}, bound),
+        bound,
     )
     p_dinv = _trunc_mul({(1, 1, 1, 1): 1}, dinv, bound)
     acc = dinv
@@ -258,14 +256,7 @@ def _az_rf_coefficients(bound: int) -> dict:
         (0, 0, 0, 1): 1,
         (1, 1, 1, 1): -27,
     }
-    total = {(0, 0, 0, 0): 1}
-    power = {(0, 0, 0, 0): 1}
-    for _ in range(bound):
-        power = _trunc_mul(power, u, bound)
-        if not power:
-            break
-        total = _trunc_add(total, power)
-    return total
+    return _geometric_series(u, bound)
 
 
 def az_diagonal_oracle(n: int) -> int:

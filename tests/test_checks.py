@@ -171,6 +171,23 @@ class TestS1S2:
         assert check_s1_s2_decomposition(2, (1, 1, 1, 1), "ksq").holds
         assert check_s1_s2_decomposition(3, (1, 1, 1, 1), "kn23").holds
 
+    def test_each_summand_built_once(self, monkeypatch):
+        # 9 summands of A_q(8,8,8,8) for S1/S2 and 3 of A_q(2,2,2,2) for the base
+        from qapery import checks, sequences
+
+        calls = []
+        summand = sequences.apery_q_multivariate_summand
+
+        def counting(*args):
+            calls.append(args)
+            return summand(*args)
+
+        monkeypatch.setattr(sequences, "_AQ_MULT_CACHE", {})
+        monkeypatch.setattr(sequences, "apery_q_multivariate_summand", counting)
+        monkeypatch.setattr(checks, "apery_q_multivariate_summand", counting)
+        assert check_s1_s2_decomposition(4, (2, 2, 2, 2), "ksq").holds
+        assert len(calls) == 12
+
 
 class TestIdentities:
     def test_harmonic_classical_hand_value(self):

@@ -62,6 +62,15 @@ class TestCompute:
         code, _, _ = run_cli(capsys, "compute", "zeta", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("zheng", "-1"), ("apery", "-1"), ("az", "-1"), ("cyclotomic", "0"),
+        ("qbinom", "-1", "0"), ("multivariate", "-1", "0", "0", "0"),
+    ])
+    def test_out_of_domain_argument_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "value.txt"
         code, out, _ = run_cli(capsys, "compute", "apery", "3", "--output", str(path))

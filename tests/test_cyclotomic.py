@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qapery.cyclotomic import (
     CyclotomicCache,
@@ -135,6 +136,28 @@ class TestReduceMod:
         mod = Modulus(3, 2)
         r = reduce_mod(q**9 + 3 * q**5 - 1, mod)
         assert r.degree() < mod.polynomial.degree()
+
+
+class TestCanonicalResidue:
+    def test_positive_exponents_are_not_shifted(self):
+        # q^2 + q == -1 (mod Phi_3) and q^3 (q - 1) == 2 (mod Phi_2)
+        assert reduce_mod(q**2 + q, Modulus(3, 1)) == -1
+        assert reduce_mod(q**3 * (q - 1), Modulus(2, 1)) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=8),
+        st.dictionaries(st.integers(0, 6), st.integers(-9, 9), max_size=5),
+        st.sampled_from([(1, 1), (2, 3), (3, 2), (4, 1), (6, 2)]),
+    )
+    def test_congruent_and_invariant_under_multiples_of_the_modulus(self, f, h, mk):
+        mod = Modulus(*mk)
+        f, h = LaurentPoly(f), LaurentPoly(h)
+        r = reduce_mod(f, mod)
+        assert reduce_mod(f + h * mod.polynomial, mod) == r
+        assert r.is_zero() or (r.is_ordinary() and r.degree() < mod.polynomial.degree())
+        # r == f: a power of q times f - r is a multiple of the modulus
+        assert divrem((f - r).shift_to_ordinary()[0], mod.polynomial)[1].is_zero()
 
 
 class TestResidueExact:

@@ -1,4 +1,5 @@
-"""Every module in the package uses every name it imports.
+"""Every module in the package uses every name it imports, and every
+module-level private name is referenced somewhere in the package.
 
 Re-exports in ``__init__.py`` and ``from __future__`` imports are exempt.
 """
@@ -34,3 +35,43 @@ def test_detector_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unreferenced_private_names(sources):
+    """(module, name) for each module-level ``_private`` function, class or
+    constant in ``sources`` (module -> text) that no module references."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    defined = []
+    referenced = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return sorted((module, name) for module, name in defined if name not in referenced)
+
+
+def test_detector_flags_an_unreferenced_private_name():
+    sources = {
+        "a": "_USED = 1\n_SET_ONLY = 2\ndef _dead():\n    return _USED\nclass _Kept:\n    pass\n",
+        "b": "from a import _Kept\nimport a\nx = a._dead\n__all__ = []\n",
+    }
+    assert _unreferenced_private_names(sources) == [("a", "_SET_ONLY")]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert _unreferenced_private_names(sources) == []

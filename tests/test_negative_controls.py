@@ -2,7 +2,7 @@
 
 Each case runs one checker on an instance that holds, then again with one
 ingredient of the stated right-hand side perturbed (a correction factor
-off by one, a Lucas factor C(a,r)+1, one convolution exponent shifted),
+off by one, a Lucas factor C(a,r)+1, one exponent of q shifted),
 and requires the perturbed run to report a failure with a nonzero residue
 coefficient.  A checker whose report ignored its residues would pass the
 first run and fail the second.
@@ -40,11 +40,22 @@ CASES = [
     ("lucas", {"n": 3, "a": 2, "b": 1, "r": 1, "s": 1}, qcombinatorics, "binom", _plus_one),
     ("chu-vandermonde", {"a": 3, "b": 1, "n": 2},
      qcombinatorics, "q_power", _shift_first_exponent),
+    ("wolstenholme-q", {"n": 3}, checks, "q_integer", _plus_one),
+    ("qbin-prop", {"m": 3, "n": 2, "k": 1, "j": 1}, checks, "binom", _plus_one),
+    # n = 5 would hide sp2: its right side has the factor (n - 5)
+    ("harmonic-sp", {"n": 7, "which": "sp1"}, checks, "q_power", _shift_first_exponent),
+    ("harmonic-sp", {"n": 7, "which": "sp2"}, checks, "q_power", _shift_first_exponent),
+    ("harmonic-sp", {"n": 7, "which": "sp3"}, checks, "q_power", _shift_first_exponent),
 ]
 
 
+def _case_id(case):
+    name, params = case[:2]
+    return "%s-%s" % (name, params["which"]) if "which" in params else name
+
+
 @pytest.mark.parametrize(
-    "name, params, module, attribute, perturb", CASES, ids=[c[0] for c in CASES])
+    "name, params, module, attribute, perturb", CASES, ids=[_case_id(c) for c in CASES])
 def test_perturbed_statement_fails(monkeypatch, name, params, module, attribute, perturb):
     assert run_named_check(name, params).holds is True
     monkeypatch.setattr(module, attribute, perturb(getattr(module, attribute)))
