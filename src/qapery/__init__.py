@@ -23,6 +23,8 @@ from .cyclotomic import (
     CyclotomicCache,
     Modulus,
     NotInvertibleError,
+    ResidueRing,
+    binomial_sum_residue,
     congruent,
     cyclotomic,
     cyclotomic_at_one,
@@ -61,7 +63,9 @@ from .sequences import (
     apery_q_krz,
     apery_q_krz_binform,
     apery_q_lambda_mu,
+    apery_q_lambda_mu_terms,
     apery_q_multivariate,
+    apery_q_multivariate_terms,
     apery_q_zheng,
     az_diagonal_oracle,
     correction_R_lambda_mu,

@@ -13,9 +13,18 @@ The q-Ljunggren, corollary, main and generalized theorems share one shape,
 
     lhs == base(q^(m^2)) - c (q^m - 1)^2   (mod Phi_m^3),
 
-and one body, ``_cube_congruence``: each checker builds only its own lhs,
-base and correction factor c.  The residue itself comes from
-``_cube_residue``, which the central binomial and S1/S2 checkers share.
+and one body, ``_cube_congruence``.  Each checker states its lhs as a list
+of summand specs, (e, ((top, bottom, power), ...)) for q^e times a product
+of q-binomial powers, and builds only its base and correction factor c.
+The lhs is never built: ``cyclotomic.binomial_sum_residue`` reduces it in
+the ring Z[q]/((q^m - 1)^3), scaled by a common denominator D, a product
+of the units u_j that remain of 1 - q^j once Phi_m is divided out.  Only a
+nonzero residue is multiplied by the inverse of D, and since the canonical
+residue is unique, a failing report carries the same residue as the
+full-polynomial route.  That route, ``_cube_residue``, serves the central
+binomial and S1/S2 checkers, and the tests compare the two.  A lhs whose
+largest q-binomial top index M has M*m above ``RING_SIZE_GUARD`` is
+refused as a precondition failure before anything is built.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .cyclotomic import Modulus, _factorize, inverse_mod, reduce_mod
+from .cyclotomic import Modulus, _factorize, binomial_sum_residue, inverse_mod, reduce_mod
 from .laurent import LaurentPoly, RationalFunctionQ, q_power
 from .qcombinatorics import (
     binom,
@@ -41,12 +50,19 @@ from .sequences import (
     apery_lambda_mu,
     apery_q_krz_binform,
     apery_q_lambda_mu,
+    apery_q_lambda_mu_terms,
     apery_q_multivariate,
     apery_q_multivariate_summand,
+    apery_q_multivariate_terms,
     correction_R_lambda_mu,
     correction_R_multivariate,
     get_alpha,
 )
+
+
+#: The largest M*m a ring-route checker accepts, M the largest q-binomial
+#: top index of its lhs (corollary: M = 2mn).
+RING_SIZE_GUARD = 1 << 15
 
 
 def _cube_residue(m, lhs, base, c, mod):
@@ -57,10 +73,22 @@ def _cube_residue(m, lhs, base, c, mod):
     return reduce_mod(lhs - rhs, mod)
 
 
-def _cube_congruence(name, params, m, lhs, base, c, started):
-    """Report on lhs == base(q^(m^2)) - c (q^m - 1)^2 (mod Phi_m^3)."""
+def _guard_ring_size(m, top):
+    """Refuse an lhs whose largest q-binomial top index times m exceeds the guard."""
+    if top * m > RING_SIZE_GUARD:
+        raise PreconditionError(
+            "instance too large: M*m = %d exceeds the size guard %d" % (top * m, RING_SIZE_GUARD))
+
+
+def _cube_congruence(name, params, m, terms, base, c, started):
+    """Report on sum(terms) == base(q^(m^2)) - c (q^m - 1)^2 (mod Phi_m^3).
+
+    The terms are (e, ((top, bottom, power), ...)) summand specs.  Their sum
+    is reduced in the residue ring, never built; the residue is the
+    canonical one, equal to ``_cube_residue`` of the built sum.
+    """
     mod = Modulus(m, 3)
-    return _finish_poly(name, params, [_cube_residue(m, lhs, base, c, mod)], mod, started)
+    return _finish_poly(name, params, [binomial_sum_residue(terms, base, c, mod)], mod, started)
 
 
 def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
@@ -73,8 +101,10 @@ def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
     params = {"n": n, "a": a, "b": b}
     if n < 1 or a < 0 or b < 0:
         raise PreconditionError("requires n >= 1 and a, b >= 0")
+    _guard_ring_size(n, a * n)
     c = Fraction((a - b) * b * binom(a, b) * (n * n - 1), 24)
-    return _cube_congruence("ljunggren", params, n, qbin(a * n, b * n), qbin(a, b), c, started)
+    return _cube_congruence("ljunggren", params, n, [(0, ((a * n, b * n, 1),))],
+                            qbin(a, b), c, started)
 
 
 def check_wolstenholme_q(n: int) -> CongruenceReport:
@@ -201,9 +231,10 @@ def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
     params = {"m": m, "n1": n[0], "n2": n[1], "n3": n[2], "n4": n[3], "alpha": alpha.name}
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
-    lhs = apery_q_multivariate(tuple(m * ni for ni in n), alpha)
+    _guard_ring_size(m, m * max(n[0] + n[1], n[2] + n[3]))
+    terms = apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)
     c = Fraction(m * m - 1, 12) * correction_R_multivariate(n)
-    return _cube_congruence("main", params, m, lhs, apery_q_multivariate(n, alpha), c, started)
+    return _cube_congruence("main", params, m, terms, apery_q_multivariate(n, alpha), c, started)
 
 
 def check_corollary(m: int, n: int) -> CongruenceReport:
@@ -217,9 +248,11 @@ def check_corollary(m: int, n: int) -> CongruenceReport:
     params = {"m": m, "n": n}
     if m < 1 or n < 0:
         raise PreconditionError("requires m >= 1 and n >= 0")
+    _guard_ring_size(m, 2 * m * n)
+    # the summands of apery_q_krz_binform(m * n)
+    terms = apery_q_lambda_mu_terms(m * n, 2, 2, "nksq")
     c = Fraction(m * m - 1, 12) * n * n * apery(n)
-    return _cube_congruence("corollary", params, m, apery_q_krz_binform(m * n),
-                            apery_q_krz_binform(n), c, started)
+    return _cube_congruence("corollary", params, m, terms, apery_q_krz_binform(n), c, started)
 
 
 def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") -> CongruenceReport:
@@ -234,9 +267,10 @@ def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") ->
         raise PreconditionError("requires m >= 1 and n >= 0")
     if lam < 2 or mu < 0:
         raise PreconditionError("requires lambda >= 2 and mu >= 0")
-    lhs = apery_q_lambda_mu(m * n, lam, mu, alpha)
+    _guard_ring_size(m, 2 * m * n)
+    terms = apery_q_lambda_mu_terms(m * n, lam, mu, alpha)
     c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
-    return _cube_congruence("generalized", params, m, lhs,
+    return _cube_congruence("generalized", params, m, terms,
                             apery_q_lambda_mu(n, lam, mu, alpha), c, started)
 
 

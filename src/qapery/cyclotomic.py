@@ -5,13 +5,22 @@ proper divisors d, and memoized.  A Laurent polynomial f has one canonical
 residue modulo Phi_m(q)^k: the unique ordinary r == f with deg r below the
 modulus degree.  It exists because gcd(q, Phi_m) = 1 for every m, so q is
 invertible modulo Phi_m^k; congruence is the vanishing of that residue.
+
+``binomial_sum_residue`` finds the residue of a sum of products of
+q-binomials without building the sum.  It works in ``ResidueRing(m, k)``,
+integer polynomials modulo (q^m - 1)^k, a multiple of Phi_m^k, whose
+elements are k*m integers, and it takes no inverse until a residue is
+known to be nonzero.
 """
 
 from __future__ import annotations
 
-from math import comb
+from collections import Counter
+from fractions import Fraction
+from functools import reduce
+from math import comb, gcd, lcm
 
-from .laurent import LaurentPoly, divrem, exact_div, ext_gcd, q_power
+from .laurent import LaurentPoly, _dense_mul, divrem, exact_div, ext_gcd, q_power
 
 
 class NotInvertibleError(ValueError):
@@ -156,6 +165,183 @@ def inverse_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
         raise NotInvertibleError("element shares a factor with %s" % mod)
     _, h = divrem(u, mod.polynomial)
     return h
+
+
+def _binomial(a: int, j: int) -> int:
+    """C(a, j) = a (a-1) ... (a-j+1) / j! for any integer a."""
+    return comb(a, j) if a >= 0 else (-1) ** j * comb(j - a - 1, j)
+
+
+class ResidueRing:
+    """Z[q]/((q^m - 1)^k) on lists of k*m integers, the coefficients of
+    q^0 .. q^(km-1).
+
+    Phi_m^k divides (q^m - 1)^k, so ``reduce_mod(to_poly(v), Modulus(m, k))``
+    is the residue of whatever v stands for.  A product is reduced by the
+    sparse relation (q^m - 1)^k = 0; for k = 3 it reads
+    q^(3m) = 3 q^(2m) - 3 q^m + 1.  Powers need no products: with
+    x = q^m - 1, x^k = 0, so q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j,
+    for negative a as well.
+    """
+
+    def __init__(self, m: int, k: int):
+        self.m, self.k, self.size = m, k, m * k
+        # q^(km) = -sum_{j<k} C(k, j) (-1)^(k-j) q^(mj)
+        self._wrap = [(m * j, (-1) ** (k - j + 1) * comb(k, j)) for j in range(k)]
+        self.one = self.q_power(0)
+        phi = cyclotomic(m)
+        self.phi = self.from_poly(phi)
+        # Psi_m = (q^m - 1) / Phi_m, the product of Phi_d over d | m, d < m
+        self._psi = self.from_poly(exact_div(q_power(m) - 1, phi))
+
+    def mul(self, a: list, b: list) -> list:
+        """The product of two elements."""
+        v = _dense_mul(a, b)
+        size = self.size
+        for i in range(len(v) - 1, size - 1, -1):
+            c = v[i]
+            if c:
+                low = i - size
+                for offset, w in self._wrap:
+                    v[low + offset] += w * c
+        del v[size:]
+        return v
+
+    def power(self, a: list, e: int) -> list:
+        """a^e for e >= 0."""
+        result = self.one
+        while e:
+            if e & 1:
+                result = a if result is self.one else self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
+
+    def from_x(self, coeffs, r: int = 0) -> list:
+        """q^r sum_j coeffs[j] x^j, for 0 <= r < m and at most k coefficients."""
+        v = [0] * self.size
+        for j, c in enumerate(coeffs):
+            if c:
+                for i in range(j + 1):
+                    v[r + self.m * i] += (-1) ** (j - i) * comb(j, i) * c
+        return v
+
+    def q_power(self, e: int) -> list:
+        """q^e for any integer e."""
+        a, r = divmod(e, self.m)
+        return self.from_x([_binomial(a, j) for j in range(self.k)], r)
+
+    def from_poly(self, f: LaurentPoly) -> list:
+        """The element of a Laurent polynomial with integer coefficients."""
+        v = [0] * self.size
+        for e, c in f.terms():
+            for i, x in enumerate(self.q_power(e)):
+                v[i] += c * x
+        return v
+
+    def to_poly(self, v: list) -> LaurentPoly:
+        """The polynomial sum_i v[i] q^i."""
+        return LaurentPoly(dict(enumerate(v)))
+
+    def unit(self, j: int) -> list:
+        """u_j, the part of 1 - q^j (j >= 1) prime to Phi_m.
+
+        That is 1 - q^j itself when m does not divide j.  For j = a m,
+        1 - q^j = -Phi_m Psi_m [a]_{q^m}, so u_j = -Psi_m [a]_{q^m} with
+        [a]_{q^m} = ((1 + x)^a - 1) / x = sum_{i<k} C(a, i+1) x^i.
+        """
+        a, r = divmod(j, self.m)
+        if r:
+            v = [-c for c in self.q_power(j)]
+            v[0] += 1
+            return v
+        series = self.from_x([comb(a, i + 1) for i in range(self.k)])
+        return [-c for c in self.mul(self._psi, series)]
+
+
+def binomial_sum_residue(terms, base: LaurentPoly, c, mod: Modulus) -> LaurentPoly:
+    """The canonical residue modulo Phi_m^k of
+
+        sum over terms of q^e prod C(t, b)_q^p  -  base(q^(m^2))  +  c (q^m - 1)^2,
+
+    each term an (e, ((t, b, p), ...)) spec, computed in ``ResidueRing(m, k)``
+    without building the sum.  It equals ``reduce_mod`` of the built
+    difference.
+
+    Since C(t, b)_q = (q;q)_t / ((q;q)_b (q;q)_(t-b)), a term is
+    q^e prod_i (q;q)_i^(n_i), with equal factorials cancelled.  Writing
+    1 - q^j = Phi_m^[m|j] u_j, (q;q)_i = Phi_m^(floor(i/m)) F(i) with
+    F(i) = u_1 ... u_i, so a term of valuation sum n_i floor(i/m) >= k is
+    0 modulo Phi_m^k and is dropped.  With B the
+    largest denominator index and d the most denominator factorials of a
+    term, every term times D = F(B)^d is q^e Phi_m^valuation times a product
+    of prefixes F(i) and suffixes G(i) = F(B)/F(i); a term with fewer
+    denominator factorials takes G(0) = F(B) for each one missing.  The
+    whole difference is scaled by D, and by the lcm of the denominators of
+    c and base.  Only a nonzero scaled residue is multiplied by the inverse
+    of that scale; since the residue is unique, the result does not depend
+    on D.  The right side needs no substitution: base(q^(m^2)) is
+    sum_e b_e (1 + x)^(m e).
+    """
+    m, k = mod.m, mod.k
+    ring = ResidueRing(m, k)
+    specs = []
+    for e, triples in terms:
+        counts = Counter()
+        for t, b, p in triples:
+            if p and not 0 <= b <= t:
+                break
+            counts[t] += p
+            counts[b] -= p
+            counts[t - b] -= p
+        else:
+            valuation = sum(n * (i // m) for i, n in counts.items())
+            if valuation < k:
+                specs.append((e, valuation, {i: n for i, n in counts.items() if n}))
+
+    def denominators(counts):
+        return sum(-n for n in counts.values() if n < 0)
+
+    top = max((i for _, _, counts in specs for i, n in counts.items() if n > 0), default=0)
+    bottom = max((i for _, _, counts in specs for i, n in counts.items() if n < 0), default=0)
+    units = [None] + [ring.unit(j) for j in range(1, max(top, bottom) + 1)]
+    prefix = [ring.one]
+    for j in range(1, top + 1):
+        prefix.append(ring.mul(prefix[-1], units[j]))
+    suffix = [ring.one] * (bottom + 1)
+    for j in range(bottom, 0, -1):
+        suffix[j - 1] = ring.mul(suffix[j], units[j])
+    depth = max(map(denominators, (counts for _, _, counts in specs)), default=0)
+    phi_powers = [ring.one]
+    for _ in range(1, k):
+        phi_powers.append(ring.mul(phi_powers[-1], ring.phi))
+
+    total = [0] * ring.size
+    for e, valuation, counts in specs:
+        counts[0] = counts.get(0, 0) - (depth - denominators(counts))
+        g = gcd(*counts.values()) or 1
+        term = ring.q_power(e)
+        if valuation:
+            term = ring.mul(term, phi_powers[valuation])
+        factors = [ring.power(prefix[i] if n > 0 else suffix[i], abs(n) // g)
+                   for i, n in counts.items() if n]
+        if factors:
+            term = ring.mul(term, ring.power(reduce(ring.mul, factors), g))
+        total = [s + t for s, t in zip(total, term)]
+
+    scaling = ring.power(suffix[0], depth)
+    c = Fraction(c)
+    scale = lcm(c.denominator, *(Fraction(b).denominator for _, b in base.terms()))
+    rhs = [sum(b * _binomial(m * e, j) for e, b in base.terms()) for j in range(k)]
+    if k > 2:
+        rhs[2] -= c
+    rhs = ring.from_x([int(scale * r) for r in rhs])
+    diff = [scale * s - r for s, r in zip(total, ring.mul(scaling, rhs))]
+    residue = reduce_mod(ring.to_poly(diff), mod)
+    if residue.is_zero():
+        return residue
+    return reduce_mod(residue * inverse_mod(ring.to_poly(scaling), mod) / scale, mod)
 
 
 def integer_coefficient_check(f: LaurentPoly) -> bool:

@@ -311,18 +311,41 @@ def _integer_scale(terms: dict):
     return scale, {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
 
 
-def _pack(terms: dict, low: int, length: int, width: int) -> int:
-    """The integer sum of c * 2**(8*width*(e - low)) over the terms."""
+def _pack(items, low: int, length: int, width: int) -> int:
+    """The integer sum of c * 2**(8*width*(e - low)) over the (e, c) items."""
     zero = bytes(width)
     pos = [zero] * length
     neg = [zero] * length
-    for e, c in terms.items():
+    for e, c in items:
         if c > 0:
             pos[e - low] = c.to_bytes(width, "little")
         else:
             neg[e - low] = (-c).to_bytes(width, "little")
     return (int.from_bytes(b"".join(pos), "little")
             - int.from_bytes(b"".join(neg), "little"))
+
+
+def _digits(packed: int, count: int, width: int) -> list:
+    """The ``count`` balanced digits of ``width`` bytes of ``packed``, lowest first."""
+    # adding half a digit to every digit makes each one nonnegative, so the
+    # coefficients read back without carries or a sign
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    data = (packed + bias).to_bytes(count * width, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + width], "little") - half
+            for i in range(0, count * width, width)]
+
+
+def _dense_mul(a: list, b: list) -> list:
+    """The product of two dense integer coefficient lists, by the same
+    Kronecker substitution as ``LaurentPoly.__mul__``."""
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) >> 3
+    packed_a = _pack(enumerate(a), 0, len(a), width)
+    packed_b = packed_a if a is b else _pack(enumerate(b), 0, len(b), width)
+    return _digits(packed_a * packed_b, len(a) + len(b) - 1, width)
 
 
 def _kronecker_mul(a: dict, b: dict) -> LaurentPoly:
@@ -339,17 +362,9 @@ def _kronecker_mul(a: dict, b: dict) -> LaurentPoly:
             + max(map(abs, b.values())).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     width = (bits + 7) >> 3
-    packed_a = _pack(a, low_a, len_a, width)
-    packed_b = packed_a if square else _pack(b, low_b, len_b, width)
-    # adding half a digit to every digit makes each one nonnegative, so the
-    # coefficients read back without carries or a sign
-    count = len_a + len_b - 1
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    data = (packed_a * packed_b + bias).to_bytes(count * width, "little")
-    from_bytes = int.from_bytes
-    coeffs = [from_bytes(data[i:i + width], "little") - half
-              for i in range(0, count * width, width)]
+    packed_a = _pack(a.items(), low_a, len_a, width)
+    packed_b = packed_a if square else _pack(b.items(), low_b, len_b, width)
+    coeffs = _digits(packed_a * packed_b, len_a + len_b - 1, width)
     out = {e: c for e, c in enumerate(coeffs, low_a + low_b) if c}
     scale = scale_a * scale_b
     if scale != 1:

@@ -113,9 +113,12 @@ _QBIN_POW_CACHE = {}
 
 
 def qbin_pow(n: int, k: int, e: int) -> LaurentPoly:
-    """Cached e-th power of the Gaussian binomial (n, k)."""
+    """Cached e-th power of the Gaussian binomial (n, k); the first power
+    is ``qbin`` itself."""
     if e == 0:
         return LaurentPoly.one()
+    if e == 1:
+        return qbin(n, k)
     if k < 0 or k > n or n < 0:
         return LaurentPoly.zero()
     key = (n, k, e)

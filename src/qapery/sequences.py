@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .laurent import LaurentPoly, q_power
-from .qcombinatorics import binom, qbin, qbin_pow
+from .qcombinatorics import binom, qbin_pow
 
 #: Truncated series expansions beyond this total degree are refused.
 DIAGONAL_DEGREE_GUARD = 16
@@ -319,14 +319,39 @@ def apery_q_krz(n: int) -> LaurentPoly:
     return total
 
 
+def _summand(e: int, triples) -> LaurentPoly:
+    """q^e prod C(t, b)_q^p over the (t, b, p) triples: one summand spec,
+    built as a polynomial."""
+    poly = q_power(e)
+    for t, b, p in triples:
+        poly = poly * qbin_pow(t, b, p)
+    return poly
+
+
+def _multivariate_term(n, k: int, alpha: AlphaExponent):
+    n1, n2, n3, n4 = n
+    return alpha(n, k), ((n1, k, 1), (n3, k, 1), (n1 + n2 - k, n1, 1), (n3 + n4 - k, n3, 1))
+
+
 def apery_q_multivariate_summand(n, k: int, alpha: AlphaExponent) -> LaurentPoly:
     """The k-th term of ``apery_q_multivariate`` for a 4-tuple n (0 when a
     q-binomial vanishes), with alpha an already resolved weight."""
-    n1, n2, n3, n4 = n
-    term = qbin(n1, k) * qbin(n3, k) * qbin(n1 + n2 - k, n1) * qbin(n3 + n4 - k, n3)
-    if term.is_zero():
-        return term
-    return q_power(alpha(n, k)) * term
+    return _summand(*_multivariate_term(n, k, alpha))
+
+
+def _multivariate_args(n, alpha):
+    n = _check_tuple4(n)
+    alpha = get_alpha(alpha)
+    if alpha.arity not in (0, 4):
+        raise ValueError("alpha %r does not accept 4-index tuples" % (alpha.name,))
+    return n, alpha
+
+
+def apery_q_multivariate_terms(n, alpha="ksq") -> list:
+    """The summands of ``apery_q_multivariate(n, alpha)`` as
+    (exponent, ((top, bottom, power), ...)) specs, one per k."""
+    n, alpha = _multivariate_args(n, alpha)
+    return [_multivariate_term(n, k, alpha) for k in range(min(n[0], n[2]) + 1)]
 
 
 _AQ_MULT_CACHE = {}
@@ -340,10 +365,7 @@ def apery_q_multivariate(n, alpha="ksq") -> LaurentPoly:
     with the sum finite by zero-extension of the q-binomials.  At q = 1 this
     is ``apery_multivariate`` for every admissible alpha.
     """
-    n = _check_tuple4(n)
-    alpha = get_alpha(alpha)
-    if alpha.arity not in (0, 4):
-        raise ValueError("alpha %r does not accept 4-index tuples" % (alpha.name,))
+    n, alpha = _multivariate_args(n, alpha)
     key = (n, alpha.name)
     cacheable = _ALPHAS.get(alpha.name) is alpha
     if cacheable and key in _AQ_MULT_CACHE:
@@ -368,8 +390,9 @@ def correction_R_multivariate(n, alpha=None) -> Fraction:
 _AQ_LM_CACHE = {}
 
 
-def apery_q_lambda_mu(n: int, lam: int, mu: int, alpha="ksq") -> LaurentPoly:
-    """sum_k q^alpha(n, k) C(n,k)_q^lambda C(n+k,k)_q^mu for lambda >= 2."""
+def apery_q_lambda_mu_terms(n: int, lam: int, mu: int, alpha="ksq") -> list:
+    """The summands of ``apery_q_lambda_mu(n, lam, mu, alpha)`` as
+    (exponent, ((top, bottom, power), ...)) specs, one per k."""
     if n < 0:
         raise ValueError("apery_q_lambda_mu requires n >= 0")
     if lam < 2 or mu < 0:
@@ -377,15 +400,20 @@ def apery_q_lambda_mu(n: int, lam: int, mu: int, alpha="ksq") -> LaurentPoly:
     alpha = get_alpha(alpha)
     if alpha.arity not in (0, 1):
         raise ValueError("alpha %r does not accept scalar indices" % (alpha.name,))
+    return [(alpha((n,), k), ((n, k, lam), (n + k, k, mu))) for k in range(n + 1)]
+
+
+def apery_q_lambda_mu(n: int, lam: int, mu: int, alpha="ksq") -> LaurentPoly:
+    """sum_k q^alpha(n, k) C(n,k)_q^lambda C(n+k,k)_q^mu for lambda >= 2."""
+    terms = apery_q_lambda_mu_terms(n, lam, mu, alpha)
+    alpha = get_alpha(alpha)
     key = (n, lam, mu, alpha.name)
     cacheable = _ALPHAS.get(alpha.name) is alpha
     if cacheable and key in _AQ_LM_CACHE:
         return _AQ_LM_CACHE[key]
     total = LaurentPoly.zero()
-    for k in range(n + 1):
-        total = total + (
-            q_power(alpha((n,), k)) * qbin_pow(n, k, lam) * qbin_pow(n + k, k, mu)
-        )
+    for e, triples in terms:
+        total = total + _summand(e, triples)
     if cacheable:
         _AQ_LM_CACHE[key] = total
     return total
