@@ -20,7 +20,6 @@ from .laurent import (
     q_power,
 )
 from .cyclotomic import (
-    CyclotomicCache,
     Modulus,
     NotInvertibleError,
     ResidueRing,

@@ -22,9 +22,11 @@ of the units u_j that remain of 1 - q^j once Phi_m is divided out.  Only a
 nonzero residue is multiplied by the inverse of D, and since the canonical
 residue is unique, a failing report carries the same residue as the
 full-polynomial route.  That route, ``_cube_residue``, serves the central
-binomial and S1/S2 checkers, and the tests compare the two.  A lhs whose
-largest q-binomial top index M has M*m above ``RING_SIZE_GUARD`` is
-refused as a precondition failure before anything is built.
+binomial and S1/S2 checkers, and the tests compare the two.  An instance
+is refused as a precondition failure before anything is built when the
+largest q-binomial top index M of its lhs has M*m above ``RING_SIZE_GUARD``,
+or when its base, which is built in full at index n, spans more exponents
+than that.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ from .sequences import (
 
 
 #: The largest M*m a ring-route checker accepts, M the largest q-binomial
-#: top index of its lhs (corollary: M = 2mn).
+#: top index of its lhs (corollary: M = 2mn), and the largest exponent span
+#: of its base.
 RING_SIZE_GUARD = 1 << 15
 
 
@@ -78,6 +81,19 @@ def _guard_ring_size(m, top):
     if top * m > RING_SIZE_GUARD:
         raise PreconditionError(
             "instance too large: M*m = %d exceeds the size guard %d" % (top * m, RING_SIZE_GUARD))
+
+
+def _guard_base_size(terms):
+    """Refuse a base whose (e, ((t, b, p), ...)) summand specs span more
+    exponents than the guard; return the span.  q^e prod C(t, b)_q^p runs
+    from q^e to q^(e + sum p b (t - b)), and a vanishing term only widens it."""
+    span = (max(e + sum(p * b * (t - b) for t, b, p in triples) for e, triples in terms)
+            - min(e for e, _ in terms))
+    if span > RING_SIZE_GUARD:
+        raise PreconditionError(
+            "instance too large: base exponent span %d exceeds the size guard %d"
+            % (span, RING_SIZE_GUARD))
+    return span
 
 
 def _cube_congruence(name, params, m, terms, base, c, started):
@@ -102,6 +118,7 @@ def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
     if n < 1 or a < 0 or b < 0:
         raise PreconditionError("requires n >= 1 and a, b >= 0")
     _guard_ring_size(n, a * n)
+    _guard_base_size([(0, ((a, b, 1),))])
     c = Fraction((a - b) * b * binom(a, b) * (n * n - 1), 24)
     return _cube_congruence("ljunggren", params, n, [(0, ((a * n, b * n, 1),))],
                             qbin(a, b), c, started)
@@ -232,6 +249,7 @@ def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
     _guard_ring_size(m, m * max(n[0] + n[1], n[2] + n[3]))
+    _guard_base_size(apery_q_multivariate_terms(n, alpha))
     terms = apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)
     c = Fraction(m * m - 1, 12) * correction_R_multivariate(n)
     return _cube_congruence("main", params, m, terms, apery_q_multivariate(n, alpha), c, started)
@@ -249,6 +267,7 @@ def check_corollary(m: int, n: int) -> CongruenceReport:
     if m < 1 or n < 0:
         raise PreconditionError("requires m >= 1 and n >= 0")
     _guard_ring_size(m, 2 * m * n)
+    _guard_base_size(apery_q_lambda_mu_terms(n, 2, 2, "nksq"))
     # the summands of apery_q_krz_binform(m * n)
     terms = apery_q_lambda_mu_terms(m * n, 2, 2, "nksq")
     c = Fraction(m * m - 1, 12) * n * n * apery(n)
@@ -268,6 +287,7 @@ def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") ->
     if lam < 2 or mu < 0:
         raise PreconditionError("requires lambda >= 2 and mu >= 0")
     _guard_ring_size(m, 2 * m * n)
+    _guard_base_size(apery_q_lambda_mu_terms(n, lam, mu, alpha))
     terms = apery_q_lambda_mu_terms(m * n, lam, mu, alpha)
     c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
     return _cube_congruence("generalized", params, m, terms,

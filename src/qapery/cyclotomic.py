@@ -1,10 +1,11 @@
 """Cyclotomic polynomials and congruence arithmetic modulo their powers.
 
 Phi_m(q) is computed by exact division, Phi_m = (q^m - 1) / prod Phi_d over
-proper divisors d, and memoized.  A Laurent polynomial f has one canonical
-residue modulo Phi_m(q)^k: the unique ordinary r == f with deg r below the
-modulus degree.  It exists because gcd(q, Phi_m) = 1 for every m, so q is
-invertible modulo Phi_m^k; congruence is the vanishing of that residue.
+proper divisors d, and memoized in one module dict.  A Laurent polynomial f
+has one canonical residue modulo Phi_m(q)^k: the unique ordinary r == f with
+deg r below the modulus degree.  It exists because gcd(q, Phi_m) = 1 for
+every m, so q is invertible modulo Phi_m^k; congruence is the vanishing of
+that residue.
 
 ``binomial_sum_residue`` finds the residue of a sum of products of
 q-binomials without building the sum.  It works in ``ResidueRing(m, k)``,
@@ -56,38 +57,23 @@ def _divisors(m: int) -> list:
     return out
 
 
-class CyclotomicCache:
-    """Memo table of cyclotomic polynomials, filled on demand.
-
-    Concurrent reads are safe; fills are idempotent (recomputation yields
-    the identical polynomial), so no locking is required under CPython.
-    """
-
-    def __init__(self):
-        self.table = {1: LaurentPoly({0: -1, 1: 1})}
-
-    def get(self, m: int) -> LaurentPoly:
-        if m < 1:
-            raise ValueError("cyclotomic index must be a positive integer")
-        cached = self.table.get(m)
-        if cached is not None:
-            return cached
-        numerator = q_power(m) - 1
-        product = LaurentPoly.one()
-        for d in _divisors(m):
-            if d < m:
-                product = product * self.get(d)
-        result = exact_div(numerator, product)
-        self.table[m] = result
-        return result
+_CYCLOTOMIC = {}
 
 
-_DEFAULT_CACHE = CyclotomicCache()
-
-
-def cyclotomic(m: int, cache: CyclotomicCache = None) -> LaurentPoly:
-    """The m-th cyclotomic polynomial Phi_m(q)."""
-    return (cache or _DEFAULT_CACHE).get(m)
+def cyclotomic(m: int) -> LaurentPoly:
+    """The m-th cyclotomic polynomial Phi_m(q), memoized in ``_CYCLOTOMIC``;
+    a fill is idempotent, so concurrent calls need no lock."""
+    if m < 1:
+        raise ValueError("cyclotomic index must be a positive integer")
+    cached = _CYCLOTOMIC.get(m)
+    if cached is not None:
+        return cached
+    product = LaurentPoly.one()
+    for d in _divisors(m):
+        if d < m:
+            product = product * cyclotomic(d)
+    _CYCLOTOMIC[m] = exact_div(q_power(m) - 1, product)
+    return _CYCLOTOMIC[m]
 
 
 def cyclotomic_at_one(m: int) -> int:
@@ -105,12 +91,12 @@ class Modulus:
 
     __slots__ = ("m", "k", "polynomial")
 
-    def __init__(self, m: int, k: int = 1, cache: CyclotomicCache = None):
+    def __init__(self, m: int, k: int = 1):
         if m < 1 or k < 1:
             raise ValueError("Modulus requires positive m and k")
         self.m = m
         self.k = k
-        self.polynomial = cyclotomic(m, cache) ** k
+        self.polynomial = cyclotomic(m) ** k
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and (self.m, self.k) == (other.m, other.k)

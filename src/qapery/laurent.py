@@ -1,11 +1,11 @@
-"""Exact sparse Laurent polynomial arithmetic over the rationals.
+"""Exact Laurent polynomial arithmetic over the rationals, in one dense form.
 
-A Laurent polynomial in q is stored as a dictionary mapping exponents
-(possibly negative integers) to nonzero coefficients.  Coefficients are
-Python ints or fractions.Fraction instances; a Fraction with denominator 1
-is normalized to an int so that integer-only computations stay on the fast
-integer path.  The zero polynomial has an empty dictionary.  Values are
-immutable after construction and safe to share between threads.
+A Laurent polynomial in q is stored as ``q^low * sum_i coeffs[i] q^i / den``:
+an exponent offset, a list of Python ints and one common denominator.  The
+form is canonical: zero is (0, [], 1); otherwise the first and last
+coefficients are nonzero, den >= 1 and gcd(den, *coeffs) == 1.  So equal
+polynomials have equal fields, and the coefficients are integers exactly
+when den == 1.  Values are immutable and safe to share between threads.
 
     >>> f = (1 + q) ** 2
     >>> print(f)
@@ -13,56 +13,59 @@ immutable after construction and safe to share between threads.
     >>> print(q_power(-1) * (q + 3 * q**2))
     1 + 3*q
 
+Coefficients are checked once, where ``LaurentPoly(terms)`` takes a dict of
+int or Fraction values (floats and bools are rejected); every other result
+is built from ints by one normaliser, ``_make``.  Storage grows with the
+exponent span, not the number of nonzero terms, as a product's cost does.
+
 Two polynomials are multiplied by Kronecker substitution (Schoenhage 1982;
-Harvey, arXiv:0712.4046).  Each operand is scaled by the lcm of its
-coefficient denominators, laid out densely from its lowest exponent and
-packed into a single Python int, one digit of ``w`` bits per exponent, with
+Harvey, arXiv:0712.4046) in ``_dense_mul``, the one product kernel, which
+``cyclotomic.ResidueRing`` shares.  Each coefficient list is packed into a
+single Python int, one digit of ``w`` bits per exponent, with
 ``w = bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b))) + 1``; every
 coefficient of the product then fits a digit with its sign.  One bigint
 multiply (Karatsuba inside CPython) forms the packed product, which is read
-back as balanced digits and divided by the product of the two scales.  The
-cost grows with the exponent span of the operands, not with their number of
-terms: a sparse operand costs as much as a dense one of the same span.
+back as balanced digits; the denominators multiply.
 
-All arithmetic is exact; floats are rejected.  Division lives in
-``divrem``/``exact_div`` and requires ordinary polynomials (no negative
-exponents); use ``shift_to_ordinary`` first for general Laurent operands.
+All arithmetic is exact.  Division lives in ``divrem``/``exact_div`` and
+requires ordinary polynomials (no negative exponents); use
+``shift_to_ordinary`` first for general Laurent operands.  Division by a
+monic divisor stays in integers.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Union
-
-Coefficient = Union[int, Fraction]
+from math import gcd, lcm
 
 
 def _clean_coeff(c):
-    if isinstance(c, bool) or isinstance(c, float):
-        raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
-        return c
-    if isinstance(c, int):
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
     raise TypeError("coefficients must be int or Fraction, got %r" % (c,))
 
 
-class LaurentPoly:
-    """Sparse exact Laurent polynomial in one variable q."""
+def _value(c: int, den: int):
+    """The coefficient c / den: an int when it is whole, else a Fraction."""
+    if den == 1:
+        return c
+    v = Fraction(c, den)
+    return v.numerator if v.denominator == 1 else v
 
-    __slots__ = ("_terms",)
+
+class LaurentPoly:
+    """Exact Laurent polynomial in one variable q, q^low * sum coeffs[i] q^i / den."""
+
+    __slots__ = ("_low", "_coeffs", "_den")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                c = _clean_coeff(c)
-                if c:
-                    clean[e] = c
-        self._terms = clean
+        clean = {e: _clean_coeff(c) for e, c in terms.items()} if terms else {0: 0}
+        low = min(clean)
+        values = [0] * (max(clean) - low + 1)
+        for e, c in clean.items():
+            values[e - low] = c
+        poly = _from_values(low, values, 1)
+        self._low, self._coeffs, self._den = poly._low, poly._coeffs, poly._den
 
     # -- constructors ------------------------------------------------------
 
@@ -90,91 +93,85 @@ class LaurentPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def degree(self) -> int:
         """Largest exponent.  Undefined (raises) for the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(self._terms)
+        return self._low + len(self._coeffs) - 1
 
     def min_degree(self) -> int:
         """Smallest exponent.  Undefined (raises) for the zero polynomial."""
-        if not self._terms:
+        if not self._coeffs:
             raise ValueError("min_degree of the zero polynomial is undefined")
-        return min(self._terms)
+        return self._low
 
     def is_ordinary(self) -> bool:
         """True if no negative exponents occur (zero counts as ordinary)."""
-        return not self._terms or min(self._terms) >= 0
+        return self._low >= 0
 
     def coefficient(self, e: int):
         """Coefficient of q^e (0 if absent)."""
-        return self._terms.get(e, 0)
+        i = e - self._low
+        if 0 <= i < len(self._coeffs):
+            return _value(self._coeffs[i], self._den)
+        return 0
 
     def leading_coefficient(self):
-        return self._terms[self.degree()]
+        return self.coefficient(self.degree())
 
     def terms(self):
         """Iterate (exponent, coefficient) pairs in ascending exponent order."""
-        for e in sorted(self._terms):
-            yield e, self._terms[e]
+        den = self._den
+        for e, c in enumerate(self._coeffs, self._low):
+            if c:
+                yield e, _value(c, den)
 
     def __len__(self):
-        return len(self._terms)
+        return len(self._coeffs) - self._coeffs.count(0)
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        return other if other is NotImplemented else _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+        return other if other is NotImplemented else _combine(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return other if other is NotImplemented else _combine(other, self, -1)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return _make(self._low, [-c for c in self._coeffs], self._den)
 
     def __mul__(self, other):
         """Product with a scalar or another Laurent polynomial.
 
-        Two polynomials go through one Kronecker-substitution product (see
-        the module docstring).  The digit width is safe because a product
-        coefficient is a sum of at most ``min(len(a), len(b))`` terms, each
-        below ``2**bits(max|a|) * 2**bits(max|b|)`` in size, so it fits in
-        ``bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b)))`` bits
-        plus a sign bit.  Cost grows with the exponent span, not the term
-        count.
+        Two polynomials go through the Kronecker product ``_dense_mul`` of
+        their coefficient lists; a scalar scales the numerators and the
+        denominator.  The digit width is safe because a product coefficient
+        is a sum of at most ``min(len(a), len(b))`` terms, each below
+        ``2**bits(max|a|) * 2**bits(max|b|)``, so it fits in their bits plus
+        ``bits(min(len(a), len(b)))`` and a sign bit.
         """
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if not other:
+        if isinstance(other, LaurentPoly):
+            if not self._coeffs or not other._coeffs:
                 return LaurentPoly()
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return _kronecker_mul(self._terms, other._terms)
+            return _make(self._low + other._low, _dense_mul(self._coeffs, other._coeffs),
+                         self._den * other._den)
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            num = other.numerator
+            return _make(self._low, [c * num for c in self._coeffs], self._den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -200,11 +197,10 @@ class LaurentPoly:
         return LaurentPoly.one() if result is None else result
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return self._terms == ({0: _clean_coeff(other)} if other else {})
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self._low, self._den, self._coeffs) == (other._low, other._den, other._coeffs)
 
     __hash__ = None
 
@@ -217,24 +213,25 @@ class LaurentPoly:
         (1, -3)); multiplying by a power of q never changes divisibility by
         a cyclotomic polynomial since gcd(q, Phi_m) = 1.
         """
-        if not self._terms:
+        if not self._low:
             return self, 0
-        s = -min(self._terms)
-        if s == 0:
-            return self, 0
-        return LaurentPoly({e + s: c for e, c in self._terms.items()}), s
+        return _make(0, self._coeffs, self._den), -self._low
 
     def substitute_power(self, t: int) -> "LaurentPoly":
         """Substitute q -> q^t for a positive integer t."""
         if not isinstance(t, int) or t < 1:
             raise ValueError("substitution power must be a positive integer")
-        if t == 1:
+        if t == 1 or not self._coeffs:
             return self
-        return LaurentPoly({e * t: c for e, c in self._terms.items()})
+        coeffs = [0] * ((len(self._coeffs) - 1) * t + 1)
+        coeffs[::t] = self._coeffs
+        return _make(self._low * t, coeffs, self._den)
 
     def reciprocal_reflect(self, d: int) -> "LaurentPoly":
         """Return q^d * f(1/q).  A self-reciprocal f of degree d is fixed."""
-        return LaurentPoly({d - e: c for e, c in self._terms.items()})
+        if not self._coeffs:
+            return self
+        return _make(d - self.degree(), self._coeffs[::-1], self._den)
 
     def __call__(self, x) -> Fraction:
         """Exact evaluation at a rational point.
@@ -242,27 +239,22 @@ class LaurentPoly:
         x = 0 is rejected when negative exponents are present.
         """
         x = Fraction(x)
-        if x == 0 and self._terms and min(self._terms) < 0:
+        if x == 0 and self._low < 0:
             raise ValueError("cannot evaluate at 0: negative exponents present")
-        if x == 1:
-            return Fraction(sum(self._terms.values()))
         total = Fraction(0)
-        for e, c in self._terms.items():
-            total += c * x ** e
-        return total
+        for c in reversed(self._coeffs):
+            total = total * x + c
+        return total * x ** self._low / self._den
 
     def has_integer_coefficients(self) -> bool:
-        return all(isinstance(c, int) for c in self._terms.values())
+        return self._den == 1
 
     # -- rendering -----------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form, terms in ascending exponent order."""
-        if not self._terms:
-            return "0"
         pieces = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
+        for e, c in self.terms():
             negative = c < 0
             mag = str(-c if negative else c)
             if e == 0:
@@ -274,53 +266,79 @@ class LaurentPoly:
                 pieces.append("-" + body if negative else body)
             else:
                 pieces.append((" - " if negative else " + ") + body)
-        return "".join(pieces)
+        return "".join(pieces) or "0"
 
     def to_json_dict(self) -> dict:
         """JSON form: exponent strings mapped to coefficient strings."""
-        return {str(e): str(self._terms[e]) for e in sorted(self._terms)}
+        return {str(e): str(c) for e, c in self.terms()}
 
-    def __str__(self):
-        return self.to_text()
+    __str__ = __repr__ = to_text
 
-    def __repr__(self):
-        return self.to_text()
+
+def _make(low: int, coeffs: list, den: int = 1) -> LaurentPoly:
+    """The canonical q^low * sum_i coeffs[i] q^i / den, for int coeffs and
+    den >= 1.  coeffs is never mutated, so values may share a list."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    start = 0
+    while start < end and not coeffs[start]:
+        start += 1
+    if start or end < len(coeffs):
+        coeffs = coeffs[start:end]
+    if not coeffs:
+        low, den = 0, 1
+    elif den != 1:
+        g = gcd(den, *coeffs)
+        if g != 1:
+            den //= g
+            coeffs = [c // g for c in coeffs]
+    poly = LaurentPoly.__new__(LaurentPoly)
+    poly._low, poly._coeffs, poly._den = low + start, coeffs, den
+    return poly
+
+
+def _from_values(low: int, values: list, den: int) -> LaurentPoly:
+    """q^low * sum_i values[i] q^i / den for int or Fraction values."""
+    scale = lcm(*[v.denominator for v in values])
+    return _make(low, [v.numerator * (scale // v.denominator) for v in values], den * scale)
 
 
 def _coerce(x):
     if isinstance(x, LaurentPoly):
         return x
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return LaurentPoly({0: x}) if x else LaurentPoly()
+        return _make(0, [x.numerator], x.denominator)
     return NotImplemented
 
 
-def _from_clean(terms: dict) -> LaurentPoly:
-    """Wrap a dict of nonzero int/Fraction coefficients without re-checking."""
-    poly = LaurentPoly.__new__(LaurentPoly)
-    poly._terms = terms
-    return poly
+def _combine(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
+    """a + sign * b, aligned at the lower exponent over the lcm of the denominators."""
+    if not b._coeffs:
+        return a
+    if not a._coeffs:
+        return b if sign == 1 else -b
+    den = lcm(a._den, b._den)
+    scale_a, scale_b = den // a._den, sign * (den // b._den)
+    low = min(a._low, b._low)
+    out = [0] * (max(a._low + len(a._coeffs), b._low + len(b._coeffs)) - low)
+    i, j = a._low - low, b._low - low
+    out[i:i + len(a._coeffs)] = a._coeffs if scale_a == 1 else [scale_a * c for c in a._coeffs]
+    out[j:j + len(b._coeffs)] = [x + scale_b * c
+                                 for x, c in zip(out[j:j + len(b._coeffs)], b._coeffs)]
+    return _make(low, out, den)
 
 
-def _integer_scale(terms: dict):
-    """Return (s, {e: s*c}) with s the lcm of the coefficient denominators."""
-    values = terms.values()
-    if set(map(type, values)) == {int}:
-        return 1, terms
-    scale = math.lcm(*[c.denominator for c in values])
-    return scale, {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
-
-
-def _pack(items, low: int, length: int, width: int) -> int:
-    """The integer sum of c * 2**(8*width*(e - low)) over the (e, c) items."""
+def _pack(coeffs: list, width: int) -> int:
+    """The integer sum of coeffs[i] * 2**(8*width*i)."""
     zero = bytes(width)
-    pos = [zero] * length
-    neg = [zero] * length
-    for e, c in items:
+    pos = [zero] * len(coeffs)
+    neg = [zero] * len(coeffs)
+    for i, c in enumerate(coeffs):
         if c > 0:
-            pos[e - low] = c.to_bytes(width, "little")
-        else:
-            neg[e - low] = (-c).to_bytes(width, "little")
+            pos[i] = c.to_bytes(width, "little")
+        elif c:
+            neg[i] = (-c).to_bytes(width, "little")
     return (int.from_bytes(b"".join(pos), "little")
             - int.from_bytes(b"".join(neg), "little"))
 
@@ -338,40 +356,14 @@ def _digits(packed: int, count: int, width: int) -> list:
 
 
 def _dense_mul(a: list, b: list) -> list:
-    """The product of two dense integer coefficient lists, by the same
-    Kronecker substitution as ``LaurentPoly.__mul__``."""
+    """The product of two nonempty dense integer coefficient lists, by
+    Kronecker substitution; ``a is b`` packs once and squares."""
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     width = (bits + 7) >> 3
-    packed_a = _pack(enumerate(a), 0, len(a), width)
-    packed_b = packed_a if a is b else _pack(enumerate(b), 0, len(b), width)
+    packed_a = _pack(a, width)
+    packed_b = packed_a if a is b else _pack(b, width)
     return _digits(packed_a * packed_b, len(a) + len(b) - 1, width)
-
-
-def _kronecker_mul(a: dict, b: dict) -> LaurentPoly:
-    """The product of two coefficient dicts by Kronecker substitution."""
-    if not a or not b:
-        return LaurentPoly()
-    square = a is b
-    scale_a, a = _integer_scale(a)
-    scale_b, b = (scale_a, a) if square else _integer_scale(b)
-    low_a, low_b = min(a), min(b)
-    len_a = max(a) - low_a + 1
-    len_b = max(b) - low_b + 1
-    bits = (max(map(abs, a.values())).bit_length()
-            + max(map(abs, b.values())).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    width = (bits + 7) >> 3
-    packed_a = _pack(a.items(), low_a, len_a, width)
-    packed_b = packed_a if square else _pack(b.items(), low_b, len_b, width)
-    coeffs = _digits(packed_a * packed_b, len_a + len_b - 1, width)
-    out = {e: c for e, c in enumerate(coeffs, low_a + low_b) if c}
-    scale = scale_a * scale_b
-    if scale != 1:
-        for e, c in out.items():
-            c = Fraction(c, scale)
-            out[e] = c.numerator if c.denominator == 1 else c
-    return _from_clean(out)
 
 
 #: The generator q and the constant 1, for building expressions.
@@ -399,24 +391,23 @@ def divrem(f: LaurentPoly, g: LaurentPoly):
         return LaurentPoly(), LaurentPoly()
     dg = g.degree()
     df = f.degree()
-    if df < dg:
-        return LaurentPoly(), f
-    lc = g.leading_coefficient()
-    rest = [(e, c) for e, c in g._terms.items() if e != dg]
-    r = dict(f._terms)
-    quot = {}
-    for d in range(df, dg - 1, -1):
-        c = r.get(d)
+    # with f = F/f_den and g = G/g_den, F*g_den divided by G gives the quotient
+    # times f_den and the remainder times f_den*g_den; a monic G stays in ints
+    divisor = [0] * g._low + g._coeffs
+    lc = divisor[-1]
+    rest = [(e, c) for e, c in enumerate(divisor[:-1]) if c]
+    r = [0] * f._low + [c * g._den for c in f._coeffs]
+    quot = [0] * (df - dg + 1)
+    for shift in range(df - dg, -1, -1):
+        c = r[shift + dg]
         if not c:
             continue
-        t = c if lc == 1 else Fraction(c) / Fraction(lc)
-        quot[d - dg] = t
-        del r[d]
-        shift = d - dg
+        t = c if lc == 1 else Fraction(c) / lc
+        quot[shift] = t
         for e, ce in rest:
-            pos = e + shift
-            r[pos] = r.get(pos, 0) - t * ce
-    return LaurentPoly(quot), LaurentPoly(r)
+            r[e + shift] -= t * ce
+    del r[dg:]
+    return _from_values(0, quot, f._den), _from_values(0, r, f._den * g._den)
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -487,7 +478,7 @@ class RationalFunctionQ:
         # num/den = q^(s2-s1) * n0/d0
         net = s2 - s1
         if net:
-            n0 = LaurentPoly({e + net: c for e, c in n0._terms.items()})
+            n0 = q_power(net) * n0
         c = d0.coefficient(d0.min_degree())
         if c != 1:
             inv = Fraction(1) / Fraction(c)

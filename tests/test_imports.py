@@ -1,5 +1,6 @@
-"""Every module in the package uses every name it imports, and every
-module-level private name is referenced somewhere in the package.
+"""Every module in the package uses every name it imports, every
+module-level private name is referenced somewhere in the package, and only
+``laurent.py`` reads the fields of a ``LaurentPoly``.
 
 Re-exports in ``__init__.py`` and ``from __future__`` imports are exempt.
 """
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qapery"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -75,3 +77,25 @@ def test_detector_flags_an_unreferenced_private_name():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert _unreferenced_private_names(sources) == []
+
+
+#: The storage of ``LaurentPoly``, present and past.
+SLOTS = {"_low", "_coeffs", "_den", "_terms"}
+
+
+def _slot_reads(source: str):
+    """Line numbers of the attribute accesses in ``source`` that name a slot."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in SLOTS)
+
+
+def test_detector_flags_a_slot_read():
+    source = "def f(p):\n    return p.terms()\n\n\ndef g(p):\n    return p._coeffs[0] + p._den\n"
+    assert _slot_reads(source) == [6, 6]
+
+
+def test_only_laurent_reads_the_representation():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    reads = [(p.name, line) for p in paths if p.name != "laurent.py"
+             for line in _slot_reads(p.read_text(encoding="utf-8"))]
+    assert reads == []

@@ -1,8 +1,10 @@
-"""Differential tests: the Kronecker-substitution product against schoolbook.
+"""Differential tests of ``LaurentPoly`` against dict references.
 
 ``schoolbook_mul`` is the term-by-term dict loop that ``LaurentPoly`` used
 to multiply with.  It is kept here only as the oracle for the packed
-product in ``qapery.laurent``.
+product in ``qapery.laurent``.  ``Ref`` is a dict of nonzero Fractions, the
+storage ``LaurentPoly`` used before its dense integer form; every other
+operation is compared with it.
 """
 
 from fractions import Fraction
@@ -10,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qapery.laurent import LaurentPoly
+from qapery.cyclotomic import cyclotomic
+from qapery.laurent import LaurentPoly, divrem
 
 
 def schoolbook_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -112,3 +115,132 @@ def test_extreme_digits(count, top):
     g = LaurentPoly({e: top for e in range(count)})
     assert_same(f * g, schoolbook_mul(f, g))
     assert_same(f * f, schoolbook_mul(f, f))
+
+
+# -- the representation against a dict of Fractions ----------------------------
+
+
+class Ref:
+    """A Laurent polynomial as a dict of nonzero Fraction coefficients."""
+
+    def __init__(self, terms):
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, f: LaurentPoly) -> "Ref":
+        return cls(dict(f.terms()))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return Ref(out)
+
+    def __neg__(self):
+        return Ref({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, s):
+        return Ref({e: c * s for e, c in self.terms.items()})
+
+    def divrem(self, g):
+        """Schoolbook long division by the nonzero ordinary g."""
+        dg = max(g.terms)
+        lc = g.terms[dg]
+        r = dict(self.terms)
+        quot = {}
+        while r and max(r) >= dg:
+            d = max(r)
+            t = r[d] / lc
+            quot[d - dg] = t
+            for e, c in g.terms.items():
+                r[e + d - dg] = r.get(e + d - dg, 0) - t * c
+            r = {e: c for e, c in r.items() if c}
+        return Ref(quot), Ref(r)
+
+    def __call__(self, x):
+        return sum((c * x ** e for e, c in self.terms.items()), Fraction(0))
+
+
+def assert_matches(f: LaurentPoly, ref: Ref):
+    """f has ref's terms, in ascending order and canonical types, and its
+    queries agree with them."""
+    got = list(f.terms())
+    assert got == sorted(ref.terms.items())
+    for _, c in got:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert len(f) == len(ref.terms)
+    assert f.is_zero() == (not ref.terms) == (not f)
+    assert f.has_integer_coefficients() == all(c.denominator == 1 for c in ref.terms.values())
+    if ref.terms:
+        assert (f.min_degree(), f.degree()) == (min(ref.terms), max(ref.terms))
+    assert f == LaurentPoly(ref.terms) and LaurentPoly(ref.terms) == f
+
+
+ordinary = polys(st.integers(0, 20), coeffs=st.one_of(small_ints, fractions), max_size=8)
+nonzero_scalars = st.one_of(big_ints, fractions).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_poly, any_poly, nonzero_scalars)
+def test_ring_operations_match_reference(f, g, s):
+    rf, rg = Ref.of(f), Ref.of(g)
+    assert_matches(f, rf)
+    assert_matches(f + g, rf + rg)
+    assert_matches(f - g, rf - rg)
+    assert_matches(g - f, rg - rf)
+    assert_matches(-f, -rf)
+    assert_matches(f * s, rf.scale(Fraction(s)))
+    assert_matches(s * f, rf.scale(Fraction(s)))
+    assert_matches(f / s, rf.scale(1 / Fraction(s)))
+    assert_matches(f * 0, Ref({}))
+    assert_matches(f - f, Ref({}))
+    assert_matches((f / s) * s, rf)
+    assert_matches(f + g - g, rf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_poly, any_poly, st.one_of(small_ints, big_ints, fractions))
+def test_equality_matches_reference(f, g, s):
+    rf, rg = Ref.of(f), Ref.of(g)
+    assert (f == g) == (rf.terms == rg.terms)
+    assert (f != g) == (rf.terms != rg.terms)
+    assert (f == s) == (rf.terms == Ref({0: s}).terms)
+    assert (s == f) == (f == s)
+    assert f + g - g == f
+    assert (f + s) - s == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(ordinary, ordinary.filter(bool))
+def test_divrem_matches_reference(f, g):
+    quot, rem = divrem(f, g)
+    ref_quot, ref_rem = Ref.of(f).divrem(Ref.of(g))
+    assert_matches(quot, ref_quot)
+    assert_matches(rem, ref_rem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordinary, st.integers(1, 12), st.integers(1, 3))
+def test_divrem_by_cyclotomic_power_matches_reference(f, m, k):
+    P = cyclotomic(m) ** k
+    quot, rem = divrem(f, P)
+    ref_quot, ref_rem = Ref.of(f).divrem(Ref.of(P))
+    assert_matches(quot, ref_quot)
+    assert_matches(rem, ref_rem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_poly, st.integers(1, 7), st.integers(-30, 30),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_structural_operations_match_reference(f, t, d, x):
+    rf = Ref.of(f)
+    assert_matches(f.substitute_power(t), Ref({e * t: c for e, c in rf.terms.items()}))
+    assert_matches(f.reciprocal_reflect(d), Ref({d - e: c for e, c in rf.terms.items()}))
+    g, shift = f.shift_to_ordinary()
+    assert shift == (-min(rf.terms) if rf.terms else 0)
+    assert_matches(g, Ref({e + shift: c for e, c in rf.terms.items()}))
+    if x or not rf.terms or min(rf.terms) >= 0:
+        assert f(x) == rf(x) and type(f(x)) is Fraction

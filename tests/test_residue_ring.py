@@ -20,6 +20,7 @@ from qapery import checks
 from qapery.checks import (
     RING_SIZE_GUARD,
     _cube_residue,
+    _guard_base_size,
     _guard_ring_size,
     check_corollary,
     check_generalized_theorem,
@@ -37,7 +38,12 @@ from qapery.cyclotomic import (
 from qapery.laurent import LaurentPoly, exact_div, q_power
 from qapery.qcombinatorics import qbin
 from qapery.reports import PreconditionError
-from qapery.sequences import apery_q_krz_binform, apery_q_lambda_mu, apery_q_multivariate
+from qapery.sequences import (
+    apery_q_krz_binform,
+    apery_q_lambda_mu,
+    apery_q_lambda_mu_terms,
+    apery_q_multivariate,
+)
 
 # -- the two routes on the acceptance grids ------------------------------------
 
@@ -290,3 +296,58 @@ def test_guard_admits_the_stated_reach():
     _guard_ring_size(10, 10 * 40)             # main --m 10 --n1..n4 20
     with pytest.raises(PreconditionError):
         _guard_ring_size(1, RING_SIZE_GUARD + 1)
+
+
+# Instances whose lhs passes the M*m guard but whose base, built in full at
+# index n, would not: A_q(5000) has degree 5*10^7, and qbin(3, 1)^100000
+# degree 200,000.
+OVERSIZED_BASE = [
+    ["corollary", "--m", "1", "--n", "5000"],
+    ["generalized", "--m", "2", "--n", "3", "--lambda", "100000", "--mu", "0"],
+]
+
+
+@pytest.fixture
+def no_base_is_built(monkeypatch):
+    """Make the kernel and every base builder raise if an instance gets past the guard."""
+    def unreachable(*args):
+        raise AssertionError("an oversized base got past the size guard")
+
+    for name in ("binomial_sum_residue", "apery_q_krz_binform", "apery_q_multivariate",
+                 "apery_q_lambda_mu", "qbin"):
+        monkeypatch.setattr(checks, name, unreachable)
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_BASE, ids=[a[0] for a in OVERSIZED_BASE])
+def test_oversized_base_verify_is_a_usage_error(no_base_is_built, capsys, argv):
+    code = main(["verify"] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "base exponent span" in err
+
+
+def test_oversized_base_sweep_instances_are_skipped(no_base_is_built):
+    specs = [
+        SweepSpec("corollary", ranges={"m": (1, 1, 1), "n": (5000, 5000, 1)}, jobs=1),
+        SweepSpec("generalized", ranges={"m": (2, 2, 1), "n": (3, 3, 1),
+                                         "lambda": (100000, 100000, 1), "mu": (0, 0, 1)},
+                  jobs=1),
+    ]
+    for spec in specs:
+        summary = run_sweep(spec)["summary"]
+        assert (summary["total"], summary["skipped"]) == (0, 1)
+
+
+def test_base_guard_admits_the_stated_reach():
+    # the corollary's base A_q(n) has degree 2 n^2
+    assert _guard_base_size(apery_q_lambda_mu_terms(32, 2, 2, "nksq")) == 2048  # --m 16 --n 32
+    assert _guard_base_size(apery_q_lambda_mu_terms(64, 2, 2, "nksq")) == 8192  # --m 16 --n 64
+    with pytest.raises(PreconditionError, match="size guard"):
+        _guard_base_size([(0, ((RING_SIZE_GUARD + 2, 1, 1),))])  # degree guard + 1
+
+
+@pytest.mark.parametrize("n, lam, mu, alpha", [(0, 2, 2, "nksq"), (4, 3, 1, "ksq"),
+                                               (5, 2, 0, "kk2n"), (3, 4, 2, "nksq")])
+def test_base_span_is_the_built_span(n, lam, mu, alpha):
+    f = apery_q_lambda_mu(n, lam, mu, alpha)
+    assert _guard_base_size(apery_q_lambda_mu_terms(n, lam, mu, alpha)) == f.degree() - f.min_degree()
