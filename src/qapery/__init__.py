@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 
 from .laurent import (
     LaurentPoly,
-    RationalFunctionQ,
     divrem,
     exact_div,
     ext_gcd,
-    poly_gcd,
     q,
     q_power,
 )
@@ -39,7 +37,6 @@ from .qcombinatorics import (
     check_q_lucas,
     q_binomial,
     q_factorial,
-    q_harmonic,
     q_integer,
     q_pochhammer,
     qbin,

@@ -4,10 +4,12 @@ Each checker recomputes both sides of one parameterized statement from the
 arithmetic primitives (never reusing another checker's intermediates),
 reduces the difference modulo the stated power of a cyclotomic polynomial
 (or tests exact vanishing, for identities), and returns a CongruenceReport.
-Statements involving 1/[j]_q are verified twice: a multiplied-through
+Congruences involving 1/[j]_q are verified twice: a multiplied-through
 polynomial form is the primary route and a modular-inverse form is the
 cross-check, since invertibility of [j]_q modulo Phi_m is itself part of
-the claim.
+the claim.  ``zheng-identity`` is an exact identity in 1/[j]_q, with no
+modulus to invert in, so it has one route: multiplied through by
+prod [j]_q, it must vanish as a polynomial.
 
 The q-Ljunggren, corollary, main and generalized theorems share one shape,
 
@@ -35,12 +37,11 @@ import time
 from fractions import Fraction
 
 from .cyclotomic import Modulus, _factorize, binomial_sum_residue, inverse_mod, reduce_mod
-from .laurent import LaurentPoly, RationalFunctionQ, q_power
+from .laurent import LaurentPoly, q_power
 from .qcombinatorics import (
     binom,
     check_q_chu_vandermonde,
     check_q_lucas,
-    q_harmonic,
     q_integer,
     qbin,
     qbin_pow,
@@ -361,35 +362,34 @@ def check_zheng_identity(n: int) -> CongruenceReport:
     """Exact vanishing of the q-harmonic combination
 
         sum_k q^(k(k-2n)) C(n,k)_q^2 C(n+k,k)_q^2
-              (2 H_q(k) - H_q(n+k) - q H_{1/q}(n-k)) = 0
+              (2 H_q(k) - H_q(n+k) - q H_{1/q}(n-k)) = 0,
 
-    as a rational function of q.
+    where H_q(j) = sum_{i<=j} 1/[i]_q and q H_{1/q}(j) = sum_{i<=j} q^i/[i]_q.
+    Verified multiplied through by L = prod_{i<=2n} [i]_q: with the
+    cofactors C_i = L/[i]_q, L H_q(j) is the prefix sum S_j of the C_i and
+    L q H_{1/q}(j) the prefix sum T_j of the q^i C_i.  Since L(0) = 1, the
+    lowest coefficient of the total is that of the rational function, and
+    its value at q = 1 is the total's divided by L(1) = (2n)!.
     """
     started = time.perf_counter()
     params = {"n": n}
     if n < 1:
         raise PreconditionError("requires n >= 1")
-    total = RationalFunctionQ.zero()
+    _, product, cofactors = _q_integer_cofactors(2 * n + 1)
+    s = [LaurentPoly.zero()]
+    t = [LaurentPoly.zero()]
+    for i, c in enumerate(cofactors, 1):
+        s.append(s[-1] + c)
+        t.append(t[-1] + q_power(i) * c)
+    total = LaurentPoly.zero()
     for k in range(n + 1):
         poly = q_power(k * (k - 2 * n)) * qbin_pow(n, k, 2) * qbin_pow(n + k, k, 2)
-        bracket = (
-            2 * q_harmonic(k)
-            - q_harmonic(n + k)
-            - q_power(1) * q_harmonic(n - k, inverted_base=True)
-        )
-        total = total + RationalFunctionQ(poly) * bracket
+        total = total + poly * (2 * s[k] - s[n + k] - t[n - k])
     holds = total.is_zero()
-    residue = Fraction(0)
-    if not holds:
-        try:
-            residue = Fraction(total.numerator(1)) / Fraction(total.denominator(1))
-        except ZeroDivisionError:
-            residue = total.numerator(1)
     return finish_report(
         "zheng-identity", params, "identity", holds, started,
-        residue_at_one=residue,
-        first_residue_coeff=None if holds else Fraction(
-            total.numerator.coefficient(total.numerator.min_degree())),
+        residue_at_one=total(1) / product(1),
+        first_residue_coeff=None if holds else Fraction(total.coefficient(total.min_degree())),
     )
 
 

@@ -168,11 +168,14 @@ def _render_rows_csv(rows, out):
 
 
 def _emit(text: str, output_path):
-    if output_path:
+    if not output_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (output_path, exc.strerror or exc))
 
 
 def _document_text(document: dict, fmt: str) -> str:
@@ -366,7 +369,8 @@ def _cmd_verify(ns) -> int:
         import io
 
         buf = io.StringIO()
-        _render_rows_table([row], buf)
+        render = _render_rows_csv if ns.format == "csv" else _render_rows_table
+        render([row], buf)
         text = buf.getvalue()
     _emit(text, ns.output)
     return 0 if report.holds else 1

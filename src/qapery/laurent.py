@@ -30,7 +30,10 @@ back as balanced digits; the denominators multiply.
 All arithmetic is exact.  Division lives in ``divrem``/``exact_div`` and
 requires ordinary polynomials (no negative exponents); use
 ``shift_to_ordinary`` first for general Laurent operands.  Division by a
-monic divisor stays in integers.
+monic divisor stays in integers.  There is no rational-function type: a
+quotient is multiplied through by its denominator, or inverted modulo
+Phi_m^k by ``cyclotomic.inverse_mod`` through ``ext_gcd``, the one Euclid
+routine.
 """
 
 from __future__ import annotations
@@ -418,20 +421,6 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return quot
 
 
-def poly_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Monic gcd of ordinary polynomials (not both zero)."""
-    a, b = f, g
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero():
-        _, r = divrem(a, b)
-        if not r.is_zero():
-            # renormalize to monic each step to keep coefficients small
-            r = r * (Fraction(1) / Fraction(r.leading_coefficient()))
-        a, b = b, r
-    return a * (Fraction(1) / Fraction(a.leading_coefficient()))
-
-
 def ext_gcd(f: LaurentPoly, g: LaurentPoly):
     """Extended Euclid on ordinary polynomials: d = u*f + v*g, d monic."""
     if f.is_zero() and g.is_zero():
@@ -447,137 +436,3 @@ def ext_gcd(f: LaurentPoly, g: LaurentPoly):
     scale = Fraction(1) / Fraction(r0.leading_coefficient())
     return r0 * scale, u0 * scale, v0 * scale
 
-
-class RationalFunctionQ:
-    """Quotient of two Laurent polynomials in q, kept in reduced form.
-
-    After normalization the (shifted) numerator and denominator share no
-    polynomial factor and the denominator's lowest-exponent coefficient is 1,
-    so equal rational functions have equal representations.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator, denominator=None):
-        num = _coerce(numerator)
-        den = LaurentPoly.one() if denominator is None else _coerce(denominator)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("expected LaurentPoly or rational scalar")
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.numerator = LaurentPoly()
-            self.denominator = LaurentPoly.one()
-            return
-        n0, s1 = num.shift_to_ordinary()
-        d0, s2 = den.shift_to_ordinary()
-        g = poly_gcd(n0, d0)
-        if g.degree() > 0:
-            n0 = exact_div(n0, g)
-            d0 = exact_div(d0, g)
-        # num/den = q^(s2-s1) * n0/d0
-        net = s2 - s1
-        if net:
-            n0 = q_power(net) * n0
-        c = d0.coefficient(d0.min_degree())
-        if c != 1:
-            inv = Fraction(1) / Fraction(c)
-            n0 = n0 * inv
-            d0 = d0 * inv
-        self.numerator = n0
-        self.denominator = d0
-
-    @classmethod
-    def zero(cls):
-        return cls(LaurentPoly())
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __add__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunctionQ(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunctionQ(
-            self.numerator * other.denominator - other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __rsub__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        out = RationalFunctionQ.__new__(RationalFunctionQ)
-        out.numerator = -self.numerator
-        out.denominator = self.denominator
-        return out
-
-    def __mul__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunctionQ(
-            self.numerator * other.numerator,
-            self.denominator * other.denominator,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunctionQ(
-            self.numerator * other.denominator,
-            self.denominator * other.numerator,
-        )
-
-    def __rtruediv__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.denominator == LaurentPoly.one():
-            return self.numerator.to_text()
-        return "(%s) / (%s)" % (self.numerator.to_text(), self.denominator.to_text())
-
-    __repr__ = __str__
-
-
-def _coerce_ratfun(x):
-    if isinstance(x, RationalFunctionQ):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RationalFunctionQ(x)
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return RationalFunctionQ(_coerce(x))
-    return NotImplemented

@@ -1,4 +1,5 @@
-"""q-integers, q-factorials, q-binomials, q-Pochhammer and q-harmonic sums.
+"""q-integers, q-factorials, q-binomials, q-Pochhammer symbols, and the
+q-Lucas and convolution checks.
 
 The Gaussian binomial is available through three independent routes that
 must agree (and are tested to): the factorial quotient definition, the
@@ -7,6 +8,10 @@ polynomials Phi_d over d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1.
 The cyclotomic product is the memoized production path used throughout the
 package.  It is not the fastest route (a full table builds several times
 slower than by the Pascal recurrence); the other two serve as its oracles.
+
+No quotient of polynomials is represented, so q-harmonic sums
+H_q(n) = sum 1/[k]_q are not built here: the checkers that need them
+multiply through by prod [k]_q (``checks._q_integer_cofactors``).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 import time
 
 from .cyclotomic import Modulus, cyclotomic, reduce_mod
-from .laurent import LaurentPoly, RationalFunctionQ, exact_div, q_power
+from .laurent import LaurentPoly, exact_div, q_power
 from .reports import CongruenceReport, PreconditionError, _finish_poly
 
 
@@ -142,21 +147,6 @@ def q_pochhammer(a_exponent: int, n: int, inverted_base: bool = False) -> Lauren
     for i in range(n):
         out = out * (1 - q_power(a_exponent + step * i))
     return out
-
-
-def q_harmonic(n: int, inverted_base: bool = False) -> RationalFunctionQ:
-    """H_q(n) = sum over 1 <= k <= n of 1/[k]_q, as a rational function.
-
-    With inverted_base, H_{1/q}(n): since [k]_{1/q} = q^(1-k) [k]_q, each
-    summand becomes q^(k-1)/[k]_q.
-    """
-    if n < 0:
-        raise ValueError("q_harmonic requires n >= 0")
-    total = RationalFunctionQ.zero()
-    for k in range(1, n + 1):
-        num = q_power(k - 1) if inverted_base else LaurentPoly.one()
-        total = total + RationalFunctionQ(num, q_integer(k))
-    return total
 
 
 def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qapery import checks
 from qapery.checks import (
     CHECKS,
     check_classical_supercongruences,
@@ -22,7 +23,7 @@ from qapery.checks import (
 )
 from qapery.cyclotomic import Modulus, congruent, integer_coefficient_check
 from qapery.laurent import q_power
-from qapery.qcombinatorics import qbin
+from qapery.qcombinatorics import binom, qbin
 from qapery.reports import PreconditionError
 from qapery.sequences import apery, apery_q_krz_binform
 
@@ -205,6 +206,25 @@ class TestIdentities:
             report = check_zheng_identity(n)
             assert report.holds
             assert report.modulus == "identity"
+
+    def test_zheng_perturbed_report_matches_q1_oracle(self, monkeypatch):
+        # with qbin_pow + 1 the identity fails; at q = 1 each q-binomial
+        # power is an ordinary one and H_q, q H_{1/q} are ordinary harmonic
+        # numbers, so the residue at one is a plain Fraction sum
+        qbin_pow = checks.qbin_pow
+        monkeypatch.setattr(checks, "qbin_pow", lambda *args: qbin_pow(*args) + 1)
+        harmonic = [Fraction(0)]
+        for i in range(1, 13):
+            harmonic.append(harmonic[-1] + Fraction(1, i))
+        for n in range(1, 7):
+            expected = sum(
+                (binom(n, k) ** 2 + 1) * (binom(n + k, k) ** 2 + 1)
+                * (2 * harmonic[k] - harmonic[n + k] - harmonic[n - k])
+                for k in range(n + 1))
+            report = check_zheng_identity(n)
+            assert not report.holds
+            assert report.residue_at_one == expected
+            assert report.first_residue_coeff == (-4 if n == 1 else 4)
 
 
 class TestClassicalSupercongruences:

@@ -1,6 +1,8 @@
 """CLI surface: compute/verify/sweep commands, formats, exit codes, guards."""
 
 import copy
+import csv
+import io
 import json
 
 import pytest
@@ -100,6 +102,16 @@ class TestVerify:
         assert set(row) == {"check", "params", "modulus", "holds", "residue_at_one", "elapsed_ms"}
         assert row["holds"] is True
 
+    def test_csv_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "ljunggren", "--n", "2", "--a", "3", "--b", "1", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 1
+        row = rows[0]
+        assert (row["check"], row["n"], row["a"], row["b"]) == ("ljunggren", "2", "3", "1")
+        assert row["holds"] == "True"
+
     def test_unknown_check_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "riemann", "--n", "2")
         assert code == 2
@@ -195,6 +207,19 @@ class TestSweep:
         assert code == 0 and out == ""
         document = json.loads(path.read_text())
         assert document["summary"]["total"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "apery", "3"),
+    ("verify", "wolstenholme-q", "--n", "3"),
+    ("sweep", "wolstenholme-q", "--n", "1..2"),
+])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert not path.exists()
 
 
 class TestSweepLibrary:

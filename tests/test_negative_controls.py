@@ -4,7 +4,7 @@ Each case runs one checker on an instance that holds, then again with one
 ingredient of the stated right-hand side perturbed (a correction factor
 off by one, a Lucas factor C(a,r)+1, one exponent of q shifted),
 and requires the perturbed run to report a failure with a nonzero residue
-coefficient.  A checker whose report ignored its residues would pass the
+coefficient.  Every registered checker has at least one case.  A checker whose report ignored its residues would pass the
 first run and fail the second.
 """
 
@@ -16,6 +16,11 @@ from qapery.checks import run_named_check
 
 def _plus_one(fn):
     return lambda *args: fn(*args) + 1
+
+
+def _plus_argument(fn):
+    # a constant offset cancels between F(p n) and F(n); an offset of x does not
+    return lambda x: fn(x) + x
 
 
 def _shift_first_exponent(q_power):
@@ -46,6 +51,9 @@ CASES = [
     ("harmonic-sp", {"n": 7, "which": "sp1"}, checks, "q_power", _shift_first_exponent),
     ("harmonic-sp", {"n": 7, "which": "sp2"}, checks, "q_power", _shift_first_exponent),
     ("harmonic-sp", {"n": 7, "which": "sp3"}, checks, "q_power", _shift_first_exponent),
+    ("zheng-identity", {"n": 3}, checks, "qbin_pow", _plus_one),
+    ("harmonic-classical", {"n": 3}, checks, "binom", _plus_one),
+    ("classical-sc", {"p": 5, "n": 1, "family": "apery"}, checks, "apery", _plus_argument),
 ]
 
 
@@ -63,3 +71,7 @@ def test_perturbed_statement_fails(monkeypatch, name, params, module, attribute,
     assert report.holds is False
     assert report.first_residue_coeff is not None
     assert report.first_residue_coeff != 0
+
+
+def test_every_checker_has_a_case():
+    assert {case[0] for case in CASES} == set(checks.CHECKS)

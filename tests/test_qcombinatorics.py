@@ -1,20 +1,18 @@
-"""q-integers, q-binomials (three routes), Pochhammer, harmonic sums, and
-the Lucas / convolution checks."""
+"""q-integers, q-binomials (three routes), Pochhammer, and the Lucas /
+convolution checks."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
 from qapery.cyclotomic import Modulus, reduce_mod
-from qapery.laurent import LaurentPoly, RationalFunctionQ, q, q_power
+from qapery.laurent import LaurentPoly, q, q_power
 from qapery.qcombinatorics import (
     binom,
     check_q_chu_vandermonde,
     check_q_lucas,
     q_binomial,
     q_factorial,
-    q_harmonic,
     q_integer,
     q_pochhammer,
     qbin_cyclotomic_support,
@@ -146,30 +144,6 @@ class TestPochhammer:
             lhs = q_pochhammer(1, n)
             rhs = (-1) ** n * q_power(n * (n + 1) // 2) * q_pochhammer(-1, n, inverted_base=True)
             assert lhs == rhs
-
-
-def _rf_eval(r, x):
-    return Fraction(r.numerator(x)) / Fraction(r.denominator(x))
-
-
-class TestQHarmonic:
-    def test_examples(self):
-        assert q_harmonic(0).is_zero()
-        assert q_harmonic(1) == RationalFunctionQ(LaurentPoly.one())
-        assert q_harmonic(2) == RationalFunctionQ(P({0: 2, 1: 1}), 1 + q)
-
-    def test_inverted_from_substitution(self):
-        # H_{1/q}(n) at q = x equals H_q(n) at q = 1/x
-        for n in range(0, 6):
-            h = q_harmonic(n)
-            hinv = q_harmonic(n, inverted_base=True)
-            for x in (Fraction(2), Fraction(3), Fraction(-2), Fraction(5, 3)):
-                assert _rf_eval(hinv, x) == _rf_eval(h, 1 / x)
-
-    def test_specializes_to_harmonic_number(self):
-        for n in range(0, 8):
-            expected = sum(Fraction(1, k) for k in range(1, n + 1))
-            assert _rf_eval(q_harmonic(n), Fraction(1)) == expected
 
 
 class TestQLucas:
