@@ -167,12 +167,19 @@ def _render_rows_csv(rows, out):
         )
 
 
-def _emit(text: str, output_path):
+def _check_output(output_path):
+    """Fail at once, before any work, when ``--output`` cannot be opened for
+    writing; an existing file is left as it is until ``_emit``."""
+    if output_path:
+        _emit("", output_path, mode="a")
+
+
+def _emit(text: str, output_path, mode: str = "w"):
     if not output_path:
         sys.stdout.write(text)
         return
     try:
-        with open(output_path, "w", encoding="utf-8") as handle:
+        with open(output_path, mode, encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise UsageError("cannot write %s: %s" % (output_path, exc.strerror or exc))
@@ -338,6 +345,7 @@ def _cmd_compute(ns) -> int:
     arity, fn = _COMPUTE[ns.target]
     if len(ns.args) != arity:
         raise UsageError("target %r expects %d integer argument(s)" % (ns.target, arity))
+    _check_output(ns.output)
     try:
         value = fn(*ns.args)
     except ValueError as exc:
@@ -358,6 +366,7 @@ def _cmd_compute(ns) -> int:
 def _cmd_verify(ns) -> int:
     spec = CHECKS[ns.check]
     params = _collect_params(ns, spec, ranged=False)
+    _check_output(ns.output)
     try:
         report = run_named_check(ns.check, params)
     except PreconditionError as exc:
@@ -388,6 +397,7 @@ def _cmd_sweep(ns) -> int:
         jobs=ns.jobs,
         output_format=ns.format,
     )
+    _check_output(ns.output)
     document = run_sweep(sweep)
     _emit(_document_text(document, ns.format), ns.output)
     return 0 if document["summary"]["failed"] == 0 else 1

@@ -5,7 +5,10 @@ proper divisors d, and memoized in one module dict.  A Laurent polynomial f
 has one canonical residue modulo Phi_m(q)^k: the unique ordinary r == f with
 deg r below the modulus degree.  It exists because gcd(q, Phi_m) = 1 for
 every m, so q is invertible modulo Phi_m^k; congruence is the vanishing of
-that residue.
+that residue.  Since Phi_m^k divides (q^m - 1)^k, ``reduce_mod`` first folds
+f below degree k*m by the sparse relation (q^m - 1)^k = 0 and divides only
+the folded polynomial by Phi_m^k; the fold is one helper,
+``laurent._fold``, which ``ResidueRing`` products run as well.
 
 ``binomial_sum_residue`` finds the residue of a sum of products of
 q-binomials without building the sum.  It works in ``ResidueRing(m, k)``,
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
 
-from .laurent import LaurentPoly, _dense_mul, divrem, exact_div, ext_gcd, q_power
+from .laurent import LaurentPoly, _dense_mul, _euclid, _fold, _wrap, divrem, exact_div, fold, q_power
 
 
 class NotInvertibleError(ValueError):
@@ -115,19 +118,21 @@ def reduce_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
 
     This is the unique ordinary r with r == f (mod Phi_m^k) and deg r below
     the modulus degree, so it is zero exactly when f == 0 (mod Phi_m^k) and
-    does not depend on how f is written.  Negative exponents are cleared by
-    reducing q^(m a) f, with m a >= -min_degree(f), and multiplying by the
-    inverse of q^(m a).  Writing q^m = 1 + x, Phi_m^k divides x^k, so that
-    inverse is the truncated binomial series sum_{j<k} C(-a, j) x^j.
+    does not depend on how f is written.  Phi_m^k divides (q^m - 1)^k, so f
+    is first folded below degree k m by the sparse relation (q^m - 1)^k = 0
+    (``laurent.fold``, the reduction ``ResidueRing.mul`` also runs), and only
+    the folded polynomial is divided by Phi_m^k.  Negative exponents are
+    cleared by multiplying f by q^(m a), with m a >= -min_degree(f), and by
+    the inverse of q^(m a).  Writing q^m = 1 + x, x^k == 0, so that inverse
+    is the truncated binomial series sum_{j<k} C(-a, j) x^j.
     """
-    P = mod.polynomial
-    if f.is_ordinary():
-        return divrem(f, P)[1]
-    a = -(f.min_degree() // mod.m)
-    x = q_power(mod.m) - 1
-    u = sum((comb(a + j - 1, j) * (-x) ** j for j in range(mod.k)), LaurentPoly.zero())
-    r = divrem(q_power(mod.m * a) * f, P)[1]
-    return divrem(u * r, P)[1]
+    m, k = mod.m, mod.k
+    if not f.is_ordinary():
+        a = -(f.min_degree() // m)
+        x = q_power(m) - 1
+        u = sum((comb(a + j - 1, j) * (-x) ** j for j in range(k)), LaurentPoly.zero())
+        f = u * (q_power(m * a) * f)
+    return divrem(fold(f, m, k), mod.polynomial)[1]
 
 
 def congruent(f: LaurentPoly, g: LaurentPoly, mod: Modulus) -> bool:
@@ -146,7 +151,7 @@ def inverse_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
     r = reduce_mod(f, mod)
     if r.is_zero():
         raise NotInvertibleError("zero is not invertible modulo %s" % mod)
-    d, u, _ = ext_gcd(r, mod.polynomial)
+    d, u = _euclid(r, mod.polynomial)
     if d.degree() > 0:
         raise NotInvertibleError("element shares a factor with %s" % mod)
     _, h = divrem(u, mod.polynomial)
@@ -164,16 +169,16 @@ class ResidueRing:
 
     Phi_m^k divides (q^m - 1)^k, so ``reduce_mod(to_poly(v), Modulus(m, k))``
     is the residue of whatever v stands for.  A product is reduced by the
-    sparse relation (q^m - 1)^k = 0; for k = 3 it reads
-    q^(3m) = 3 q^(2m) - 3 q^m + 1.  Powers need no products: with
-    x = q^m - 1, x^k = 0, so q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j,
-    for negative a as well.
+    sparse relation (q^m - 1)^k = 0 in ``laurent._fold``, the fold that
+    ``reduce_mod`` runs; for k = 3 it reads q^(3m) = 3 q^(2m) - 3 q^m + 1.
+    Powers need no products: with x = q^m - 1, x^k = 0, so
+    q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
+    well.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k, self.size = m, k, m * k
-        # q^(km) = -sum_{j<k} C(k, j) (-1)^(k-j) q^(mj)
-        self._wrap = [(m * j, (-1) ** (k - j + 1) * comb(k, j)) for j in range(k)]
+        self._wrap = _wrap(m, k)
         self.one = self.q_power(0)
         phi = cyclotomic(m)
         self.phi = self.from_poly(phi)
@@ -182,16 +187,7 @@ class ResidueRing:
 
     def mul(self, a: list, b: list) -> list:
         """The product of two elements."""
-        v = _dense_mul(a, b)
-        size = self.size
-        for i in range(len(v) - 1, size - 1, -1):
-            c = v[i]
-            if c:
-                low = i - size
-                for offset, w in self._wrap:
-                    v[low + offset] += w * c
-        del v[size:]
-        return v
+        return _fold(_dense_mul(a, b), self.m, self._wrap)
 
     def power(self, a: list, e: int) -> list:
         """a^e for e >= 0."""

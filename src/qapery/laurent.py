@@ -32,14 +32,15 @@ requires ordinary polynomials (no negative exponents); use
 ``shift_to_ordinary`` first for general Laurent operands.  Division by a
 monic divisor stays in integers.  There is no rational-function type: a
 quotient is multiplied through by its denominator, or inverted modulo
-Phi_m^k by ``cyclotomic.inverse_mod`` through ``ext_gcd``, the one Euclid
-routine.
+Phi_m^k by ``cyclotomic.inverse_mod`` through ``_euclid``, the one Euclid
+loop, which tracks only the cofactor an inverse needs; ``ext_gcd`` adds the
+other by one exact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 def _clean_coeff(c):
@@ -369,6 +370,44 @@ def _dense_mul(a: list, b: list) -> list:
     return _digits(packed_a * packed_b, len(a) + len(b) - 1, width)
 
 
+def _wrap(m: int, k: int) -> list:
+    """The (offset, weight) pairs of q^(k m) = sum w q^offset modulo
+    (q^m - 1)^k, that is q^(k m) = -sum_{j<k} C(k, j) (-1)^(k-j) q^(m j)."""
+    return [(m * j, (-1) ** (k - j + 1) * comb(k, j)) for j in range(k)]
+
+
+def _fold(v: list, m: int, wrap: list) -> list:
+    """The coefficients from q^0 of v modulo (q^m - 1)^k, below q^(k m),
+    with ``wrap = _wrap(m, k)``.
+
+    For k = 1 that is q^m = 1, the sum of each residue class mod m.
+    Otherwise each coefficient from the top down is moved onto lower powers
+    by ``wrap``, and v is reused.  ``cyclotomic.ResidueRing.mul`` reduces its
+    products here.
+    """
+    if len(wrap) == 1:
+        return [sum(v[r::m]) for r in range(m)]
+    size = len(wrap) * m
+    for i in range(len(v) - 1, size - 1, -1):
+        c = v[i]
+        if c:
+            low = i - size
+            for offset, w in wrap:
+                v[low + offset] += w * c
+    del v[size:]
+    return v
+
+
+def fold(f: LaurentPoly, m: int, k: int) -> LaurentPoly:
+    """A polynomial of degree below k m congruent to the ordinary f modulo
+    (q^m - 1)^k, by the sparse relation of ``_fold``."""
+    if not f.is_ordinary():
+        raise ValueError("fold requires an ordinary polynomial; shift first")
+    if f._low + len(f._coeffs) <= k * m:
+        return f
+    return _make(0, _fold([0] * f._low + f._coeffs, m, _wrap(m, k)), f._den)
+
+
 #: The generator q and the constant 1, for building expressions.
 q = LaurentPoly.q_power(1)
 one = LaurentPoly.one()
@@ -421,18 +460,25 @@ def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return quot
 
 
-def ext_gcd(f: LaurentPoly, g: LaurentPoly):
-    """Extended Euclid on ordinary polynomials: d = u*f + v*g, d monic."""
+def _euclid(f: LaurentPoly, g: LaurentPoly):
+    """(d, u) with d = gcd(f, g) monic and d == u*f (mod g): the Euclid loop
+    on ordinary polynomials, tracking only the cofactor of f."""
     if f.is_zero() and g.is_zero():
         raise ValueError("ext_gcd(0, 0) is undefined")
     r0, r1 = f, g
     u0, u1 = LaurentPoly.one(), LaurentPoly()
-    v0, v1 = LaurentPoly(), LaurentPoly.one()
     while not r1.is_zero():
         quot, r2 = divrem(r0, r1)
         r0, r1 = r1, r2
         u0, u1 = u1, u0 - quot * u1
-        v0, v1 = v1, v0 - quot * v1
     scale = Fraction(1) / Fraction(r0.leading_coefficient())
-    return r0 * scale, u0 * scale, v0 * scale
+    return r0 * scale, u0 * scale
 
+
+def ext_gcd(f: LaurentPoly, g: LaurentPoly):
+    """Extended Euclid on ordinary polynomials: d = u*f + v*g, d monic.
+
+    ``_euclid`` finds d and u; v is (d - u*f) / g, one exact division."""
+    d, u = _euclid(f, g)
+    v = exact_div(d - u * f, g) if g else LaurentPoly()
+    return d, u, v

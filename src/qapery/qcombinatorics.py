@@ -1,13 +1,17 @@
 """q-integers, q-factorials, q-binomials, q-Pochhammer symbols, and the
 q-Lucas and convolution checks.
 
-The Gaussian binomial is available through three independent routes that
-must agree (and are tested to): the factorial quotient definition, the
-Pascal-type recurrence, and the square-free product of cyclotomic
-polynomials Phi_d over d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1.
-The cyclotomic product is the memoized production path used throughout the
-package.  It is not the fastest route (a full table builds several times
-slower than by the Pascal recurrence); the other two serve as its oracles.
+The production Gaussian binomial ``qbin`` is built by the row recurrence
+C(n, k)_q = prod_{i<=k} (1 - q^(n-k+i)) / (1 - q^i) on one list of ints
+(Andrews, *The Theory of Partitions*, ch. 3), with k replaced by
+min(k, n - k): a multiply by 1 - q^a is one shift-subtract, an exact
+division by 1 - q^i one running sum over each residue class mod i, so no
+polynomial product is formed.  It is memoized in ``_QBIN_CACHE``, one entry
+per requested (n, k).  ``q_binomial`` keeps three independent routes as its
+oracles, tested to agree with it and with each other: the factorial
+quotient definition, the Pascal-type recurrence, and the square-free
+product of cyclotomic polynomials Phi_d over d with
+floor(n/d) - floor(k/d) - floor((n-k)/d) = 1, which is not memoized.
 
 No quotient of polynomials is represented, so q-harmonic sums
 H_q(n) = sum 1/[k]_q are not built here: the checkers that need them
@@ -18,9 +22,11 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import accumulate
+from operator import sub
 
 from .cyclotomic import Modulus, cyclotomic, reduce_mod
-from .laurent import LaurentPoly, exact_div, q_power
+from .laurent import LaurentPoly, _make, exact_div, q_power
 from .reports import CongruenceReport, PreconditionError, _finish_poly
 
 
@@ -65,15 +71,27 @@ _QBIN_CACHE = {}
 _PASCAL_CACHE = {}
 
 
+def _qbin_row(n: int, k: int) -> LaurentPoly:
+    """C(n, k)_q for 0 <= k <= n by the row recurrence on a list of ints."""
+    k = min(k, n - k)
+    g = [1]
+    for i in range(1, k + 1):
+        a = n - k + i
+        f, g = g, g + [0] * a
+        g[a:] = map(sub, g[a:], f)
+        # g / (1 - q^i) = h with h[j] = g[j] + h[j - i]; the division is
+        # exact, so the top i entries of h are zero and are dropped
+        for r in range(i):
+            g[r::i] = accumulate(g[r::i])
+        del g[-i:]
+    return _make(0, g)
+
+
 def _qbin_cyclotomic(n: int, k: int) -> LaurentPoly:
-    key = (n, k)
-    cached = _QBIN_CACHE.get(key)
-    if cached is None:
-        cached = LaurentPoly.one()
-        for d in sorted(qbin_cyclotomic_support(n, k)):
-            cached = cached * cyclotomic(d)
-        _QBIN_CACHE[key] = cached
-    return cached
+    product = LaurentPoly.one()
+    for d in sorted(qbin_cyclotomic_support(n, k)):
+        product = product * cyclotomic(d)
+    return product
 
 
 def _qbin_pascal(n: int, k: int) -> LaurentPoly:
@@ -92,7 +110,8 @@ def q_binomial(n: int, k: int, method: str = "cyclotomic") -> LaurentPoly:
 
     A self-reciprocal polynomial of degree k(n-k) with integer
     coefficients.  All methods return identical polynomials; "cyclotomic"
-    is memoized and is the default.
+    is the default.  They are the oracles of the production ``qbin``, and
+    the cyclotomic product is not memoized.
     """
     if n < 0:
         raise ValueError("q_binomial requires n >= 0")
@@ -108,10 +127,15 @@ def q_binomial(n: int, k: int, method: str = "cyclotomic") -> LaurentPoly:
 
 
 def qbin(n: int, k: int) -> LaurentPoly:
-    """Cached Gaussian binomial (the memoized cyclotomic-product path)."""
+    """Cached Gaussian binomial, built by the row recurrence; 0 outside
+    0 <= k <= n."""
     if k < 0 or k > n or n < 0:
         return LaurentPoly.zero()
-    return _qbin_cyclotomic(n, k)
+    key = (n, k)
+    cached = _QBIN_CACHE.get(key)
+    if cached is None:
+        cached = _QBIN_CACHE[key] = _qbin_row(n, k)
+    return cached
 
 
 _QBIN_POW_CACHE = {}

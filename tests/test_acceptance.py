@@ -243,6 +243,7 @@ def test_criterion_11_oracle_equivalences():
             q_binomial(n, k, "factorial")
             == q_binomial(n, k, "pascal")
             == q_binomial(n, k, "cyclotomic")
+            == qbin(n, k)
         )
     ]
 

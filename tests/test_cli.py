@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from qapery import cli
 from qapery.cli import SweepSpec, UsageError, main, run_sweep
 
 
@@ -220,6 +221,21 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write ") and "Traceback" not in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "wolstenholme-q", "--n", "3"),
+    ("sweep", "wolstenholme-q", "--n", "1..40"),
+])
+def test_unwritable_output_fails_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    def no_work(name, params):
+        raise AssertionError("ran %s %r" % (name, params))
+
+    monkeypatch.setattr(cli, "run_named_check", no_work)
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write %s: " % path)
 
 
 class TestSweepLibrary:

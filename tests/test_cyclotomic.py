@@ -18,7 +18,7 @@ from qapery.cyclotomic import (
     reduce_mod,
     residue_exact,
 )
-from qapery.laurent import LaurentPoly, divrem, q, q_power
+from qapery.laurent import LaurentPoly, divrem, ext_gcd, q, q_power
 
 
 def P(terms):
@@ -152,6 +152,47 @@ class TestCanonicalResidue:
         assert r.is_zero() or (r.is_ordinary() and r.degree() < mod.polynomial.degree())
         # r == f: a power of q times f - r is a multiple of the modulus
         assert divrem((f - r).shift_to_ordinary()[0], mod.polynomial)[1].is_zero()
+
+
+def _plain_residue(f, P):
+    """The residue of f modulo P by long division alone; a negative lowest
+    exponent -s is cleared by the inverse of q^s from ``ext_gcd``."""
+    if f.is_ordinary():
+        return divrem(f, P)[1]
+    s = -f.min_degree()
+    _, u, _ = ext_gcd(divrem(q_power(s), P)[1], P)
+    return divrem(u * divrem(q_power(s) * f, P)[1], P)[1]
+
+
+_COEFFS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.fractions(max_denominator=30))
+
+
+@st.composite
+def _fold_cases(draw):
+    """(f, m, k): f of degree up to 40 m with up to 40 terms, m <= 12, k <= 4."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    low = -draw(st.integers(0, 6 * m)) if draw(st.booleans()) else 0
+    f = draw(st.dictionaries(st.integers(low, 40 * m), _COEFFS, max_size=40))
+    return LaurentPoly(f), m, k
+
+
+class TestFold:
+    """``reduce_mod`` folds by (q^m - 1)^k before dividing; the residue must
+    be the one long division by Phi_m^k gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_fold_cases())
+    def test_fold_matches_plain_division(self, case):
+        f, m, k = case
+        mod = Modulus(m, k)
+        assert reduce_mod(f, mod) == _plain_residue(f, mod.polynomial)
+
+    def test_dense_high_degree(self):
+        rng = random.Random(9)
+        for m, k in ((1, 4), (5, 1), (6, 2), (12, 3), (7, 4)):
+            mod = Modulus(m, k)
+            f = LaurentPoly({e: rng.randint(-99, 99) for e in range(40 * m + 1)})
+            assert reduce_mod(f, mod) == divrem(f, mod.polynomial)[1]
 
 
 class TestResidueExact:

@@ -137,6 +137,8 @@ class TestExtGcd:
     def test_common_factor(self):
         d, _, _ = ext_gcd(q**2 - 1, q + 1)
         assert d == q + 1
+        # g = 0: no Euclid step, and v = 0 without a division
+        assert ext_gcd(2 * q + 2, LaurentPoly()) == (q + 1, Fraction(1, 2), 0)
 
     def test_q_integer_coprime_to_phi3(self):
         # brute-force gcd via a divrem chain, independently of ext_gcd

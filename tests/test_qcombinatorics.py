@@ -4,7 +4,9 @@ convolution checks."""
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qapery import qcombinatorics
 from qapery.cyclotomic import Modulus, reduce_mod
 from qapery.laurent import LaurentPoly, q, q_power
 from qapery.qcombinatorics import (
@@ -15,6 +17,7 @@ from qapery.qcombinatorics import (
     q_factorial,
     q_integer,
     q_pochhammer,
+    qbin,
     qbin_cyclotomic_support,
 )
 from qapery.reports import PreconditionError
@@ -84,7 +87,18 @@ class TestQBinomial:
                 a = q_binomial(n, k, "factorial")
                 b = q_binomial(n, k, "pascal")
                 c = q_binomial(n, k, "cyclotomic")
-                assert a == b == c, (n, k)
+                assert a == b == c == qbin(n, k), (n, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 60), st.integers(-3, 63))
+    def test_row_recurrence_matches_pascal(self, n, k):
+        assert qbin(n, k) == q_binomial(n, k, "pascal")
+
+    def test_cyclotomic_oracle_is_not_cached(self):
+        before = dict(qcombinatorics._QBIN_CACHE)
+        for n, k in ((0, 0), (7, 3), (97, 40)):
+            q_binomial(n, k, "cyclotomic")
+        assert qcombinatorics._QBIN_CACHE == before
 
     def test_self_reciprocal(self):
         for n in range(0, 31):
