@@ -29,14 +29,19 @@ is refused as a precondition failure before anything is built when the
 largest q-binomial top index M of its lhs has M*m above ``RING_SIZE_GUARD``,
 or when its base, which is built in full at index n, spans more exponents
 than that.
+
+``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)`` as
+well, with no product of the [i]_q and no Euclid loop; it is refused when
+n steps over its k n ring coefficients, n k n, exceed the same guard.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import lcm
 
-from .cyclotomic import Modulus, _factorize, binomial_sum_residue, inverse_mod, reduce_mod
+from .cyclotomic import Modulus, ResidueRing, _factorize, binomial_sum_residue, inverse_mod, reduce_mod
 from .laurent import LaurentPoly, q_power
 from .qcombinatorics import (
     binom,
@@ -64,8 +69,8 @@ from .sequences import (
 
 
 #: The largest M*m a ring-route checker accepts, M the largest q-binomial
-#: top index of its lhs (corollary: M = 2mn), and the largest exponent span
-#: of its base.
+#: top index of its lhs (corollary: M = 2mn) or, for harmonic-sp, the ring
+#: size k n at m = n; and the largest exponent span of a base.
 RING_SIZE_GUARD = 1 << 15
 
 
@@ -78,7 +83,7 @@ def _cube_residue(m, lhs, base, c, mod):
 
 
 def _guard_ring_size(m, top):
-    """Refuse an lhs whose largest q-binomial top index times m exceeds the guard."""
+    """Refuse an instance whose top index (or ring size) times m exceeds the guard."""
     if top * m > RING_SIZE_GUARD:
         raise PreconditionError(
             "instance too large: M*m = %d exceeds the size guard %d" % (top * m, RING_SIZE_GUARD))
@@ -163,16 +168,29 @@ def _q_integer_cofactors(n):
     return ints, prefix[-1], cofactors
 
 
-def _harmonic_lhs(which, terms):
-    """sum t (sp1), sum t^2 (sp2) or sum_{i<j} t_i t_j (sp3) over the terms."""
-    zero = LaurentPoly.zero()
+def _harmonic_rhs(n, which):
+    """The right side of harmonic-sp's statement ``which``."""
+    qm1 = q_power(1) - 1
     if which == "sp1":
-        return sum(terms, zero)
-    p2 = sum((t * t for t in terms), zero)
+        return -Fraction(n - 1, 2) * qm1 + Fraction(n * n - 1, 24) * qm1 ** 2 * q_integer(n)
     if which == "sp2":
-        return p2
-    p1 = sum(terms, zero)
-    return Fraction(1, 2) * (p1 * p1 - p2)
+        return -Fraction((n - 1) * (n - 5), 12) * qm1 ** 2
+    return Fraction((n - 1) * (n - 2), 6) * qm1 ** 2
+
+
+def _harmonic_residue(ring, mod, which, e1, e2, den, w1, w2, rhs):
+    """The residue of (lhs - rhs) w, w = w1 for sp1 and w2 otherwise, from
+    the ring elements e1 / den = w1 sum 1/[i]_q and e2 / den^2 =
+    w2 sum 1/[i]_q^2; rhs is an integer element and its denominator."""
+    if which == "sp1":
+        num, scale, w = e1, den, w1
+    elif which == "sp2":
+        num, scale, w = e2, den * den, w2
+    else:
+        num, scale, w = [a - b for a, b in zip(ring.mul(e1, e1), e2)], 2 * den * den, w2
+    rhs, rhs_den = rhs
+    diff = [rhs_den * a - scale * b for a, b in zip(num, ring.mul(rhs, w))]
+    return reduce_mod(ring.to_poly(diff), mod) / (scale * rhs_den)
 
 
 def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
@@ -182,9 +200,16 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
         sp2:  sum 1/[i]_q^2 == -(n-1)(n-5)/12 (q-1)^2                     (mod Phi_n)
         sp3:  sum_{i<j} 1/([i]_q [j]_q) == (n-1)(n-2)/6 (q-1)^2           (mod Phi_n)
 
-    Verified in multiplied-through form, with the cofactors D/[i]_q of
-    D = prod [i]_q as the terms and the right side times D (sp1) or D^2,
-    and, as a cross-check, with explicit modular inverses of the [i]_q.
+    Both routes run in ``ResidueRing(n, k)``, on lists of k n integers, and
+    neither builds D = prod [i]_q.  The primary route is multiplied through:
+    P_t = P_(t-1) [t]_q, S_t = S_(t-1) [t]_q + P_(t-1) and
+    T_t = T_(t-1) [t]_q^2 + P_(t-1)^2 give D, S = D sum 1/[i]_q and
+    T = D^2 sum 1/[i]_q^2, each step a ring multiply by [t]_q with no
+    product, and sp3's sum is (S^2 - T)/2.  The cross-check uses the explicit
+    inverses of ``ResidueRing.q_integer_inverse``, since invertibility of
+    [i]_q modulo Phi_n is itself part of the claim.  Each residue is reduced
+    once, over one common denominator, so it is the canonical one.  An
+    instance with n k n above ``RING_SIZE_GUARD`` is refused first.
     """
     started = time.perf_counter()
     params = {"n": n, "which": which}
@@ -192,22 +217,31 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
         raise PreconditionError("which must be one of sp1, sp2, sp3")
     if n < 2:
         raise PreconditionError("requires n >= 2")
-    qm1 = q_power(1) - 1
-    if which == "sp1":
-        mod = Modulus(n, 2)
-        rhs = -Fraction(n - 1, 2) * qm1 + Fraction(n * n - 1, 24) * qm1 ** 2 * q_integer(n)
-    elif which == "sp2":
-        mod = Modulus(n, 1)
-        rhs = -Fraction((n - 1) * (n - 5), 12) * qm1 ** 2
-    else:
-        mod = Modulus(n, 1)
-        rhs = Fraction((n - 1) * (n - 2), 6) * qm1 ** 2
+    k = 2 if which == "sp1" else 1
+    _guard_ring_size(n, k * n)
+    mod = Modulus(n, k)
+    ring = ResidueRing(n, k)
+    rhs = _harmonic_rhs(n, which)
+    rhs_den = lcm(*(Fraction(c).denominator for _, c in rhs.terms()))
+    rhs = ring.from_poly(rhs * rhs_den), rhs_den
 
-    ints, product, cofactors = _q_integer_cofactors(n)
-    scale = product if which == "sp1" else product ** 2
-    primary = reduce_mod(_harmonic_lhs(which, cofactors) - rhs * scale, mod)
-    inverses = [inverse_mod(p, mod) for p in ints]
-    cross = reduce_mod(_harmonic_lhs(which, inverses) - rhs, mod)
+    squares = which != "sp1"
+    p = p2 = ring.one
+    s = s2 = [0] * ring.size
+    for t in range(1, n):
+        s = [a + b for a, b in zip(ring.mul_q_integer(s, t), p)]
+        p = ring.mul_q_integer(p, t)
+        if squares:
+            s2 = [a + b for a, b in zip(ring.mul_q_integer(ring.mul_q_integer(s2, t), t), p2)]
+            p2 = ring.mul_q_integer(ring.mul_q_integer(p2, t), t)
+    primary = _harmonic_residue(ring, mod, which, s, s2, 1, p, p2, rhs)
+
+    inverses = [ring.q_integer_inverse(i) for i in range(1, n)]
+    den = lcm(*(d for _, d in inverses))
+    hs = [[c * (den // d) for c in v] for v, d in inverses]
+    h1 = [sum(c) for c in zip(*hs)]
+    h2 = [sum(c) for c in zip(*(ring.mul(h, h) for h in hs))] if squares else None
+    cross = _harmonic_residue(ring, mod, which, h1, h2, den, ring.one, ring.one, rhs)
     return _finish_poly("harmonic-sp", params, [primary, cross], mod, started)
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from .checks import CHECKS, run_named_check
 from .cyclotomic import cyclotomic
 from .laurent import LaurentPoly
-from .qcombinatorics import q_binomial
+from .qcombinatorics import qbin
 from .reports import PreconditionError
 from .sequences import (
     almkvist_zudilin,
@@ -213,13 +213,20 @@ def _document_text(document: dict, fmt: str) -> str:
 # compute targets
 # ---------------------------------------------------------------------------
 
+def _qbinom(n, k):
+    """C(n, k)_q from the memoized row recurrence ``qbin``, for n >= 0."""
+    if n < 0:
+        raise ValueError("q_binomial requires n >= 0")
+    return qbin(n, k)
+
+
 #: target -> (number of integer arguments, function of those arguments)
 _COMPUTE = {
     "apery": (1, apery),
     "apery-q": (1, apery_q_krz_binform),
     "zheng": (1, apery_q_zheng),
     "az": (1, almkvist_zudilin),
-    "qbinom": (2, q_binomial),
+    "qbinom": (2, _qbinom),
     "cyclotomic": (1, cyclotomic),
     "multivariate": (4, lambda *n: apery_multivariate(n)),
 }

@@ -14,7 +14,10 @@ the folded polynomial by Phi_m^k; the fold is one helper,
 q-binomials without building the sum.  It works in ``ResidueRing(m, k)``,
 integer polynomials modulo (q^m - 1)^k, a multiple of Phi_m^k, whose
 elements are k*m integers, and it takes no inverse until a residue is
-known to be nonzero.
+known to be nonzero.  The same ring multiplies by a q-integer [t]_q without
+a product and inverts [i]_q in closed form, which is how ``harmonic-sp``
+is decided.  ``inverse_mod`` runs its Euclid loop against Phi_m alone and
+lifts the inverse to Phi_m^k by Newton steps.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import comb, gcd, lcm
+from operator import sub
 
 from .laurent import LaurentPoly, _dense_mul, _euclid, _fold, _wrap, divrem, exact_div, fold, q_power
 
@@ -146,16 +151,22 @@ residue_exact = reduce_mod
 def inverse_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
     """Inverse of f modulo Phi_m(q)^k, reduced below the modulus degree.
 
-    Raises NotInvertibleError when f shares a factor with Phi_m.
+    The Euclid loop runs only against Phi_m; Newton steps h <- h (2 - f h)
+    then double the exponent of Phi_m until it reaches k (von zur Gathen and
+    Gerhard, *Modern Computer Algebra*, ch. 9).  If f h == 1 - e with
+    Phi_m^j | e, the step leaves 1 - e^2.  The inverse is unique, so this is
+    the residue of the Euclid inverse modulo Phi_m^k itself.  Raises
+    NotInvertibleError when f shares a factor with Phi_m.
     """
-    r = reduce_mod(f, mod)
-    if r.is_zero():
-        raise NotInvertibleError("zero is not invertible modulo %s" % mod)
-    d, u = _euclid(r, mod.polynomial)
+    d, h = _euclid(reduce_mod(f, Modulus(mod.m, 1)), cyclotomic(mod.m))
     if d.degree() > 0:
         raise NotInvertibleError("element shares a factor with %s" % mod)
-    _, h = divrem(u, mod.polynomial)
-    return h
+    exponent = 1
+    while exponent < mod.k:
+        exponent = min(2 * exponent, mod.k)
+        lift = Modulus(mod.m, exponent)
+        h = reduce_mod(h * (2 - reduce_mod(f, lift) * h), lift)
+    return reduce_mod(h, mod)
 
 
 def _binomial(a: int, j: int) -> int:
@@ -173,7 +184,9 @@ class ResidueRing:
     ``reduce_mod`` runs; for k = 3 it reads q^(3m) = 3 q^(2m) - 3 q^m + 1.
     Powers need no products: with x = q^m - 1, x^k = 0, so
     q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
-    well.
+    well.  Nor does a multiple by [t]_q (``mul_q_integer``), and the inverse
+    of [i]_q has a closed form modulo Phi_m that Newton steps lift
+    (``q_integer_inverse``).
     """
 
     def __init__(self, m: int, k: int):
@@ -188,6 +201,41 @@ class ResidueRing:
     def mul(self, a: list, b: list) -> list:
         """The product of two elements."""
         return _fold(_dense_mul(a, b), self.m, self._wrap)
+
+    def mul_q_integer(self, a: list, t: int) -> list:
+        """a [t]_q for t >= 1, with no product: a shift-subtract gives
+        a (1 - q^t), a running sum divides it exactly by 1 - q (the sum of
+        all its coefficients is zero, so the top entry is dropped), and the
+        result is folded."""
+        g = a + [0] * t
+        g[t:] = map(sub, g[t:], a)
+        g = list(accumulate(g))
+        del g[-1]
+        return _fold(g, self.m, self._wrap)
+
+    def q_integer_inverse(self, i: int):
+        """(v, d) with v / d == 1/[i]_q modulo Phi_m^k, for m not dividing i.
+
+        At a root w of Phi_m, z = w^i is a root of unity of order
+        n = m / gcd(i, m) > 1, and (1 - z) sum_{t<n} t z^t = -n, so
+        1/[i]_q == (q - 1)/n sum_{t<n} t q^(i t)  (mod Phi_m).
+        Newton steps h <- h (2 - [i]_q h) then double the exponent of Phi_m
+        until it reaches k, squaring the denominator each time.
+        """
+        if i % self.m == 0:
+            raise NotInvertibleError("[%d]_q shares a factor with Phi(%d)" % (i, self.m))
+        den = self.m // gcd(i, self.m)
+        s = [0] * self.m
+        for t in range(den):
+            s[i * t % self.m] += t
+        # (q - 1) s modulo q^m - 1, which Phi_m divides
+        v = [s[j - 1] - s[j] for j in range(self.m)] + [0] * (self.size - self.m)
+        exponent = 1
+        while exponent < self.k:
+            w = [-c for c in self.mul_q_integer(v, i)]
+            w[0] += 2 * den
+            v, den, exponent = self.mul(v, w), den * den, 2 * exponent
+        return v, den
 
     def power(self, a: list, e: int) -> list:
         """a^e for e >= 0."""

@@ -32,9 +32,10 @@ requires ordinary polynomials (no negative exponents); use
 ``shift_to_ordinary`` first for general Laurent operands.  Division by a
 monic divisor stays in integers.  There is no rational-function type: a
 quotient is multiplied through by its denominator, or inverted modulo
-Phi_m^k by ``cyclotomic.inverse_mod`` through ``_euclid``, the one Euclid
-loop, which tracks only the cofactor an inverse needs; ``ext_gcd`` adds the
-other by one exact division.
+Phi_m^k by ``cyclotomic.inverse_mod``, which runs ``_euclid``, the one
+Euclid loop, against Phi_m and lifts by Newton steps; the loop tracks only
+the cofactor an inverse needs, and ``ext_gcd`` adds the other by one exact
+division.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ product of cyclotomic polynomials Phi_d over d with
 floor(n/d) - floor(k/d) - floor((n-k)/d) = 1, which is not memoized.
 
 No quotient of polynomials is represented, so q-harmonic sums
-H_q(n) = sum 1/[k]_q are not built here: the checkers that need them
-multiply through by prod [k]_q (``checks._q_integer_cofactors``).
+H_q(n) = sum 1/[k]_q are not built here: ``zheng-identity`` multiplies
+through by prod [k]_q (``checks._q_integer_cofactors``), and
+``harmonic-sp`` works in ``cyclotomic.ResidueRing``.
 """
 
 from __future__ import annotations

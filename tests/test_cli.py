@@ -7,8 +7,9 @@ import json
 
 import pytest
 
-from qapery import cli
+from qapery import cli, qcombinatorics
 from qapery.cli import SweepSpec, UsageError, main, run_sweep
+from qapery.qcombinatorics import q_binomial
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +34,13 @@ class TestCompute:
     def test_qbinom(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "qbinom", "4", "2")
         assert code == 0 and out == "1 + q + 2*q^2 + q^3 + q^4\n"
+
+    @pytest.mark.parametrize("n, k", [(0, 0), (7, 3), (12, 5), (30, 14), (9, 12), (5, -1)])
+    def test_qbinom_is_qbin_and_equals_the_cyclotomic_oracle(self, capsys, monkeypatch, n, k):
+        monkeypatch.setattr(qcombinatorics, "_QBIN_CACHE", {})
+        code, out, _ = run_cli(capsys, "compute", "qbinom", str(n), str(k))
+        assert code == 0 and out == "%s\n" % q_binomial(n, k, "cyclotomic")
+        assert list(qcombinatorics._QBIN_CACHE) == ([(n, k)] if 0 <= k <= n else [])
 
     def test_cyclotomic(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "cyclotomic", "6")

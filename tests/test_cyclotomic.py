@@ -253,6 +253,47 @@ class TestInverseMod:
         assert reduce_mod(q_power(-2) * (1 + q) * h - 1, mod).is_zero()
 
 
+def _euclid_inverse(f, mod):
+    """The inverse of f modulo Phi_m^k by one Euclid loop against the whole
+    modulus, or None when there is none."""
+    r = reduce_mod(f, mod)
+    if r.is_zero():
+        return None
+    d, u, _ = ext_gcd(r, mod.polynomial)
+    if d.degree() > 0:
+        return None
+    return divrem(u, mod.polynomial)[1]
+
+
+# Euclid over Q against Phi_11^4 (degree 40) grows its coefficients fast, so
+# the reference gets small ones: 2^70 coefficients can take 10 s an example.
+_SMALL_COEFFS = st.one_of(st.integers(-9, 9),
+                          st.fractions(min_value=-9, max_value=9, max_denominator=9))
+
+
+class TestNewtonLifting:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4),
+           st.dictionaries(st.integers(-8, 40), _SMALL_COEFFS, max_size=6).map(LaurentPoly))
+    def test_equals_the_full_modulus_euclid_inverse(self, m, k, f):
+        mod = Modulus(m, k)
+        want = _euclid_inverse(f, mod)
+        if want is None:
+            with pytest.raises(NotInvertibleError):
+                inverse_mod(f, mod)
+        else:
+            assert inverse_mod(f, mod) == want
+
+    def test_units_that_vanish_modulo_a_smaller_power(self):
+        # 1 + Phi_m g is a unit; Phi_m h with h != 0 is not, at any k
+        for m, k in ((3, 4), (6, 3), (10, 2)):
+            mod, phi = Modulus(m, k), cyclotomic(m)
+            f = 1 + phi * (q + 2)
+            assert inverse_mod(f, mod) == _euclid_inverse(f, mod)
+            with pytest.raises(NotInvertibleError):
+                inverse_mod(phi * (q - 3), mod)
+
+
 class TestIntegerCoefficients:
     def test_examples(self):
         assert integer_coefficient_check(P({0: 1, 1: 3, 2: 1}))

@@ -1,0 +1,153 @@
+"""The residue-ring route of ``harmonic-sp``.
+
+``check_harmonic_sp`` computes both of its residues in Z[q]/((q^n - 1)^k)
+without building D = prod [i]_q or running a Euclid loop.  The oracle is
+the full-polynomial route it replaced: the cofactors D/[i]_q, multiplied
+out, for the primary residue, and ``inverse_mod`` of each [i]_q for the
+cross residue.  Both residues must be identical to the oracle's, for every
+statement with n = 2..25, as stated and with the right side perturbed.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from qapery import checks
+from qapery.checks import RING_SIZE_GUARD, _q_integer_cofactors, check_harmonic_sp
+from qapery.cli import main
+from qapery.cyclotomic import Modulus, NotInvertibleError, ResidueRing, inverse_mod, reduce_mod
+from qapery.laurent import LaurentPoly, q_power
+from qapery.qcombinatorics import q_integer
+from qapery.reports import PreconditionError
+
+WHICH = ("sp1", "sp2", "sp3")
+
+
+def _harmonic_lhs(which, terms):
+    """sum t (sp1), sum t^2 (sp2) or sum_{i<j} t_i t_j (sp3) over the terms."""
+    zero = LaurentPoly.zero()
+    if which == "sp1":
+        return sum(terms, zero)
+    p2 = sum((t * t for t in terms), zero)
+    if which == "sp2":
+        return p2
+    p1 = sum(terms, zero)
+    return Fraction(1, 2) * (p1 * p1 - p2)
+
+
+def full_route(n, which):
+    """The oracle's modulus, scale and left sides, the multiplied-through one
+    (the cofactors of D, with D or D^2 as the scale) and the inverse one."""
+    mod = Modulus(n, 2 if which == "sp1" else 1)
+    ints, product, cofactors = _q_integer_cofactors(n)
+    scale = product if which == "sp1" else product ** 2
+    inverses = [inverse_mod(p, mod) for p in ints]
+    return mod, scale, _harmonic_lhs(which, cofactors), _harmonic_lhs(which, inverses)
+
+
+PERTURBATIONS = {
+    "stated": lambda rhs: rhs,
+    "rhs+1": lambda rhs: rhs + 1,
+    "rhs*q": lambda rhs: rhs * q_power(1),
+    "rhs+q^3": lambda rhs: rhs + q_power(3),
+    "rhs-q^-2": lambda rhs: rhs - q_power(-2),
+}
+
+
+@pytest.fixture
+def residues(monkeypatch):
+    """Record the residues each harmonic-sp report is built from."""
+    recorded = []
+    finish = checks._finish_poly
+
+    def record(name, params, found, mod, started):
+        recorded.append(found)
+        return finish(name, params, found, mod, started)
+
+    monkeypatch.setattr(checks, "_finish_poly", record)
+    return recorded
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_both_residues_equal_the_full_route(monkeypatch, residues, which):
+    stated = checks._harmonic_rhs
+    for n in range(2, 26):
+        mod, scale, primary_lhs, cross_lhs = full_route(n, which)
+        for label, perturb in PERTURBATIONS.items():
+            monkeypatch.setattr(checks, "_harmonic_rhs",
+                                lambda n, which, perturb=perturb: perturb(stated(n, which)))
+            report = check_harmonic_sp(n, which)
+            rhs = perturb(stated(n, which))
+            want = [reduce_mod(primary_lhs - rhs * scale, mod), reduce_mod(cross_lhs - rhs, mod)]
+            assert residues.pop() == want, (n, which, label)
+            assert report.holds == (label == "stated" or not any(want)), (n, which, label)
+            if label in ("stated", "rhs+1"):
+                # D is a unit, so a constant offset shows in both residues
+                assert all(r.is_zero() == (label == "stated") for r in want), (n, which, label)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_closed_form_inverse_equals_inverse_mod(n):
+    for k in (1, 2, 3):
+        ring, mod = ResidueRing(n, k), Modulus(n, k)
+        for i in range(1, 2 * n + 2):
+            if i % n == 0:
+                with pytest.raises(NotInvertibleError):
+                    ring.q_integer_inverse(i)
+                continue
+            v, d = ring.q_integer_inverse(i)
+            assert reduce_mod(ring.to_poly(v) / d, mod) == inverse_mod(q_integer(i), mod), (i, k)
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_a_wrong_inverse_fails_only_the_cross_route(monkeypatch, residues, which):
+    inverse = ResidueRing.q_integer_inverse
+
+    def plus_one(ring, i):
+        v, d = inverse(ring, i)
+        return [c + d * (j == 0) for j, c in enumerate(v)], d
+
+    assert check_harmonic_sp(7, which).holds
+    monkeypatch.setattr(ResidueRing, "q_integer_inverse", plus_one)
+    report = check_harmonic_sp(7, which)
+    primary, cross = residues.pop()
+    assert primary.is_zero() and not cross.is_zero()
+    assert report.holds is False and report.first_residue_coeff
+
+
+def test_reach_beyond_the_workload():
+    for which in WHICH:
+        assert check_harmonic_sp(60, which).holds
+
+
+# The first n that n k n > RING_SIZE_GUARD refuses: k = 2 for sp1, 1 otherwise.
+FIRST_REFUSED = {"sp1": 129, "sp2": 182, "sp3": 182}
+
+
+@pytest.fixture
+def nothing_runs(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an oversized instance got past the size guard")
+
+    for name in ("Modulus", "ResidueRing", "_harmonic_rhs"):
+        monkeypatch.setattr(checks, name, unreachable)
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_guard_refuses_the_first_oversized_n(nothing_runs, which):
+    n = FIRST_REFUSED[which]
+    k = 2 if which == "sp1" else 1
+    assert n * k * n > RING_SIZE_GUARD >= (n - 1) * k * (n - 1)
+    with pytest.raises(PreconditionError, match="size guard"):
+        check_harmonic_sp(n, which)
+
+
+def test_oversized_verify_is_a_usage_error(nothing_runs, capsys):
+    code = main(["verify", "harmonic-sp", "--n", "129", "--which", "sp1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "size guard" in err
+
+
+def test_guard_admits_the_last_n():
+    assert check_harmonic_sp(FIRST_REFUSED["sp1"] - 1, "sp1").holds
