@@ -11,24 +11,18 @@ the claim.  ``zheng-identity`` is an exact identity in 1/[j]_q, with no
 modulus to invert in, so it has one route: multiplied through by
 prod [j]_q, it must vanish as a polynomial.
 
-The q-Ljunggren, corollary, main and generalized theorems share one shape,
-
-    lhs == base(q^(m^2)) - c (q^m - 1)^2   (mod Phi_m^3),
-
-and one body, ``_cube_congruence``.  Each checker states its lhs as a list
-of summand specs, (e, ((top, bottom, power), ...)) for q^e times a product
-of q-binomial powers, and builds only its base and correction factor c.
-The lhs is never built: ``cyclotomic.binomial_sum_residue`` reduces it in
-the ring Z[q]/((q^m - 1)^3), scaled by a common denominator D, a product
-of the units u_j that remain of 1 - q^j once Phi_m is divided out.  Only a
-nonzero residue is multiplied by the inverse of D, and since the canonical
-residue is unique, a failing report carries the same residue as the
-full-polynomial route.  That route, ``_cube_residue``, serves the central
-binomial and S1/S2 checkers, and the tests compare the two.  An instance
-is refused as a precondition failure before anything is built when the
-largest q-binomial top index M of its lhs has M*m above ``RING_SIZE_GUARD``,
-or when its base, which is built in full at index n, spans more exponents
-than that.
+Every q-binomial congruence but ``lucas`` states its lhs as weighted
+summand specs, (w, e, ((top, bottom, power), ...)) for w q^e times a product
+of q-binomial powers, and its right side as coefficients of x = q^m - 1.
+``cyclotomic.binomial_sum_residue`` reduces the difference without building
+it and returns the canonical residue, the one the full-polynomial route
+(kept in the tests as the oracle) gives.  The q-Ljunggren, corollary, main
+and generalized theorems read lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3)
+and share ``_cube_congruence``; ``_cube_rhs`` reads the coefficients off
+the base, which is built in full at index n.  An instance is refused as a
+precondition failure before any work when the largest q-binomial top index
+M of its lhs has M*m above ``reports.RING_SIZE_GUARD``, or when its base
+spans more exponents than that.
 
 ``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)`` as
 well, with no product of the [i]_q and no Euclid loop; it is refused when
@@ -41,7 +35,7 @@ import time
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import Modulus, ResidueRing, _factorize, binomial_sum_residue, inverse_mod, reduce_mod
+from .cyclotomic import Modulus, ResidueRing, _binomial, _factorize, binomial_sum_residue, reduce_mod
 from .laurent import LaurentPoly, q_power
 from .qcombinatorics import (
     binom,
@@ -51,7 +45,7 @@ from .qcombinatorics import (
     qbin,
     qbin_pow,
 )
-from .reports import CongruenceReport, PreconditionError, _finish_poly, finish_report
+from .reports import CongruenceReport, PreconditionError, _finish_poly, _guard_size, finish_report
 from .sequences import (
     almkvist_zudilin,
     apery,
@@ -60,7 +54,6 @@ from .sequences import (
     apery_q_lambda_mu,
     apery_q_lambda_mu_terms,
     apery_q_multivariate,
-    apery_q_multivariate_summand,
     apery_q_multivariate_terms,
     correction_R_lambda_mu,
     correction_R_multivariate,
@@ -68,25 +61,17 @@ from .sequences import (
 )
 
 
-#: The largest M*m a ring-route checker accepts, M the largest q-binomial
-#: top index of its lhs (corollary: M = 2mn) or, for harmonic-sp, the ring
-#: size k n at m = n; and the largest exponent span of a base.
-RING_SIZE_GUARD = 1 << 15
-
-
-def _cube_residue(m, lhs, base, c, mod):
-    """Residue of lhs - base(q^(m^2)) + c (q^m - 1)^2 modulo mod."""
-    rhs = base.substitute_power(m * m)
-    if c:
-        rhs = rhs - c * (q_power(m) - 1) ** 2
-    return reduce_mod(lhs - rhs, mod)
+def _cube_rhs(m, base, c):
+    """The x-coefficients, x = q^m - 1, of base(q^(m^2)) - c x^2 modulo x^3:
+    base(q^(m^2)) = sum_e b_e (1 + x)^(m e) reads sum_e b_e C(m e, j) at x^j."""
+    rhs = [sum(b * _binomial(m * e, j) for e, b in base.terms()) for j in range(3)]
+    rhs[2] -= c
+    return rhs
 
 
 def _guard_ring_size(m, top):
     """Refuse an instance whose top index (or ring size) times m exceeds the guard."""
-    if top * m > RING_SIZE_GUARD:
-        raise PreconditionError(
-            "instance too large: M*m = %d exceeds the size guard %d" % (top * m, RING_SIZE_GUARD))
+    _guard_size(top * m, "M*m = %d")
 
 
 def _guard_base_size(terms):
@@ -95,22 +80,21 @@ def _guard_base_size(terms):
     from q^e to q^(e + sum p b (t - b)), and a vanishing term only widens it."""
     span = (max(e + sum(p * b * (t - b) for t, b, p in triples) for e, triples in terms)
             - min(e for e, _ in terms))
-    if span > RING_SIZE_GUARD:
-        raise PreconditionError(
-            "instance too large: base exponent span %d exceeds the size guard %d"
-            % (span, RING_SIZE_GUARD))
+    _guard_size(span, "base exponent span %d")
     return span
 
 
 def _cube_congruence(name, params, m, terms, base, c, started):
     """Report on sum(terms) == base(q^(m^2)) - c (q^m - 1)^2 (mod Phi_m^3).
 
-    The terms are (e, ((top, bottom, power), ...)) summand specs.  Their sum
-    is reduced in the residue ring, never built; the residue is the
-    canonical one, equal to ``_cube_residue`` of the built sum.
+    The terms are (e, ((top, bottom, power), ...)) summand specs, each of
+    weight 1.  Their sum is reduced in the residue ring, never built; the
+    residue is the canonical one, equal to reducing the built difference.
     """
     mod = Modulus(m, 3)
-    return _finish_poly(name, params, [binomial_sum_residue(terms, base, c, mod)], mod, started)
+    terms = [(1, e, triples) for e, triples in terms]
+    residue = binomial_sum_residue(terms, _cube_rhs(m, base, c), mod)
+    return _finish_poly(name, params, [residue], mod, started)
 
 
 def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
@@ -137,20 +121,19 @@ def check_wolstenholme_q(n: int) -> CongruenceReport:
         C(2n, n)_q == 2 + n (q^n - 1) + (n-1)(5n-1)/12 (q^n - 1)^2
 
     The two right-hand sides are then congruent to each other as well, so
-    that equivalence needs no residue of its own.
+    that equivalence needs no residue of its own.  Each form is one residue
+    of the spec C(2n, n)_q against its x-coefficients, x = q^n - 1.
     """
     started = time.perf_counter()
     params = {"n": n}
     if n < 1:
         raise PreconditionError("requires n >= 1")
+    _guard_ring_size(n, 2 * n)
     mod = Modulus(n, 3)
-    lhs = qbin(2 * n, n)
-    qn1 = q_power(n) - 1
-    rhs_x2 = 2 + n * qn1 + Fraction((n - 1) * (5 * n - 1), 12) * qn1 ** 2
-    residues = [
-        _cube_residue(n, lhs, q_integer(2), Fraction(n * n - 1, 12), mod),
-        reduce_mod(lhs - rhs_x2, mod),
-    ]
+    lhs = [(1, 0, ((2 * n, n, 1),))]
+    forms = [_cube_rhs(n, q_integer(2), Fraction(n * n - 1, 12)),
+             [2, n, Fraction((n - 1) * (5 * n - 1), 12)]]
+    residues = [binomial_sum_residue(lhs, rhs, mod) for rhs in forms]
     return _finish_poly("wolstenholme-q", params, residues, mod, started)
 
 
@@ -250,8 +233,9 @@ def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
 
         C(m*n, m*k + j)_q == (-1)^(j-1) q^((j-1)(2m-j)/2) [mn]_q / [j]_q * C(n-1, k).
 
-    Primary form clears the denominator; the cross-check uses the modular
-    inverse of [j]_q, which exists since j < m.
+    Both routes are spec sums, with [i]_q = C(i, 1)_q: the primary form
+    clears the denominator, the cross-check divides by [j]_q through the spec
+    factor (j, 1, -1), which is invertible since j < m.
     """
     started = time.perf_counter()
     params = {"m": m, "n": n, "k": k, "j": j}
@@ -259,14 +243,15 @@ def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
         raise PreconditionError("requires 0 < j < m")
     if n < 0 or k < 0:
         raise PreconditionError("requires n, k >= 0")
-    exponent2 = (j - 1) * (2 * m - j)
-    assert exponent2 % 2 == 0
+    _guard_ring_size(m, m * n)
     mod = Modulus(m, 2)
-    sign = -1 if (j - 1) % 2 else 1
-    base = sign * q_power(exponent2 // 2) * q_integer(m * n) * binom(n - 1, k)
-    lhs = qbin(m * n, m * k + j)
-    primary = reduce_mod(q_integer(j) * lhs - base, mod)
-    cross = reduce_mod(lhs - base * inverse_mod(q_integer(j), mod), mod)
+    # the right side's weight -(-1)^(j-1) C(n-1, k) and exponent, an integer
+    weight, e = (-1) ** j * binom(n - 1, k), (j - 1) * (2 * m - j) // 2
+    lhs = (m * n, m * k + j, 1)
+    primary = binomial_sum_residue(
+        [(1, 0, ((j, 1, 1), lhs)), (weight, e, ((m * n, 1, 1),))], [], mod)
+    cross = binomial_sum_residue(
+        [(1, 0, (lhs,)), (weight, e, ((m * n, 1, 1), (j, 1, -1)))], [], mod)
     return _finish_poly("qbin-prop", params, [primary, cross], mod, started)
 
 
@@ -336,8 +321,9 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     verifies, modulo Phi_m^3: S1 matches the substituted sum with
     correction sum_k ((n1 n2 + n3 n4)/2 - k^2) C(n; k); and S2 collapses to
     -(m^2-1)/12 (q^m - 1)^2 sum_k k^2 C(n; k).  S1 and S2 partition one list
-    of the summands of A_q(m*n), so the split is exact by construction and
-    needs no residue of its own.
+    of the summand specs of A_q(m*n), so the split is exact by construction
+    and needs no residue of its own; each part is reduced by
+    ``binomial_sum_residue``, never built.
     """
     started = time.perf_counter()
     n = tuple(n)
@@ -345,11 +331,11 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     params = {"m": m, "n1": n[0], "n2": n[1], "n3": n[2], "n4": n[3], "alpha": alpha.name}
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
+    _guard_ring_size(m, m * max(n[0] + n[1], n[2] + n[3]))
+    _guard_base_size(apery_q_multivariate_terms(n, alpha))
     mod = Modulus(m, 3)
-    mn = tuple(m * ni for ni in n)
-    terms = [apery_q_multivariate_summand(mn, k, alpha) for k in range(min(mn[0], mn[2]) + 1)]
-    s1 = sum(terms[::m], LaurentPoly.zero())
-    s2 = sum((t for k, t in enumerate(terms) if k % m), LaurentPoly.zero())
+    terms = [(1, e, triples) for e, triples
+             in apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)]
 
     c_weights = [
         binom(n[0], k) * binom(n[2], k)
@@ -361,10 +347,10 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     k2sum = sum(k * k * c for k, c in enumerate(c_weights))
 
     factor = Fraction(m * m - 1, 12)
-    residues = [
-        _cube_residue(m, s1, apery_q_multivariate(n, alpha), factor * r1, mod),
-        _cube_residue(m, s2, LaurentPoly.zero(), factor * k2sum, mod),
-    ]
+    base = apery_q_multivariate(n, alpha)
+    residues = [binomial_sum_residue(terms[::m], _cube_rhs(m, base, factor * r1), mod),
+                binomial_sum_residue([t for k, t in enumerate(terms) if k % m],
+                                     [0, 0, -factor * k2sum], mod)]
     return _finish_poly("s1s2", params, residues, mod, started)
 
 

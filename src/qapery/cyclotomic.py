@@ -10,8 +10,9 @@ f below degree k*m by the sparse relation (q^m - 1)^k = 0 and divides only
 the folded polynomial by Phi_m^k; the fold is one helper,
 ``laurent._fold``, which ``ResidueRing`` products run as well.
 
-``binomial_sum_residue`` finds the residue of a sum of products of
-q-binomials without building the sum.  It works in ``ResidueRing(m, k)``,
+``binomial_sum_residue`` finds the residue of a weighted sum of products of
+q-binomial powers, less a polynomial in q^m - 1, without building the sum.
+It works in ``ResidueRing(m, k)``,
 integer polynomials modulo (q^m - 1)^k, a multiple of Phi_m^k, whose
 elements are k*m integers, and it takes no inverse until a residue is
 known to be nonzero.  The same ring multiplies by a q-integer [t]_q without
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import sub
@@ -186,17 +187,22 @@ class ResidueRing:
     q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
     well.  Nor does a multiple by [t]_q (``mul_q_integer``), and the inverse
     of [i]_q has a closed form modulo Phi_m that Newton steps lift
-    (``q_integer_inverse``).
+    (``q_integer_inverse``).  Phi_m and Psi_m are built on first use.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k, self.size = m, k, m * k
         self._wrap = _wrap(m, k)
         self.one = self.q_power(0)
-        phi = cyclotomic(m)
-        self.phi = self.from_poly(phi)
+
+    @cached_property
+    def phi(self) -> list:
+        return self.from_poly(cyclotomic(self.m))
+
+    @cached_property
+    def _psi(self) -> list:
         # Psi_m = (q^m - 1) / Phi_m, the product of Phi_d over d | m, d < m
-        self._psi = self.from_poly(exact_div(q_power(m) - 1, phi))
+        return self.from_poly(exact_div(q_power(self.m) - 1, cyclotomic(self.m)))
 
     def mul(self, a: list, b: list) -> list:
         """The product of two elements."""
@@ -290,51 +296,56 @@ class ResidueRing:
         return [-c for c in self.mul(self._psi, series)]
 
 
-def binomial_sum_residue(terms, base: LaurentPoly, c, mod: Modulus) -> LaurentPoly:
+def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     """The canonical residue modulo Phi_m^k of
 
-        sum over terms of q^e prod C(t, b)_q^p  -  base(q^(m^2))  +  c (q^m - 1)^2,
+        sum over terms of w q^e prod C(t, b)_q^p  -  sum_j rhs[j] x^j,
 
-    each term an (e, ((t, b, p), ...)) spec, computed in ``ResidueRing(m, k)``
-    without building the sum.  It equals ``reduce_mod`` of the built
-    difference.
+    x = q^m - 1, each term a (w, e, ((t, b, p), ...)) spec with integers w
+    and p (p = -1 divides by a q-binomial), rhs at most k rationals.  It is
+    computed in ``ResidueRing(m, k)`` without building the sum, and equals
+    ``reduce_mod`` of the built difference.
 
     Since C(t, b)_q = (q;q)_t / ((q;q)_b (q;q)_(t-b)), a term is
     q^e prod_i (q;q)_i^(n_i), with equal factorials cancelled.  Writing
     1 - q^j = Phi_m^[m|j] u_j, (q;q)_i = Phi_m^(floor(i/m)) F(i) with
     F(i) = u_1 ... u_i, so a term of valuation sum n_i floor(i/m) >= k is
-    0 modulo Phi_m^k and is dropped.  With B the
-    largest denominator index and d the most denominator factorials of a
-    term, every term times D = F(B)^d is q^e Phi_m^valuation times a product
-    of prefixes F(i) and suffixes G(i) = F(B)/F(i); a term with fewer
-    denominator factorials takes G(0) = F(B) for each one missing.  The
-    whole difference is scaled by D, and by the lcm of the denominators of
-    c and base.  Only a nonzero scaled residue is multiplied by the inverse
-    of that scale; since the residue is unique, the result does not depend
-    on D.  The right side needs no substitution: base(q^(m^2)) is
-    sum_e b_e (1 + x)^(m e).
+    0 modulo Phi_m^k and is dropped; one of negative valuation, or with a
+    vanishing q-binomial to a negative power, raises NotInvertibleError.
+    With B the largest denominator index and d the most denominator
+    factorials of a term, every term times D = F(B)^d is q^e Phi_m^valuation
+    times a product of prefixes F(i) and suffixes G(i) = F(B)/F(i); a term
+    with fewer denominator factorials takes G(0) = F(B) for each one
+    missing.  The whole difference is scaled by D, and by the lcm of the
+    denominators of rhs.  Only a nonzero scaled residue is multiplied by the
+    inverse of that scale; since the residue is unique, the result does not
+    depend on D.
     """
     m, k = mod.m, mod.k
     ring = ResidueRing(m, k)
     specs = []
-    for e, triples in terms:
+    for w, e, triples in terms:
+        if any(p < 0 and not 0 <= b <= t for t, b, p in triples):
+            raise NotInvertibleError("a vanishing q-binomial to a negative power")
+        if any(p and not 0 <= b <= t for t, b, p in triples):
+            continue
         counts = Counter()
         for t, b, p in triples:
-            if p and not 0 <= b <= t:
-                break
             counts[t] += p
             counts[b] -= p
             counts[t - b] -= p
-        else:
-            valuation = sum(n * (i // m) for i, n in counts.items())
-            if valuation < k:
-                specs.append((e, valuation, {i: n for i, n in counts.items() if n}))
+        valuation = sum(n * (i // m) for i, n in counts.items())
+        if valuation < 0:
+            raise NotInvertibleError("Phi(%d) divides the denominator of a term" % m)
+        if valuation < k:
+            # (q;q)_0 = 1, so index 0 is left out
+            specs.append((w, e, valuation, {i: n for i, n in counts.items() if n and i}))
 
     def denominators(counts):
         return sum(-n for n in counts.values() if n < 0)
 
-    top = max((i for _, _, counts in specs for i, n in counts.items() if n > 0), default=0)
-    bottom = max((i for _, _, counts in specs for i, n in counts.items() if n < 0), default=0)
+    top = max((i for *_, counts in specs for i, n in counts.items() if n > 0), default=0)
+    bottom = max((i for *_, counts in specs for i, n in counts.items() if n < 0), default=0)
     units = [None] + [ring.unit(j) for j in range(1, max(top, bottom) + 1)]
     prefix = [ring.one]
     for j in range(1, top + 1):
@@ -342,14 +353,14 @@ def binomial_sum_residue(terms, base: LaurentPoly, c, mod: Modulus) -> LaurentPo
     suffix = [ring.one] * (bottom + 1)
     for j in range(bottom, 0, -1):
         suffix[j - 1] = ring.mul(suffix[j], units[j])
-    depth = max(map(denominators, (counts for _, _, counts in specs)), default=0)
+    depth = max((denominators(counts) for *_, counts in specs), default=0)
     phi_powers = [ring.one]
-    for _ in range(1, k):
+    for _ in range(max((valuation for _, _, valuation, _ in specs), default=0)):
         phi_powers.append(ring.mul(phi_powers[-1], ring.phi))
 
     total = [0] * ring.size
-    for e, valuation, counts in specs:
-        counts[0] = counts.get(0, 0) - (depth - denominators(counts))
+    for w, e, valuation, counts in specs:
+        counts[0] = denominators(counts) - depth
         g = gcd(*counts.values()) or 1
         term = ring.q_power(e)
         if valuation:
@@ -358,14 +369,10 @@ def binomial_sum_residue(terms, base: LaurentPoly, c, mod: Modulus) -> LaurentPo
                    for i, n in counts.items() if n]
         if factors:
             term = ring.mul(term, ring.power(reduce(ring.mul, factors), g))
-        total = [s + t for s, t in zip(total, term)]
+        total = [s + w * t for s, t in zip(total, term)]
 
     scaling = ring.power(suffix[0], depth)
-    c = Fraction(c)
-    scale = lcm(c.denominator, *(Fraction(b).denominator for _, b in base.terms()))
-    rhs = [sum(b * _binomial(m * e, j) for e, b in base.terms()) for j in range(k)]
-    if k > 2:
-        rhs[2] -= c
+    scale = lcm(*(Fraction(r).denominator for r in rhs))
     rhs = ring.from_x([int(scale * r) for r in rhs])
     diff = [scale * s - r for s, r in zip(total, ring.mul(scaling, rhs))]
     residue = reduce_mod(ring.to_poly(diff), mod)

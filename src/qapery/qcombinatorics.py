@@ -28,7 +28,7 @@ from operator import sub
 
 from .cyclotomic import Modulus, cyclotomic, reduce_mod
 from .laurent import LaurentPoly, _make, exact_div, q_power
-from .reports import CongruenceReport, PreconditionError, _finish_poly
+from .reports import CongruenceReport, PreconditionError, _finish_poly, _guard_size
 
 
 def binom(n: int, k: int) -> int:
@@ -179,7 +179,8 @@ def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:
 
         C(a*n + b, r*n + s)_q == C(a, r) * C(b, s)_q   (mod Phi_n)
 
-    for nonnegative a, b, r, s with b, s < n.
+    for nonnegative a, b, r, s with b, s < n.  The left side is built in full;
+    its degree (rn+s)(an+b-rn-s) is guarded first.
     """
     started = time.perf_counter()
     params = {"n": n, "a": a, "b": b, "r": r, "s": s}
@@ -187,6 +188,7 @@ def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:
         raise PreconditionError("q-Lucas requires n >= 1")
     if min(a, b, r, s) < 0 or b >= n or s >= n:
         raise PreconditionError("q-Lucas requires 0 <= b, s < n and a, r >= 0")
+    _guard_size((r * n + s) * (a * n + b - r * n - s), "degree %d of C(an+b, rn+s)_q")
     mod = Modulus(n, 1)
     lhs = qbin(a * n + b, r * n + s)
     rhs = binom(a, r) * qbin(b, s)

@@ -8,11 +8,23 @@ from fractions import Fraction
 from typing import Optional
 
 
+#: The one size guard of the checkers (``_guard_size``).
+RING_SIZE_GUARD = 1 << 15
+
+
 class PreconditionError(ValueError):
     """A checker was invoked on a parameter tuple outside its domain.
 
     Sweeps treat this as a skipped instance rather than a failure.
     """
+
+
+def _guard_size(size, what):
+    """Refuse an instance, before any work, whose size (``what % size``
+    describes it) exceeds ``RING_SIZE_GUARD``."""
+    if size > RING_SIZE_GUARD:
+        raise PreconditionError("instance too large: %s exceeds the size guard %d"
+                                % (what % size, RING_SIZE_GUARD))
 
 
 @dataclass

@@ -328,17 +328,6 @@ def _summand(e: int, triples) -> LaurentPoly:
     return poly
 
 
-def _multivariate_term(n, k: int, alpha: AlphaExponent):
-    n1, n2, n3, n4 = n
-    return alpha(n, k), ((n1, k, 1), (n3, k, 1), (n1 + n2 - k, n1, 1), (n3 + n4 - k, n3, 1))
-
-
-def apery_q_multivariate_summand(n, k: int, alpha: AlphaExponent) -> LaurentPoly:
-    """The k-th term of ``apery_q_multivariate`` for a 4-tuple n (0 when a
-    q-binomial vanishes), with alpha an already resolved weight."""
-    return _summand(*_multivariate_term(n, k, alpha))
-
-
 def _multivariate_args(n, alpha):
     n = _check_tuple4(n)
     alpha = get_alpha(alpha)
@@ -351,7 +340,9 @@ def apery_q_multivariate_terms(n, alpha="ksq") -> list:
     """The summands of ``apery_q_multivariate(n, alpha)`` as
     (exponent, ((top, bottom, power), ...)) specs, one per k."""
     n, alpha = _multivariate_args(n, alpha)
-    return [_multivariate_term(n, k, alpha) for k in range(min(n[0], n[2]) + 1)]
+    n1, n2, n3, n4 = n
+    return [(alpha(n, k), ((n1, k, 1), (n3, k, 1), (n1 + n2 - k, n1, 1), (n3 + n4 - k, n3, 1)))
+            for k in range(min(n1, n3) + 1)]
 
 
 _AQ_MULT_CACHE = {}
@@ -371,10 +362,8 @@ def apery_q_multivariate(n, alpha="ksq") -> LaurentPoly:
     if cacheable and key in _AQ_MULT_CACHE:
         return _AQ_MULT_CACHE[key]
     total = LaurentPoly.zero()
-    for k in range(0, min(n[0], n[2]) + 1):
-        term = apery_q_multivariate_summand(n, k, alpha)
-        if not term.is_zero():
-            total = total + term
+    for e, triples in apery_q_multivariate_terms(n, alpha):
+        total = total + _summand(e, triples)
     if cacheable:
         _AQ_MULT_CACHE[key] = total
     return total

@@ -173,21 +173,21 @@ class TestS1S2:
         assert check_s1_s2_decomposition(3, (1, 1, 1, 1), "kn23").holds
 
     def test_each_summand_built_once(self, monkeypatch):
-        # 9 summands of A_q(8,8,8,8) for S1/S2 and 3 of A_q(2,2,2,2) for the base
-        from qapery import checks, sequences
+        # S1/S2 are reduced from the specs of A_q(8,8,8,8) and build none of
+        # its 9 summands; the base A_q(2,2,2,2) builds its 3
+        from qapery import sequences
 
         calls = []
-        summand = sequences.apery_q_multivariate_summand
+        summand = sequences._summand
 
         def counting(*args):
             calls.append(args)
             return summand(*args)
 
         monkeypatch.setattr(sequences, "_AQ_MULT_CACHE", {})
-        monkeypatch.setattr(sequences, "apery_q_multivariate_summand", counting)
-        monkeypatch.setattr(checks, "apery_q_multivariate_summand", counting)
+        monkeypatch.setattr(sequences, "_summand", counting)
         assert check_s1_s2_decomposition(4, (2, 2, 2, 2), "ksq").holds
-        assert len(calls) == 12
+        assert calls == sequences.apery_q_multivariate_terms((2, 2, 2, 2), "ksq")
 
 
 class TestIdentities:

@@ -13,12 +13,12 @@ from fractions import Fraction
 import pytest
 
 from qapery import checks
-from qapery.checks import RING_SIZE_GUARD, _q_integer_cofactors, check_harmonic_sp
+from qapery.checks import _q_integer_cofactors, check_harmonic_sp
 from qapery.cli import main
 from qapery.cyclotomic import Modulus, NotInvertibleError, ResidueRing, inverse_mod, reduce_mod
 from qapery.laurent import LaurentPoly, q_power
 from qapery.qcombinatorics import q_integer
-from qapery.reports import PreconditionError
+from qapery.reports import RING_SIZE_GUARD, PreconditionError
 
 WHICH = ("sp1", "sp2", "sp3")
 

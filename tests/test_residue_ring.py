@@ -1,49 +1,72 @@
-"""The residue-ring route of the Phi_m^3 checkers.
+"""The residue-ring route of the Phi_m^k q-binomial checkers.
 
-``cyclotomic.binomial_sum_residue`` reduces a sum of q-binomial products in
-Z[q]/((q^m - 1)^k) without building it.  The full-polynomial route,
-``checks._cube_residue`` of the built left side, is the oracle: on every
-acceptance grid the two must give identical residues, for the statement as
-given and with the correction factor c raised by one, which makes every
-residue nonzero.  The kernel's parts are compared with ``LaurentPoly``
-arithmetic under hypothesis, and the size guard is tested without running
-an oversized instance.
+``cyclotomic.binomial_sum_residue`` reduces a weighted sum of q-binomial
+products in Z[q]/((q^m - 1)^k) without building it.  The full-polynomial
+route is the oracle, kept here: ``cube_residue`` of the built left side for
+the Phi_m^3 checkers, and the built statements of ``wolstenholme-q``,
+``s1s2`` and ``qbin-prop``.  On every acceptance grid the two must give
+identical residues, for the statement as given and perturbed (the
+correction factor c raised by one, or a weight raised by one), which makes
+every residue nonzero.  The kernel's parts are compared with
+``LaurentPoly`` arithmetic under hypothesis, and the size guards are tested
+without running an oversized instance.
 """
 
+import importlib
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qapery import checks
+from qapery import checks, qcombinatorics, sequences
 from qapery.checks import (
-    RING_SIZE_GUARD,
-    _cube_residue,
+    _cube_rhs,
     _guard_base_size,
     _guard_ring_size,
     check_corollary,
     check_generalized_theorem,
     check_ljunggren_q,
     check_main_theorem,
+    check_qbin_prop,
+    check_s1_s2_decomposition,
+    check_wolstenholme_q,
 )
 from qapery.cli import SweepSpec, main, run_sweep
 from qapery.cyclotomic import (
     Modulus,
+    NotInvertibleError,
     ResidueRing,
     binomial_sum_residue,
     cyclotomic,
+    inverse_mod,
     reduce_mod,
 )
-from qapery.laurent import LaurentPoly, exact_div, q_power
-from qapery.qcombinatorics import qbin
-from qapery.reports import PreconditionError
+from qapery.laurent import LaurentPoly, divrem, exact_div, q_power
+from qapery.qcombinatorics import binom, check_q_lucas, q_integer, qbin
+from qapery.reports import RING_SIZE_GUARD, PreconditionError
 from qapery.sequences import (
     apery_q_krz_binform,
     apery_q_lambda_mu,
     apery_q_lambda_mu_terms,
     apery_q_multivariate,
+    apery_q_multivariate_terms,
 )
+
+
+def cube_residue(m, lhs, base, c, mod):
+    """The full route: the residue of lhs - base(q^(m^2)) + c (q^m - 1)^2."""
+    rhs = base.substitute_power(m * m)
+    if c:
+        rhs = rhs - c * (q_power(m) - 1) ** 2
+    return reduce_mod(lhs - rhs, mod)
+
+
+def x_poly(m, rhs):
+    """sum_j rhs[j] (q^m - 1)^j."""
+    x = q_power(m) - 1
+    return sum((r * x ** j for j, r in enumerate(rhs)), LaurentPoly.zero())
+
 
 # -- the two routes on the acceptance grids ------------------------------------
 
@@ -90,12 +113,24 @@ def record_kernel(monkeypatch):
     calls = []
     kernel = checks.binomial_sum_residue
 
-    def recording(terms, base, c, mod):
-        residue = kernel(terms, base, c, mod)
-        calls.append((terms, base, c, mod, residue))
+    def recording(terms, rhs, mod):
+        residue = kernel(terms, rhs, mod)
+        calls.append((terms, rhs, mod, residue))
         return residue
 
     monkeypatch.setattr(checks, "binomial_sum_residue", recording)
+    return calls
+
+
+def record_cube_rhs(monkeypatch):
+    """Record the (m, base, c) each right side of a Phi_m^3 checker is read from."""
+    calls = []
+
+    def recording(m, base, c):
+        calls.append((m, base, c))
+        return _cube_rhs(m, base, c)
+
+    monkeypatch.setattr(checks, "_cube_rhs", recording)
     return calls
 
 
@@ -103,19 +138,165 @@ def record_kernel(monkeypatch):
 def test_ring_and_full_routes_give_identical_residues(monkeypatch, name):
     instances, run, modulus_index, built_lhs = GRIDS[name]
     calls = record_kernel(monkeypatch)
+    sides = record_cube_rhs(monkeypatch)
     raised_nonzero = 0
     for args in instances:
         assert run(*args).holds, args
-        (terms, base, c, mod, residue), = calls
+        (terms, rhs, mod, residue), = calls
+        (m, base, c), = sides
         calls.clear()
-        m = modulus_index(*args)
+        sides.clear()
+        assert m == modulus_index(*args)
         assert mod == Modulus(m, 3)
+        assert rhs == _cube_rhs(m, base, c)
         lhs = built_lhs(*args)
-        assert residue == _cube_residue(m, lhs, base, c, mod), args
-        raised = binomial_sum_residue(terms, base, c + 1, mod)
-        assert list(raised.terms()) == list(_cube_residue(m, lhs, base, c + 1, mod).terms()), args
+        assert residue == cube_residue(m, lhs, base, c, mod), args
+        raised = binomial_sum_residue(terms, _cube_rhs(m, base, c + 1), mod)
+        assert list(raised.terms()) == list(cube_residue(m, lhs, base, c + 1, mod).terms()), args
         raised_nonzero += not raised.is_zero()
     assert raised_nonzero == len(instances)
+
+
+# -- the three checkers that left the full route --------------------------------
+
+def wolstenholme_full(n, delta):
+    """Both forms of wolstenholme-q built in full, with c (form 1) and the
+    x^2 coefficient (form 2) moved by delta."""
+    mod = Modulus(n, 3)
+    lhs = qbin(2 * n, n)
+    form2 = x_poly(n, [2, n, Fraction((n - 1) * (5 * n - 1), 12) - delta])
+    return [cube_residue(n, lhs, q_integer(2), Fraction(n * n - 1, 12) + delta, mod),
+            reduce_mod(lhs - form2, mod)]
+
+
+def s1s2_full(m, t, alpha, delta):
+    """S1 and S2 built in full from the summands, with each c raised by delta."""
+    mod = Modulus(m, 3)
+    terms = [built_term(1, e, triples, mod)
+             for e, triples in apery_q_multivariate_terms(tuple(m * x for x in t), alpha)]
+    s1 = sum(terms[::m], LaurentPoly.zero())
+    s2 = sum((p for k, p in enumerate(terms) if k % m), LaurentPoly.zero())
+    weights = [binom(t[0], k) * binom(t[2], k) * binom(t[0] + t[1] - k, t[0])
+               * binom(t[2] + t[3] - k, t[2]) for k in range(min(t[0], t[2]) + 1)]
+    half = Fraction(t[0] * t[1] + t[2] * t[3], 2)
+    factor = Fraction(m * m - 1, 12)
+    c1 = factor * sum((half - k * k) * w for k, w in enumerate(weights))
+    c2 = factor * sum(k * k * w for k, w in enumerate(weights))
+    return [cube_residue(m, s1, apery_q_multivariate(t, alpha), c1 + delta, mod),
+            cube_residue(m, s2, LaurentPoly.zero(), c2 + delta, mod)]
+
+
+def qbin_prop_full(m, n, k, j, delta):
+    """Both routes of qbin-prop built in full, the cross one through
+    ``inverse_mod``, with the weight -s C(n-1, k) of [mn]_q raised by delta."""
+    mod = Modulus(m, 2)
+    sign = -1 if (j - 1) % 2 else 1
+    weight = -sign * binom(n - 1, k) + delta
+    right = -weight * q_power((j - 1) * (2 * m - j) // 2) * q_integer(m * n)
+    lhs = qbin(m * n, m * k + j)
+    return [reduce_mod(q_integer(j) * lhs - right, mod),
+            reduce_mod(lhs - right * inverse_mod(q_integer(j), mod), mod)]
+
+
+def raise_c(terms, rhs, mod):
+    return terms, rhs[:2] + [rhs[2] - 1], mod
+
+
+def raise_weight(terms, rhs, mod):
+    # the last term is the right side's, -s q^e C(n-1, k) [mn]_q (/ [j]_q)
+    w, e, triples = terms[-1]
+    return terms[:-1] + [(w + 1, e, triples)], rhs, mod
+
+
+#: checker name -> (instances, run one, full route, perturbation of a kernel call)
+MOVED = {
+    # criterion 02
+    "wolstenholme-q": (
+        [(n,) for n in range(1, 21)],
+        check_wolstenholme_q,
+        wolstenholme_full,
+        raise_c,
+    ),
+    # criterion 05, the S1/S2 decomposition
+    "s1s2": (
+        [(m, t, alpha) for m, t in MAIN_TUPLES for alpha in ("ksq", "kn23")],
+        check_s1_s2_decomposition,
+        s1s2_full,
+        raise_c,
+    ),
+    # criterion 08
+    "qbin-prop": (
+        [(m, n, k, j) for m in range(2, 9) for j in range(1, m) for n in range(1, 5)
+         for k in range(n)],
+        check_qbin_prop,
+        qbin_prop_full,
+        raise_weight,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_moved_checkers_match_the_full_route(monkeypatch, name):
+    instances, run, full_route, perturb = MOVED[name]
+    calls = record_kernel(monkeypatch)
+    for args in instances:
+        assert run(*args).holds, args
+        assert [residue for *_, residue in calls] == full_route(*args, 0), args
+        raised = [binomial_sum_residue(*perturb(*call[:3])) for call in calls]
+        calls.clear()
+        want = full_route(*args, 1)
+        assert [list(r.terms()) for r in raised] == [list(r.terms()) for r in want], args
+        assert all(not r.is_zero() for r in raised), args
+
+
+@pytest.fixture
+def no_left_side_is_built(monkeypatch):
+    """Make every full-route builder of the moved checkers raise."""
+    def unreachable(*args):
+        raise AssertionError("a left side was built in full")
+
+    monkeypatch.setattr(checks, "qbin", unreachable)
+    # the package exports the function cyclotomic under the module's name
+    monkeypatch.setattr(importlib.import_module("qapery.cyclotomic"), "inverse_mod", unreachable)
+    summand = sequences._summand
+
+    def base_only(e, triples):
+        # s1s2 still builds its base A_q(n), never a summand of A_q(m n)
+        assert (e, triples) in bases, (e, triples)
+        return summand(e, triples)
+
+    bases = []
+    monkeypatch.setattr(sequences, "_summand", base_only)
+    monkeypatch.setattr(sequences, "_AQ_MULT_CACHE", {})
+    return bases
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_moved_checkers_build_no_left_side(no_left_side_is_built, name):
+    instances, run, _, _ = MOVED[name]
+    for args in instances[::7]:
+        if name == "s1s2":
+            no_left_side_is_built += apery_q_multivariate_terms(args[1], args[2])
+        assert run(*args).holds, args
+
+
+KERNEL_DECIDED = [
+    ("wolstenholme-q", {"n": 3}),
+    ("s1s2", {"m": 2, "n1": 1, "n2": 1, "n3": 1, "n4": 1}),
+    ("qbin-prop", {"m": 3, "n": 2, "k": 1, "j": 1}),
+    ("ljunggren", {"n": 3, "a": 4, "b": 2}),
+    ("corollary", {"m": 3, "n": 2}),
+    ("main", {"m": 2, "n1": 1, "n2": 1, "n3": 1, "n4": 1}),
+    ("generalized", {"m": 3, "n": 2, "lambda": 3, "mu": 1}),
+]
+
+
+@pytest.mark.parametrize("name, params", KERNEL_DECIDED, ids=[c[0] for c in KERNEL_DECIDED])
+def test_the_kernel_alone_decides(monkeypatch, name, params):
+    assert checks.run_named_check(name, params).holds
+    monkeypatch.setattr(checks, "binomial_sum_residue", lambda terms, rhs, mod: q_power(1))
+    report = checks.run_named_check(name, params)
+    assert report.holds is False and report.first_residue_coeff == 1
 
 
 # -- the kernel's parts against LaurentPoly arithmetic ---------------------------
@@ -159,30 +340,124 @@ def test_ring_unit_is_one_minus_q_power_without_phi(mk, j):
     assert not reduce_mod(u, Modulus(m, 1)).is_zero()
 
 
-def built_term(e, triples):
-    poly = q_power(e)
+def test_phi_and_psi_are_built_on_first_use(monkeypatch):
+    module = importlib.import_module("qapery.cyclotomic")
+    built = []
+    original = module.cyclotomic
+    monkeypatch.setattr(module, "cyclotomic", lambda m: built.append(m) or original(m))
+    ring = ResidueRing(6, 2)
+    ring.mul_q_integer(ring.mul(ring.q_power(7), ring.unit(5)), 4)
+    ring.q_integer_inverse(5)
+    assert built == []
+    assert ring.unit(12) and ring.phi and built.count(6) == 2
+    count = len(built)
+    assert ring.unit(18) and ring.phi and len(built) == count
+
+
+def built_term(w, e, triples, mod):
+    """w q^e prod C(t, b)_q^p built in full.  The common factors Phi_m of the
+    positive and the negative powers are cancelled, and what is left of the
+    negative ones is inverted by ``inverse_mod``, which raises when Phi_m
+    (or a vanishing q-binomial) is left in the denominator."""
+    num = den = LaurentPoly.one()
     for t, b, p in triples:
-        poly = poly * qbin(t, b) ** p
-    return poly
+        if p > 0:
+            num = num * qbin(t, b) ** p
+        elif p < 0:
+            den = den * qbin(t, b) ** -p
+    if num.is_zero() and not den.is_zero():
+        return num
+    phi = cyclotomic(mod.m)
+    while not den.is_zero():
+        (nq, nr), (dq, dr) = divrem(num, phi), divrem(den, phi)
+        if not (nr.is_zero() and dr.is_zero()):
+            break
+        num, den = nq, dq
+    return w * q_power(e) * num * inverse_mod(den, mod)
 
 
-def built_residue(terms, base, c, mod):
-    lhs = sum((built_term(e, triples) for e, triples in terms), LaurentPoly.zero())
-    x = q_power(mod.m) - 1
-    return reduce_mod(lhs - base.substitute_power(mod.m ** 2) + c * x * x, mod)
+def built_residue(terms, rhs, mod):
+    lhs = sum((built_term(*term, mod) for term in terms), LaurentPoly.zero())
+    return reduce_mod(lhs - x_poly(mod.m, rhs), mod)
 
 
-triple = st.tuples(st.integers(0, 20), st.integers(-1, 21), st.integers(0, 3))
-term = st.tuples(st.integers(-30, 30), st.lists(triple, max_size=3))
-small_base = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=3).map(LaurentPoly)
-correction = st.fractions(min_value=-5, max_value=5, max_denominator=24)
+def spec_terms(powers):
+    triple = st.tuples(st.integers(0, 20), st.integers(-1, 21), powers)
+    return st.lists(st.tuples(st.integers(-3, 3), st.integers(-30, 30),
+                              st.lists(triple, max_size=3)), max_size=3)
+
+
+x_coefficients = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=24), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli, spec_terms(st.integers(-1, 3)), x_coefficients)
+def test_binomial_sum_residue_equals_built_residue(mk, terms, rhs):
+    mod = Modulus(*mk)
+    rhs = rhs[:mod.k]
+    try:
+        want = built_residue(terms, rhs, mod)
+    except NotInvertibleError:
+        with pytest.raises(NotInvertibleError):
+            binomial_sum_residue(terms, rhs, mod)
+    else:
+        assert binomial_sum_residue(terms, rhs, mod) == want
 
 
 @settings(max_examples=60, deadline=None)
-@given(moduli, st.lists(term, max_size=3), small_base, correction)
-def test_binomial_sum_residue_equals_built_residue(mk, terms, base, c):
-    mod = Modulus(*mk)
-    assert binomial_sum_residue(terms, base, c, mod) == built_residue(terms, base, c, mod)
+@given(moduli, spec_terms(st.integers(0, 3)), x_coefficients, st.data())
+def test_dividing_by_q_binomials_prime_to_phi(mk, terms, rhs, data):
+    # C(t, b)_q with t < m has no factor Phi_m, so every such quotient has a residue
+    m, k = mk
+    mod = Modulus(m, k)
+    divisor = st.integers(0, m - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t)))
+    terms = [(w, e, triples + [(t, b, -1) for t, b in data.draw(st.lists(divisor, max_size=2))])
+             for w, e, triples in terms]
+    assert binomial_sum_residue(terms, rhs[:k], mod) == built_residue(terms, rhs[:k], mod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), st.data())
+def test_both_routes_refuse_a_term_of_negative_valuation(m, k, data):
+    # 1/C(a m, c m + r)_q with 0 < r < m has Phi_m-valuation -1; with the
+    # bottom index out of range the q-binomial vanishes
+    a = data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(0, a - 1))
+    r = data.draw(st.integers(1, m - 1))
+    refused = data.draw(st.sampled_from([
+        (1, 0, ((a * m, c * m + r, -1),)),
+        (2, 3, ((a * m, c * m + r, -1), (m - 1, 1, 1))),
+        (-1, 0, ((a, a + 1, -1),)),
+    ]))
+    others = data.draw(spec_terms(st.integers(0, 3)))
+    mod = Modulus(m, k)
+    with pytest.raises(NotInvertibleError):
+        built_residue(others + [refused], [], mod)
+    with pytest.raises(NotInvertibleError):
+        binomial_sum_residue(others + [refused], [], mod)
+
+
+small_base = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=3).map(LaurentPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), small_base, st.fractions(min_value=-5, max_value=5, max_denominator=24))
+def test_cube_rhs_is_the_substituted_base(m, base, c):
+    mod = Modulus(m, 3)
+    rhs = _cube_rhs(m, base, c)
+    assert len(rhs) == 3
+    assert reduce_mod(x_poly(m, rhs), mod) == cube_residue(m, LaurentPoly.zero(), base, c, mod) * -1
+
+
+def test_a_divided_q_integer_matches_inverse_mod():
+    # the cross route of qbin-prop: 1/[j]_q is the spec factor (j, 1, -1)
+    for m in range(2, 9):
+        for k in (1, 2, 3):
+            mod = Modulus(m, k)
+            for j in range(1, m):
+                want = reduce_mod(q_power(2) * qbin(3 * m, m + 1) * inverse_mod(q_integer(j), mod), mod)
+                assert binomial_sum_residue([(1, 2, ((3 * m, m + 1, 1), (j, 1, -1)))], [], mod) \
+                    == want, (m, k, j)
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,14 +469,14 @@ def test_dropping_a_term_of_valuation_k_leaves_the_residue(m, k, data):
     r = data.draw(st.integers(1, m - 1))
     p = data.draw(st.integers(k, k + 1))
     e = data.draw(st.integers(-20, 20))
-    dropped = (e, ((a * m, c * m + r, p),))
-    others = data.draw(st.lists(term, max_size=2))
-    base = data.draw(small_base)
+    dropped = (data.draw(st.integers(-3, 3)), e, ((a * m, c * m + r, p),))
+    others = data.draw(spec_terms(st.integers(0, 3)))
+    rhs = data.draw(x_coefficients)[:k]
     mod = Modulus(m, k)
-    assert reduce_mod(built_term(*dropped), mod).is_zero()
-    with_term = binomial_sum_residue(others + [dropped], base, 1, mod)
-    assert with_term == binomial_sum_residue(others, base, 1, mod)
-    assert with_term == built_residue(others + [dropped], base, 1, mod)
+    assert reduce_mod(built_term(*dropped, mod), mod).is_zero()
+    with_term = binomial_sum_residue(others + [dropped], rhs, mod)
+    assert with_term == binomial_sum_residue(others, rhs, mod)
+    assert with_term == built_residue(others + [dropped], rhs, mod)
 
 
 # -- reach: the left side at m*n is never built ---------------------------------
@@ -257,6 +532,10 @@ OVERSIZED = [
     ("main", {"m": 1000, "n1": 1000, "n2": 1, "n3": 1, "n4": 1, "alpha": "ksq"}),
     ("generalized", {"m": 1000, "n": 1000, "lambda": 2, "mu": 1, "alpha": "ksq"}),
     ("ljunggren", {"n": 1000, "a": 1000, "b": 1}),
+    ("wolstenholme-q", {"n": 3000}),
+    ("s1s2", {"m": 40, "n1": 40, "n2": 40, "n3": 40, "n4": 40, "alpha": "ksq"}),
+    ("qbin-prop", {"m": 50, "n": 50, "k": 25, "j": 1}),
+    ("lucas", {"n": 100, "a": 50, "b": 3, "r": 25, "s": 1}),
 ]
 
 
@@ -270,6 +549,7 @@ def nothing_runs(monkeypatch):
                  "apery_q_multivariate_terms", "apery_q_lambda_mu", "apery_q_lambda_mu_terms",
                  "qbin"):
         monkeypatch.setattr(checks, name, unreachable)
+    monkeypatch.setattr(qcombinatorics, "qbin", unreachable)
 
 
 @pytest.mark.parametrize("name, params", OVERSIZED, ids=[c[0] for c in OVERSIZED])
@@ -285,10 +565,40 @@ def test_oversized_verify_is_a_usage_error(nothing_runs, capsys):
     assert err.startswith("error:") and "size guard" in err
 
 
+@pytest.mark.parametrize("name, params", OVERSIZED[4:], ids=[c[0] for c in OVERSIZED[4:]])
+def test_oversized_verify_of_a_guarded_full_route_checker_exits_2(nothing_runs, capsys, name, params):
+    argv = ["verify", name]
+    for key, value in params.items():
+        argv += ["--" + key, str(value)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "size guard" in err
+
+
 def test_oversized_sweep_instances_are_skipped(nothing_runs):
     spec = SweepSpec("corollary", ranges={"m": (1000, 1000, 1), "n": (999, 1000, 1)}, jobs=1)
     summary = run_sweep(spec)["summary"]
     assert (summary["total"], summary["skipped"]) == (0, 2)
+
+
+# (n, a, b, r, s): C(2a + b, 2r + s)_q has degree 9 * 3641 = RING_SIZE_GUARD + 1,
+# the first degree refused, and 8 * 4096 = RING_SIZE_GUARD, the last admitted
+LUCAS_FIRST_REFUSED = (2, 1825, 0, 4, 1)
+LUCAS_LAST_ADMITTED = (2, 2052, 0, 4, 0)
+
+
+def test_lucas_guard_refuses_the_first_oversized_degree(nothing_runs):
+    n, a, b, r, s = LUCAS_FIRST_REFUSED
+    assert (r * n + s) * (a * n + b - r * n - s) == RING_SIZE_GUARD + 1
+    with pytest.raises(PreconditionError, match="size guard"):
+        check_q_lucas(*LUCAS_FIRST_REFUSED)
+
+
+def test_lucas_guard_admits_the_last_degree():
+    n, a, b, r, s = LUCAS_LAST_ADMITTED
+    assert (r * n + s) * (a * n + b - r * n - s) == RING_SIZE_GUARD
+    assert check_q_lucas(*LUCAS_LAST_ADMITTED).holds
 
 
 def test_guard_admits_the_stated_reach():
