@@ -19,10 +19,11 @@ it and returns the canonical residue, the one the full-polynomial route
 (kept in the tests as the oracle) gives.  The q-Ljunggren, corollary, main
 and generalized theorems read lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3)
 and share ``_cube_congruence``; ``_cube_rhs`` reads the coefficients off
-the base, which is built in full at index n.  An instance is refused as a
-precondition failure before any work when the largest q-binomial top index
-M of its lhs has M*m above ``reports.RING_SIZE_GUARD``, or when its base
-spans more exponents than that.
+the base modulo (q - 1)^3, all that matters as x divides q^(m^2) - 1, and
+``_base_residue`` reads that off the base's specs by the kernel at m = 1.
+An instance is refused as a precondition failure before any work when the
+largest q-binomial top index M of its lhs has M*m above
+``reports.RING_SIZE_GUARD``, or when its base spans more exponents than that.
 
 ``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)`` as
 well, with no product of the [i]_q and no Euclid loop; it is refused when
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .cyclotomic import Modulus, ResidueRing, _binomial, _factorize, binomial_sum_residue, reduce_mod
@@ -42,7 +44,6 @@ from .qcombinatorics import (
     check_q_chu_vandermonde,
     check_q_lucas,
     q_integer,
-    qbin,
     qbin_pow,
 )
 from .reports import CongruenceReport, PreconditionError, _finish_poly, _guard_size, finish_report
@@ -50,10 +51,7 @@ from .sequences import (
     almkvist_zudilin,
     apery,
     apery_lambda_mu,
-    apery_q_krz_binform,
-    apery_q_lambda_mu,
     apery_q_lambda_mu_terms,
-    apery_q_multivariate,
     apery_q_multivariate_terms,
     correction_R_lambda_mu,
     correction_R_multivariate,
@@ -77,23 +75,39 @@ def _guard_ring_size(m, top):
 def _guard_base_size(terms):
     """Refuse a base whose (e, ((t, b, p), ...)) summand specs span more
     exponents than the guard; return the span.  q^e prod C(t, b)_q^p runs
-    from q^e to q^(e + sum p b (t - b)), and a vanishing term only widens it."""
+    from q^e to q^(e + sum p b (t - b)), and a vanishing term only widens it.
+
+    No base is built, but the span, which grows as n^2 and with lambda and
+    mu, still bounds n, lambda and mu where the M*m guard is loose: at small
+    m that guard admits n in the thousands, whose lhs the kernel decides
+    only slowly.  Without this guard it admits corollary (2, 1024), which
+    took 110 s (2 cores, Python 3.11), and (1, 2048), which ran past 150 s.
+    """
     span = (max(e + sum(p * b * (t - b) for t, b, p in triples) for e, triples in terms)
             - min(e for e, _ in terms))
     _guard_size(span, "base exponent span %d")
     return span
 
 
+@lru_cache(maxsize=None)
+def _base_residue(terms):
+    """The residue modulo (q - 1)^3 of the base with summand specs
+    ``terms``, a tuple of (e, ((t, b, p), ...)) each of weight 1, memoized
+    on that tuple.  It is the kernel at m = 1, where no q-binomial has a
+    factor Phi_1, so no term is dropped or refused."""
+    return binomial_sum_residue([(1, e, triples) for e, triples in terms], [], Modulus(1, 3))
+
+
 def _cube_congruence(name, params, m, terms, base, c, started):
     """Report on sum(terms) == base(q^(m^2)) - c (q^m - 1)^2 (mod Phi_m^3).
 
-    The terms are (e, ((top, bottom, power), ...)) summand specs, each of
-    weight 1.  Their sum is reduced in the residue ring, never built; the
-    residue is the canonical one, equal to reducing the built difference.
+    The terms and the base are (e, ((top, bottom, power), ...)) summand
+    specs, each of weight 1, and neither is built; the residue is the
+    canonical one, equal to reducing the built difference.
     """
     mod = Modulus(m, 3)
     terms = [(1, e, triples) for e, triples in terms]
-    residue = binomial_sum_residue(terms, _cube_rhs(m, base, c), mod)
+    residue = binomial_sum_residue(terms, _cube_rhs(m, _base_residue(tuple(base)), c), mod)
     return _finish_poly(name, params, [residue], mod, started)
 
 
@@ -108,10 +122,10 @@ def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
     if n < 1 or a < 0 or b < 0:
         raise PreconditionError("requires n >= 1 and a, b >= 0")
     _guard_ring_size(n, a * n)
-    _guard_base_size([(0, ((a, b, 1),))])
+    base = [(0, ((a, b, 1),))]
+    _guard_base_size(base)
     c = Fraction((a - b) * b * binom(a, b) * (n * n - 1), 24)
-    return _cube_congruence("ljunggren", params, n, [(0, ((a * n, b * n, 1),))],
-                            qbin(a, b), c, started)
+    return _cube_congruence("ljunggren", params, n, [(0, ((a * n, b * n, 1),))], base, c, started)
 
 
 def check_wolstenholme_q(n: int) -> CongruenceReport:
@@ -269,10 +283,11 @@ def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
     _guard_ring_size(m, m * max(n[0] + n[1], n[2] + n[3]))
-    _guard_base_size(apery_q_multivariate_terms(n, alpha))
+    base = apery_q_multivariate_terms(n, alpha)
+    _guard_base_size(base)
     terms = apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)
     c = Fraction(m * m - 1, 12) * correction_R_multivariate(n)
-    return _cube_congruence("main", params, m, terms, apery_q_multivariate(n, alpha), c, started)
+    return _cube_congruence("main", params, m, terms, base, c, started)
 
 
 def check_corollary(m: int, n: int) -> CongruenceReport:
@@ -287,11 +302,12 @@ def check_corollary(m: int, n: int) -> CongruenceReport:
     if m < 1 or n < 0:
         raise PreconditionError("requires m >= 1 and n >= 0")
     _guard_ring_size(m, 2 * m * n)
-    _guard_base_size(apery_q_lambda_mu_terms(n, 2, 2, "nksq"))
-    # the summands of apery_q_krz_binform(m * n)
+    # the summands of apery_q_krz_binform(n) and of apery_q_krz_binform(m * n)
+    base = apery_q_lambda_mu_terms(n, 2, 2, "nksq")
+    _guard_base_size(base)
     terms = apery_q_lambda_mu_terms(m * n, 2, 2, "nksq")
     c = Fraction(m * m - 1, 12) * n * n * apery(n)
-    return _cube_congruence("corollary", params, m, terms, apery_q_krz_binform(n), c, started)
+    return _cube_congruence("corollary", params, m, terms, base, c, started)
 
 
 def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") -> CongruenceReport:
@@ -307,11 +323,11 @@ def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") ->
     if lam < 2 or mu < 0:
         raise PreconditionError("requires lambda >= 2 and mu >= 0")
     _guard_ring_size(m, 2 * m * n)
-    _guard_base_size(apery_q_lambda_mu_terms(n, lam, mu, alpha))
+    base = apery_q_lambda_mu_terms(n, lam, mu, alpha)
+    _guard_base_size(base)
     terms = apery_q_lambda_mu_terms(m * n, lam, mu, alpha)
     c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
-    return _cube_congruence("generalized", params, m, terms,
-                            apery_q_lambda_mu(n, lam, mu, alpha), c, started)
+    return _cube_congruence("generalized", params, m, terms, base, c, started)
 
 
 def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
@@ -322,8 +338,8 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     correction sum_k ((n1 n2 + n3 n4)/2 - k^2) C(n; k); and S2 collapses to
     -(m^2-1)/12 (q^m - 1)^2 sum_k k^2 C(n; k).  S1 and S2 partition one list
     of the summand specs of A_q(m*n), so the split is exact by construction
-    and needs no residue of its own; each part is reduced by
-    ``binomial_sum_residue``, never built.
+    and needs no residue of its own; the parts are reduced by
+    ``binomial_sum_residue`` and the base read by ``_base_residue``, none built.
     """
     started = time.perf_counter()
     n = tuple(n)
@@ -332,7 +348,8 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
     _guard_ring_size(m, m * max(n[0] + n[1], n[2] + n[3]))
-    _guard_base_size(apery_q_multivariate_terms(n, alpha))
+    base = apery_q_multivariate_terms(n, alpha)
+    _guard_base_size(base)
     mod = Modulus(m, 3)
     terms = [(1, e, triples) for e, triples
              in apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)]
@@ -347,8 +364,8 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     k2sum = sum(k * k * c for k, c in enumerate(c_weights))
 
     factor = Fraction(m * m - 1, 12)
-    base = apery_q_multivariate(n, alpha)
-    residues = [binomial_sum_residue(terms[::m], _cube_rhs(m, base, factor * r1), mod),
+    s1_rhs = _cube_rhs(m, _base_residue(tuple(base)), factor * r1)
+    residues = [binomial_sum_residue(terms[::m], s1_rhs, mod),
                 binomial_sum_residue([t for k, t in enumerate(terms) if k % m],
                                      [0, 0, -factor * k2sum], mod)]
     return _finish_poly("s1s2", params, residues, mod, started)

@@ -280,7 +280,9 @@ def az_diagonal_oracle(n: int) -> int:
 def apery_q_krz_binform(n: int) -> LaurentPoly:
     """The ordinary polynomial sum_k q^((n-k)^2) C(n,k)_q^2 C(n+k,k)_q^2.
 
-    Self-reciprocal of degree 2n^2; equals 5 at q = 1 for n = 1.
+    Self-reciprocal of degree 2n^2; equals 5 at q = 1 for n = 1.  The one
+    memoized builder: the checkers read their bases off summand specs, and
+    the benchmark reads this ``lru_cache``'s ``cache_info()``.
     """
     if n < 0:
         raise ValueError("apery_q_krz_binform requires n >= 0")
@@ -328,24 +330,16 @@ def _summand(e: int, triples) -> LaurentPoly:
     return poly
 
 
-def _multivariate_args(n, alpha):
+def apery_q_multivariate_terms(n, alpha="ksq") -> list:
+    """The summands of ``apery_q_multivariate(n, alpha)`` as
+    (exponent, ((top, bottom, power), ...)) specs, one per k."""
     n = _check_tuple4(n)
     alpha = get_alpha(alpha)
     if alpha.arity not in (0, 4):
         raise ValueError("alpha %r does not accept 4-index tuples" % (alpha.name,))
-    return n, alpha
-
-
-def apery_q_multivariate_terms(n, alpha="ksq") -> list:
-    """The summands of ``apery_q_multivariate(n, alpha)`` as
-    (exponent, ((top, bottom, power), ...)) specs, one per k."""
-    n, alpha = _multivariate_args(n, alpha)
     n1, n2, n3, n4 = n
     return [(alpha(n, k), ((n1, k, 1), (n3, k, 1), (n1 + n2 - k, n1, 1), (n3 + n4 - k, n3, 1)))
             for k in range(min(n1, n3) + 1)]
-
-
-_AQ_MULT_CACHE = {}
 
 
 def apery_q_multivariate(n, alpha="ksq") -> LaurentPoly:
@@ -356,17 +350,8 @@ def apery_q_multivariate(n, alpha="ksq") -> LaurentPoly:
     with the sum finite by zero-extension of the q-binomials.  At q = 1 this
     is ``apery_multivariate`` for every admissible alpha.
     """
-    n, alpha = _multivariate_args(n, alpha)
-    key = (n, alpha.name)
-    cacheable = _ALPHAS.get(alpha.name) is alpha
-    if cacheable and key in _AQ_MULT_CACHE:
-        return _AQ_MULT_CACHE[key]
-    total = LaurentPoly.zero()
-    for e, triples in apery_q_multivariate_terms(n, alpha):
-        total = total + _summand(e, triples)
-    if cacheable:
-        _AQ_MULT_CACHE[key] = total
-    return total
+    return sum((_summand(e, triples) for e, triples in apery_q_multivariate_terms(n, alpha)),
+               LaurentPoly.zero())
 
 
 def correction_R_multivariate(n, alpha=None) -> Fraction:
@@ -374,9 +359,6 @@ def correction_R_multivariate(n, alpha=None) -> Fraction:
     n = _check_tuple4(n)
     n1, n2, n3, n4 = n
     return Fraction(n1 * n2 + n3 * n4, 2) * apery_multivariate(n)
-
-
-_AQ_LM_CACHE = {}
 
 
 def apery_q_lambda_mu_terms(n: int, lam: int, mu: int, alpha="ksq") -> list:
@@ -394,18 +376,8 @@ def apery_q_lambda_mu_terms(n: int, lam: int, mu: int, alpha="ksq") -> list:
 
 def apery_q_lambda_mu(n: int, lam: int, mu: int, alpha="ksq") -> LaurentPoly:
     """sum_k q^alpha(n, k) C(n,k)_q^lambda C(n+k,k)_q^mu for lambda >= 2."""
-    terms = apery_q_lambda_mu_terms(n, lam, mu, alpha)
-    alpha = get_alpha(alpha)
-    key = (n, lam, mu, alpha.name)
-    cacheable = _ALPHAS.get(alpha.name) is alpha
-    if cacheable and key in _AQ_LM_CACHE:
-        return _AQ_LM_CACHE[key]
-    total = LaurentPoly.zero()
-    for e, triples in terms:
-        total = total + _summand(e, triples)
-    if cacheable:
-        _AQ_LM_CACHE[key] = total
-    return total
+    return sum((_summand(e, triples) for e, triples in apery_q_lambda_mu_terms(n, lam, mu, alpha)),
+               LaurentPoly.zero())
 
 
 def correction_R_lambda_mu(n: int, lam: int, mu: int) -> Fraction:

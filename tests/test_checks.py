@@ -172,23 +172,6 @@ class TestS1S2:
         assert check_s1_s2_decomposition(2, (1, 1, 1, 1), "ksq").holds
         assert check_s1_s2_decomposition(3, (1, 1, 1, 1), "kn23").holds
 
-    def test_each_summand_built_once(self, monkeypatch):
-        # S1/S2 are reduced from the specs of A_q(8,8,8,8) and build none of
-        # its 9 summands; the base A_q(2,2,2,2) builds its 3
-        from qapery import sequences
-
-        calls = []
-        summand = sequences._summand
-
-        def counting(*args):
-            calls.append(args)
-            return summand(*args)
-
-        monkeypatch.setattr(sequences, "_AQ_MULT_CACHE", {})
-        monkeypatch.setattr(sequences, "_summand", counting)
-        assert check_s1_s2_decomposition(4, (2, 2, 2, 2), "ksq").holds
-        assert calls == sequences.apery_q_multivariate_terms((2, 2, 2, 2), "ksq")
-
 
 class TestIdentities:
     def test_harmonic_classical_hand_value(self):

@@ -2,14 +2,16 @@
 
 ``cyclotomic.binomial_sum_residue`` reduces a weighted sum of q-binomial
 products in Z[q]/((q^m - 1)^k) without building it.  The full-polynomial
-route is the oracle, kept here: ``cube_residue`` of the built left side for
-the Phi_m^3 checkers, and the built statements of ``wolstenholme-q``,
-``s1s2`` and ``qbin-prop``.  On every acceptance grid the two must give
-identical residues, for the statement as given and perturbed (the
-correction factor c raised by one, or a weight raised by one), which makes
-every residue nonzero.  The kernel's parts are compared with
-``LaurentPoly`` arithmetic under hypothesis, and the size guards are tested
-without running an oversized instance.
+route is the oracle, kept here: ``cube_residue`` of the built left side and
+base for the Phi_m^3 checkers, and the built statements of
+``wolstenholme-q``, ``s1s2`` and ``qbin-prop``.  On every acceptance grid
+the two must give identical residues, for the statement as given and
+perturbed (the correction factor c raised by one, or a weight raised by
+one), which makes every residue nonzero.  The kernel's parts, and the bases
+it reads at m = 1, are compared with ``LaurentPoly`` arithmetic under
+hypothesis; with every builder made to raise, no checker builds a
+q-binomial; and the size guards are tested without running an oversized
+instance.
 """
 
 import importlib
@@ -74,7 +76,7 @@ MAIN_TUPLES = [(m, t) for m in range(1, 5) for t in itertools.product(range(3), 
 MAIN_TUPLES += [(m, (n, n, n, n)) for m in (5, 6) for n in range(3)]
 LAMBDA_MU = ((2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (4, 2))
 
-#: checker name -> (instances, run one, modulus index, built left side)
+#: checker name -> (instances, run one, modulus index, built left side, built base)
 GRIDS = {
     # criterion 01
     "ljunggren": (
@@ -82,6 +84,7 @@ GRIDS = {
         lambda n, a, b: check_ljunggren_q(n, a, b),
         lambda n, a, b: n,
         lambda n, a, b: qbin(a * n, b * n),
+        lambda n, a, b: qbin(a, b),
     ),
     # criterion 05, the main theorem
     "main": (
@@ -89,6 +92,7 @@ GRIDS = {
         lambda m, t, alpha: check_main_theorem(m, t, alpha),
         lambda m, t, alpha: m,
         lambda m, t, alpha: apery_q_multivariate(tuple(m * x for x in t), alpha),
+        lambda m, t, alpha: apery_q_multivariate(t, alpha),
     ),
     # criterion 06
     "corollary": (
@@ -96,6 +100,7 @@ GRIDS = {
         lambda m, n: check_corollary(m, n),
         lambda m, n: m,
         lambda m, n: apery_q_krz_binform(m * n),
+        lambda m, n: apery_q_krz_binform(n),
     ),
     # criterion 07, with the kk2n and nksq weights as well
     "generalized": (
@@ -104,18 +109,33 @@ GRIDS = {
         lambda m, n, lam, mu, alpha: check_generalized_theorem(m, n, lam, mu, alpha),
         lambda m, n, lam, mu, alpha: m,
         lambda m, n, lam, mu, alpha: apery_q_lambda_mu(m * n, lam, mu, alpha),
+        lambda m, n, lam, mu, alpha: apery_q_lambda_mu(n, lam, mu, alpha),
     ),
 }
 
+BASE_MOD = Modulus(1, 3)
+
+
+@pytest.fixture
+def fresh_base_memo():
+    """Empty the checkers' base memo before and after a test, so that the
+    test reads every base itself and leaves none that a patched kernel read."""
+    checks._base_residue.cache_clear()
+    yield
+    checks._base_residue.cache_clear()
+
 
 def record_kernel(monkeypatch):
-    """Replace the checkers' kernel by one that records each call."""
+    """Replace the checkers' kernel by one that records each call but the
+    base reads, which ``checks._base_residue`` makes modulo (q - 1)^3 with no
+    right side, and which its memo would make only on a miss."""
     calls = []
     kernel = checks.binomial_sum_residue
 
     def recording(terms, rhs, mod):
         residue = kernel(terms, rhs, mod)
-        calls.append((terms, rhs, mod, residue))
+        if rhs or mod != BASE_MOD:
+            calls.append((terms, rhs, mod, residue))
         return residue
 
     monkeypatch.setattr(checks, "binomial_sum_residue", recording)
@@ -123,7 +143,8 @@ def record_kernel(monkeypatch):
 
 
 def record_cube_rhs(monkeypatch):
-    """Record the (m, base, c) each right side of a Phi_m^3 checker is read from."""
+    """Record the (m, base residue, c) each right side of a Phi_m^3 checker is
+    read from."""
     calls = []
 
     def recording(m, base, c):
@@ -136,22 +157,25 @@ def record_cube_rhs(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_ring_and_full_routes_give_identical_residues(monkeypatch, name):
-    instances, run, modulus_index, built_lhs = GRIDS[name]
+    instances, run, modulus_index, built_lhs, built_base = GRIDS[name]
     calls = record_kernel(monkeypatch)
     sides = record_cube_rhs(monkeypatch)
     raised_nonzero = 0
     for args in instances:
         assert run(*args).holds, args
         (terms, rhs, mod, residue), = calls
-        (m, base, c), = sides
+        (m, read_base, c), = sides
         calls.clear()
         sides.clear()
         assert m == modulus_index(*args)
         assert mod == Modulus(m, 3)
-        assert rhs == _cube_rhs(m, base, c)
+        base = built_base(*args)
+        assert rhs == _cube_rhs(m, base, c), args
         lhs = built_lhs(*args)
         assert residue == cube_residue(m, lhs, base, c, mod), args
-        raised = binomial_sum_residue(terms, _cube_rhs(m, base, c + 1), mod)
+        raised_rhs = _cube_rhs(m, read_base, c + 1)
+        assert raised_rhs == _cube_rhs(m, base, c + 1), args
+        raised = binomial_sum_residue(terms, raised_rhs, mod)
         assert list(raised.terms()) == list(cube_residue(m, lhs, base, c + 1, mod).terms()), args
         raised_nonzero += not raised.is_zero()
     assert raised_nonzero == len(instances)
@@ -249,34 +273,28 @@ def test_moved_checkers_match_the_full_route(monkeypatch, name):
         assert all(not r.is_zero() for r in raised), args
 
 
-@pytest.fixture
-def no_left_side_is_built(monkeypatch):
-    """Make every full-route builder of the moved checkers raise."""
-    def unreachable(*args):
-        raise AssertionError("a left side was built in full")
-
-    monkeypatch.setattr(checks, "qbin", unreachable)
-    # the package exports the function cyclotomic under the module's name
-    monkeypatch.setattr(importlib.import_module("qapery.cyclotomic"), "inverse_mod", unreachable)
-    summand = sequences._summand
-
-    def base_only(e, triples):
-        # s1s2 still builds its base A_q(n), never a summand of A_q(m n)
-        assert (e, triples) in bases, (e, triples)
-        return summand(e, triples)
-
-    bases = []
-    monkeypatch.setattr(sequences, "_summand", base_only)
-    monkeypatch.setattr(sequences, "_AQ_MULT_CACHE", {})
-    return bases
+def unreachable(message):
+    def raising(*args):
+        raise AssertionError(message)
+    return raising
 
 
-@pytest.mark.parametrize("name", sorted(MOVED))
-def test_moved_checkers_build_no_left_side(no_left_side_is_built, name):
-    instances, run, _, _ = MOVED[name]
-    for args in instances[::7]:
-        if name == "s1s2":
-            no_left_side_is_built += apery_q_multivariate_terms(args[1], args[2])
+#: (module, name) of every function that builds a q-binomial sum, or a
+#: q-binomial, as a polynomial
+BUILDERS = [(sequences, name) for name in ("_summand", "apery_q_krz_binform",
+                                           "apery_q_lambda_mu", "apery_q_multivariate")]
+BUILDERS += [(qcombinatorics, name) for name in ("qbin", "qbin_pow")]
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS) + sorted(MOVED))
+def test_no_checker_builds_a_q_binomial(monkeypatch, fresh_base_memo, name):
+    # neither side of any instance is built, bases included: at m = 1 the
+    # corollary's base and left side are both A_q(128), of degree 32,768
+    for module, builder in BUILDERS:
+        monkeypatch.setattr(module, builder, unreachable("%s was called" % builder))
+    instances, run = (GRIDS[name] if name in GRIDS else MOVED[name])[:2]
+    reach = [(1, 128), (4, 64)] if name == "corollary" else []
+    for args in instances[::7] + reach:
         assert run(*args).holds, args
 
 
@@ -292,7 +310,7 @@ KERNEL_DECIDED = [
 
 
 @pytest.mark.parametrize("name, params", KERNEL_DECIDED, ids=[c[0] for c in KERNEL_DECIDED])
-def test_the_kernel_alone_decides(monkeypatch, name, params):
+def test_the_kernel_alone_decides(monkeypatch, fresh_base_memo, name, params):
     assert checks.run_named_check(name, params).holds
     monkeypatch.setattr(checks, "binomial_sum_residue", lambda terms, rhs, mod: q_power(1))
     report = checks.run_named_check(name, params)
@@ -449,6 +467,23 @@ def test_cube_rhs_is_the_substituted_base(m, base, c):
     assert reduce_mod(x_poly(m, rhs), mod) == cube_residue(m, LaurentPoly.zero(), base, c, mod) * -1
 
 
+# bases as the Phi_m^3 checkers pass them: weight-1 specs with exponents of
+# either sign and powers p >= 0, some q-binomials vanishing
+base_specs = st.lists(st.tuples(st.integers(-30, 30),
+                                st.lists(st.tuples(st.integers(0, 20), st.integers(-1, 21),
+                                                   st.integers(0, 3)), max_size=3).map(tuple)),
+                      max_size=4).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), base_specs, st.fractions(min_value=-5, max_value=5, max_denominator=24))
+def test_base_read_at_m_1_gives_the_built_base_right_side(m, terms, c):
+    built = sum((sequences._summand(e, triples) for e, triples in terms), LaurentPoly.zero())
+    read = checks._base_residue(terms)
+    assert read == reduce_mod(built, BASE_MOD)
+    assert _cube_rhs(m, read, c) == _cube_rhs(m, built, c)
+
+
 def test_a_divided_q_integer_matches_inverse_mod():
     # the cross route of qbin-prop: 1/[j]_q is the spec factor (j, 1, -1)
     for m in range(2, 9):
@@ -479,29 +514,10 @@ def test_dropping_a_term_of_valuation_k_leaves_the_residue(m, k, data):
     assert with_term == built_residue(others + [dropped], rhs, mod)
 
 
-# -- reach: the left side at m*n is never built ---------------------------------
+# -- reach: instances whose left side would be large fail when perturbed -------
 
 def plus_one(fn):
     return lambda *args: fn(*args) + 1
-
-
-def recording(monkeypatch, name):
-    calls = []
-    original = getattr(checks, name)
-
-    def record(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(checks, name, record)
-    return calls
-
-
-@pytest.mark.parametrize("m, n", [(2, 3), (5, 2), (10, 8)])
-def test_corollary_builds_only_the_small_side(monkeypatch, m, n):
-    calls = recording(monkeypatch, "apery_q_krz_binform")
-    assert check_corollary(m, n).holds
-    assert calls and set(calls) == {(n,)}
 
 
 def test_corollary_reach_can_fail(monkeypatch):
@@ -513,11 +529,9 @@ def test_corollary_reach_can_fail(monkeypatch):
     assert report.first_residue_coeff not in (None, 0)
 
 
-def test_main_reach_builds_only_the_small_side_and_can_fail(monkeypatch):
+def test_main_reach_can_fail(monkeypatch):
     n = (8, 8, 8, 8)
-    calls = recording(monkeypatch, "apery_q_multivariate")
     assert check_main_theorem(5, n, "ksq").holds
-    assert calls and {args[0] for args in calls} == {n}
     monkeypatch.setattr(checks, "correction_R_multivariate",
                         plus_one(checks.correction_R_multivariate))
     report = check_main_theorem(5, n, "ksq")
@@ -542,14 +556,11 @@ OVERSIZED = [
 @pytest.fixture
 def nothing_runs(monkeypatch):
     """Make the kernel and every builder raise if an instance gets past the guard."""
-    def unreachable(*args):
-        raise AssertionError("an oversized instance got past the size guard")
-
-    for name in ("binomial_sum_residue", "apery_q_krz_binform", "apery_q_multivariate",
-                 "apery_q_multivariate_terms", "apery_q_lambda_mu", "apery_q_lambda_mu_terms",
-                 "qbin"):
-        monkeypatch.setattr(checks, name, unreachable)
-    monkeypatch.setattr(qcombinatorics, "qbin", unreachable)
+    raising = unreachable("an oversized instance got past the size guard")
+    for name in ("binomial_sum_residue", "apery_q_multivariate_terms", "apery_q_lambda_mu_terms"):
+        monkeypatch.setattr(checks, name, raising)
+    for module, name in BUILDERS:
+        monkeypatch.setattr(module, name, raising)
 
 
 @pytest.mark.parametrize("name, params", OVERSIZED, ids=[c[0] for c in OVERSIZED])
@@ -608,8 +619,8 @@ def test_guard_admits_the_stated_reach():
         _guard_ring_size(1, RING_SIZE_GUARD + 1)
 
 
-# Instances whose lhs passes the M*m guard but whose base, built in full at
-# index n, would not: A_q(5000) has degree 5*10^7, and qbin(3, 1)^100000
+# Instances whose lhs passes the M*m guard but whose base spans more
+# exponents than the guard: A_q(5000) has degree 5*10^7, and qbin(3, 1)^100000
 # degree 200,000.
 OVERSIZED_BASE = [
     ["corollary", "--m", "1", "--n", "5000"],
@@ -619,13 +630,11 @@ OVERSIZED_BASE = [
 
 @pytest.fixture
 def no_base_is_built(monkeypatch):
-    """Make the kernel and every base builder raise if an instance gets past the guard."""
-    def unreachable(*args):
-        raise AssertionError("an oversized base got past the size guard")
-
-    for name in ("binomial_sum_residue", "apery_q_krz_binform", "apery_q_multivariate",
-                 "apery_q_lambda_mu", "qbin"):
-        monkeypatch.setattr(checks, name, unreachable)
+    """Make the kernel and every builder raise if an instance gets past the guard."""
+    raising = unreachable("an oversized base got past the size guard")
+    monkeypatch.setattr(checks, "binomial_sum_residue", raising)
+    for module, name in BUILDERS:
+        monkeypatch.setattr(module, name, raising)
 
 
 @pytest.mark.parametrize("argv", OVERSIZED_BASE, ids=[a[0] for a in OVERSIZED_BASE])
