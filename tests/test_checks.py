@@ -172,6 +172,36 @@ class TestS1S2:
         assert check_s1_s2_decomposition(2, (1, 1, 1, 1), "ksq").holds
         assert check_s1_s2_decomposition(3, (1, 1, 1, 1), "kn23").holds
 
+    def test_each_summand_built_once(self, monkeypatch):
+        # S1/S2 are reduced from the specs of A_q(8,8,8,8) and build none of
+        # its 9 summands; the 3 specs of the base A_q(2,2,2,2) are read
+        # modulo (q - 1)^3 in one kernel call, memoized, and none is built
+        from qapery import sequences
+
+        built, reads = [], []
+        summand, kernel = sequences._summand, checks.binomial_sum_residue
+
+        def counting(*args):
+            built.append(args)
+            return summand(*args)
+
+        def recording(terms, rhs, mod):
+            if mod == Modulus(1, 3):
+                reads.append(terms)
+            return kernel(terms, rhs, mod)
+
+        monkeypatch.setattr(sequences, "_summand", counting)
+        monkeypatch.setattr(checks, "binomial_sum_residue", recording)
+        checks._base_residue.cache_clear()
+        try:
+            for _ in range(2):
+                assert check_s1_s2_decomposition(4, (2, 2, 2, 2), "ksq").holds
+        finally:
+            checks._base_residue.cache_clear()
+        specs = sequences.apery_q_multivariate_terms((2, 2, 2, 2), "ksq")
+        assert built == []
+        assert reads == [[(1, e, triples) for e, triples in specs]]
+
 
 class TestIdentities:
     def test_harmonic_classical_hand_value(self):

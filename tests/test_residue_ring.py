@@ -286,15 +286,28 @@ BUILDERS = [(sequences, name) for name in ("_summand", "apery_q_krz_binform",
 BUILDERS += [(qcombinatorics, name) for name in ("qbin", "qbin_pow")]
 
 
-@pytest.mark.parametrize("name", sorted(GRIDS) + sorted(MOVED))
+def make_builders_raise(monkeypatch):
+    for module, builder in BUILDERS:
+        monkeypatch.setattr(module, builder, unreachable("%s was called" % builder))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
 def test_no_checker_builds_a_q_binomial(monkeypatch, fresh_base_memo, name):
     # neither side of any instance is built, bases included: at m = 1 the
     # corollary's base and left side are both A_q(128), of degree 32,768
-    for module, builder in BUILDERS:
-        monkeypatch.setattr(module, builder, unreachable("%s was called" % builder))
-    instances, run = (GRIDS[name] if name in GRIDS else MOVED[name])[:2]
+    make_builders_raise(monkeypatch)
+    instances, run = GRIDS[name][:2]
     reach = [(1, 128), (4, 64)] if name == "corollary" else []
     for args in instances[::7] + reach:
+        assert run(*args).holds, args
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_moved_checkers_build_no_left_side(monkeypatch, fresh_base_memo, name):
+    # nor any right side: s1s2 reads its base A_q(n) off the specs
+    make_builders_raise(monkeypatch)
+    instances, run = MOVED[name][:2]
+    for args in instances[::7]:
         assert run(*args).holds, args
 
 
@@ -518,6 +531,28 @@ def test_dropping_a_term_of_valuation_k_leaves_the_residue(m, k, data):
 
 def plus_one(fn):
     return lambda *args: fn(*args) + 1
+
+
+def record_base_reads(monkeypatch):
+    """Record the spec tuple of each base the checkers read."""
+    calls = []
+    read = checks._base_residue
+
+    def recording(terms):
+        calls.append(terms)
+        return read(terms)
+
+    monkeypatch.setattr(checks, "_base_residue", recording)
+    return calls
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (5, 2), (10, 8)])
+def test_corollary_builds_only_the_small_side(monkeypatch, m, n):
+    # the small side A_q(n) is only read off its specs, and nothing is built
+    make_builders_raise(monkeypatch)
+    reads = record_base_reads(monkeypatch)
+    assert check_corollary(m, n).holds
+    assert reads == [tuple(apery_q_lambda_mu_terms(n, 2, 2, "nksq"))]
 
 
 def test_corollary_reach_can_fail(monkeypatch):
