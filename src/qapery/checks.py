@@ -37,7 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import Modulus, ResidueRing, _binomial, _factorize, binomial_sum_residue, reduce_mod
+from .cyclotomic import (Modulus, _binomial, _factorize, binomial_sum_residue, reduce_mod,
+                         residue_ring)
 from .laurent import LaurentPoly, q_power
 from .qcombinatorics import (
     binom,
@@ -217,7 +218,7 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     k = 2 if which == "sp1" else 1
     _guard_ring_size(n, k * n)
     mod = Modulus(n, k)
-    ring = ResidueRing(n, k)
+    ring = residue_ring(n, k)
     rhs = _harmonic_rhs(n, which)
     rhs_den = lcm(*(Fraction(c).denominator for _, c in rhs.terms()))
     rhs = ring.from_poly(rhs * rhs_den), rhs_den
@@ -406,12 +407,15 @@ def check_zheng_identity(n: int) -> CongruenceReport:
     cofactors C_i = L/[i]_q, L H_q(j) is the prefix sum S_j of the C_i and
     L q H_{1/q}(j) the prefix sum T_j of the q^i C_i.  Since L(0) = 1, the
     lowest coefficient of the total is that of the rational function, and
-    its value at q = 1 is the total's divided by L(1) = (2n)!.
+    its value at q = 1 is the total's divided by L(1) = (2n)!.  An instance
+    whose L, of degree sum_{i<=2n} (i - 1) = n (2n - 1), has degree above
+    ``RING_SIZE_GUARD`` is refused first.
     """
     started = time.perf_counter()
     params = {"n": n}
     if n < 1:
         raise PreconditionError("requires n >= 1")
+    _guard_size(n * (2 * n - 1), "degree %d of prod [i]_q")
     _, product, cofactors = _q_integer_cofactors(2 * n + 1)
     s = [LaurentPoly.zero()]
     t = [LaurentPoly.zero()]
@@ -440,15 +444,21 @@ def check_classical_supercongruences(p: int, n: int, family: str,
 
         apery (p >= 5), lambda-mu (p >= 5, given lambda >= 2 and mu >= 0),
         and almkvist-zudilin (p >= 3).
+
+    Only lambda-mu takes lambda and mu.  An instance with p n above
+    ``RING_SIZE_GUARD`` is refused before p is tested for primality.
     """
     started = time.perf_counter()
     params = {"p": p, "n": n, "family": family}
     if family not in ("apery", "lambda-mu", "almkvist-zudilin"):
         raise PreconditionError("unknown family %r" % (family,))
-    if not _is_prime(p):
-        raise PreconditionError("p must be prime")
+    if family != "lambda-mu" and (lam is not None or mu is not None):
+        raise PreconditionError("the %s family takes no lambda or mu" % family)
     if n < 1:
         raise PreconditionError("requires n >= 1")
+    _guard_size(p * n, "p*n = %d")
+    if not _is_prime(p):
+        raise PreconditionError("p must be prime")
     if family == "apery":
         if p < 5:
             raise PreconditionError("apery family requires p >= 5")
@@ -483,17 +493,30 @@ class CheckSpec:
     """CLI-facing description of one checker: flat integer/choice params."""
 
     __slots__ = ("name", "fn", "int_params", "choice_params", "optional_int_params",
-                 "alpha_arity", "summary")
+                 "optional_for", "alpha_arity", "summary")
 
     def __init__(self, name, fn, int_params, choice_params=None,
-                 optional_int_params=(), alpha_arity=None, summary=""):
+                 optional_int_params=(), optional_for=None, alpha_arity=None, summary=""):
         self.name = name
         self.fn = fn
         self.int_params = tuple(int_params)
         self.choice_params = dict(choice_params or {})
         self.optional_int_params = tuple(optional_int_params)
+        self.optional_for = optional_for
         self.alpha_arity = alpha_arity
         self.summary = summary
+
+    def sweep_instance(self, params: dict) -> dict:
+        """The parameters a sweep runs for one grid point.  With
+        ``optional_for`` = (choice, value), only an instance with that choice
+        gets the optional int parameters: a sweep crosses them with every
+        choice, while ``verify`` passes them as given."""
+        if self.optional_for is None:
+            return params
+        choice, value = self.optional_for
+        if params.get(choice) == value:
+            return params
+        return {k: v for k, v in params.items() if k not in self.optional_int_params}
 
 
 def _main_adapter(m, n1, n2, n3, n4, alpha="ksq"):
@@ -563,7 +586,7 @@ _register(CheckSpec(
 _register(CheckSpec(
     "classical-sc", _classical_adapter, ("p", "n"),
     choice_params={"family": ["apery", "lambda-mu", "almkvist-zudilin"]},
-    optional_int_params=("lambda", "mu"),
+    optional_int_params=("lambda", "mu"), optional_for=("family", "lambda-mu"),
     summary="integer supercongruences F(pn) == F(n) mod p^3"))
 
 

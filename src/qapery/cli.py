@@ -102,7 +102,8 @@ def run_sweep(spec: SweepSpec, guard: int = None) -> dict:
             "sweep would run %d instances, over the guard of %d "
             "(raise QCONG_GUARD to override)" % (total, guard)
         )
-    items = [(spec.check_name, params) for params in spec.instances()]
+    check = CHECKS[spec.check_name]
+    items = [(spec.check_name, check.sweep_instance(params)) for params in spec.instances()]
     workers = min(spec.jobs, os.cpu_count() or 1, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

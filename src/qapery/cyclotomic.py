@@ -8,16 +8,17 @@ every m, so q is invertible modulo Phi_m^k; congruence is the vanishing of
 that residue.  Since Phi_m^k divides (q^m - 1)^k, ``reduce_mod`` first folds
 f below degree k*m by the sparse relation (q^m - 1)^k = 0 and divides only
 the folded polynomial by Phi_m^k; the fold is one helper,
-``laurent._fold``, which ``ResidueRing`` products run as well.
+``laurent._fold``, which ``ResidueRing.mul_q_integer`` runs as well.
 
 ``binomial_sum_residue`` finds the residue of a weighted sum of products of
 q-binomial powers, less a polynomial in q^m - 1, without building the sum.
-It works in ``ResidueRing(m, k)``,
-integer polynomials modulo (q^m - 1)^k, a multiple of Phi_m^k, whose
-elements are k*m integers, and it takes no inverse until a residue is
-known to be nonzero.  The same ring multiplies by a q-integer [t]_q without
-a product and inverts [i]_q in closed form, which is how ``harmonic-sp``
-is decided.  ``inverse_mod`` runs its Euclid loop against Phi_m alone and
+It works in ``ResidueRing(m, k)``, integer polynomials modulo (q^m - 1)^k,
+a multiple of Phi_m^k, whose elements are k*m integers; the ring folds a
+product as one packed integer, modulo (2^(wm) - 1)^k, and
+``residue_ring`` keeps one ring per (m, k).  It takes no inverse until a
+residue is known to be nonzero.  The same ring multiplies by a q-integer
+[t]_q without a product and inverts [i]_q in closed form, which is how
+``harmonic-sp`` is decided.  ``inverse_mod`` runs its Euclid loop against Phi_m alone and
 lifts the inverse to Phi_m^k by Newton steps.
 """
 
@@ -25,12 +26,13 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import sub
 
-from .laurent import LaurentPoly, _dense_mul, _euclid, _fold, _wrap, divrem, exact_div, fold, q_power
+from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _pack, _width, _wrap,
+                      divrem, exact_div, fold, q_power)
 
 
 class NotInvertibleError(ValueError):
@@ -180,20 +182,32 @@ class ResidueRing:
     q^0 .. q^(km-1).
 
     Phi_m^k divides (q^m - 1)^k, so ``reduce_mod(to_poly(v), Modulus(m, k))``
-    is the residue of whatever v stands for.  A product is reduced by the
-    sparse relation (q^m - 1)^k = 0 in ``laurent._fold``, the fold that
-    ``reduce_mod`` runs; for k = 3 it reads q^(3m) = 3 q^(2m) - 3 q^m + 1.
+    is the residue of whatever v stands for.  Every element is the canonical
+    representative, the one of degree below k m; ``mul`` finds the product's
+    as one integer (see there), reduced by the sparse relation
+    (q^m - 1)^k = 0, which for k = 3 reads q^(3m) = 3 q^(2m) - 3 q^m + 1.
     Powers need no products: with x = q^m - 1, x^k = 0, so
     q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
-    well.  Nor does a multiple by [t]_q (``mul_q_integer``), and the inverse
-    of [i]_q has a closed form modulo Phi_m that Newton steps lift
-    (``q_integer_inverse``).  Phi_m and Psi_m are built on first use.
+    well.  Nor does a multiple by [t]_q (``mul_q_integer``), which
+    ``laurent._fold`` reduces, and the inverse of [i]_q has a closed form
+    modulo Phi_m that Newton steps lift (``q_integer_inverse``).
+
+    ``residue_ring(m, k)`` memoizes one ring per (m, k), and the ring keeps
+    what does not depend on a call: the units u_j, Phi_m and Psi_m, built on
+    first use, and the headroom of ``mul``'s digits.  Elements are lists
+    that no method mutates, so they may be shared.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k, self.size = m, k, m * k
         self._wrap = _wrap(m, k)
         self.one = self.q_power(0)
+        self._units, self._layouts = {}, {}
+        # q^(a m + r) has the entries of q^(a m), moved up by r; below q^(2km - 1),
+        # r = 0 takes every a up to 2k - 1 (2k - 2 when m = 1), so its columns sum largest
+        powers = [self.q_power(a * m) for a in range(2 * k - (1 if m > 1 else 2) + 1)]
+        g = max(sum(abs(v[m * i]) for v in powers) for i in range(k)).bit_length()
+        self._headroom = self.size.bit_length() + g + 2
 
     @cached_property
     def phi(self) -> list:
@@ -205,8 +219,50 @@ class ResidueRing:
         return self.from_poly(exact_div(q_power(self.m) - 1, cyclotomic(self.m)))
 
     def mul(self, a: list, b: list) -> list:
-        """The product of two elements."""
-        return _fold(_dense_mul(a, b), self.m, self._wrap)
+        """The product of two elements, as one integer product.
+
+        With Q = 2^w, a(Q) b(Q) = c(Q) for the product c of degree below
+        2km - 1.  Let r be the canonical product, c folded below q^(km).
+        Each coefficient r_i = sum_{s,t} a_s b_t c(q^(s+t))_i, where
+        c(q^e) is the element of q^e; an exponent s + t is hit at most km
+        times, so |r_i| < 2^(bits(max|a|) + bits(max|b|) + bits(km) + g) with
+        g = bits(max_i sum_{e<2km-1} |c(q^e)_i|), a constant of the ring.
+        Two more bits make |r_i| < Q/4.
+
+        The packed product P = c(Q) plus the bias H = sum_{i<km} (Q/2) Q^i is
+        folded: U = hi Q^(km) + lo becomes hi W + lo, W = sum_j w_j Q^(m j)
+        the image of q^(km) modulo (q^m - 1)^k, which is U - hi R with
+        R = (Q^m - 1)^k = Q^(km) - W, the image of (q^m - 1)^k under
+        q -> Q.  So every round is exact modulo R, and it never overshoots:
+        from above hi >= 1 and U - hi R >= lo >= 0, from below hi <= -1 and
+        U - hi R < lo.  The rounds stop at 0 <= U < Q^(km), where U - H is
+        an integer V with km balanced digits |v_i| <= Q/2, congruent to
+        r(Q) modulo R.  Then |V - r(Q)| < (3Q/4)(Q^(km) - 1)/(Q - 1), which is
+        below R since Q > 8 k m, so V = r(Q) and its digits are r.
+        """
+        width = _width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                       + self._headroom)
+        layout = self._layouts.get(width)
+        if layout is None:
+            layout = self._layouts.setdefault(width, self._layout(width))
+        bias, shift, mask, wrap = layout
+        packed_a = _pack(a, width, bias)
+        u = packed_a * (packed_a if a is b else _pack(b, width, bias)) + bias
+        hi = u >> shift
+        while hi:
+            u &= mask
+            for offset, weight in wrap:
+                u += weight * (hi << offset)
+            hi = u >> shift
+        return _digits(u - bias, self.size, width, bias)
+
+    def _layout(self, width: int):
+        """(bias, shift, mask, wrap) of ``mul`` at ``width`` bytes a digit:
+        the bias of k m digits, the bits of k m digits and their mask, and
+        the wrap with its offsets in bits."""
+        shift = 8 * width * self.size
+        wrap = [(8 * width * offset, weight) for offset, weight in self._wrap]
+        return _bias(self.size, width), shift, (1 << shift) - 1, wrap
 
     def mul_q_integer(self, a: list, t: int) -> list:
         """a [t]_q for t >= 1, with no product: a shift-subtract gives
@@ -281,19 +337,32 @@ class ResidueRing:
         return LaurentPoly(dict(enumerate(v)))
 
     def unit(self, j: int) -> list:
-        """u_j, the part of 1 - q^j (j >= 1) prime to Phi_m.
+        """u_j, the part of 1 - q^j (j >= 1) prime to Phi_m, memoized in
+        the ring (a fill is idempotent, so concurrent calls need no lock).
 
         That is 1 - q^j itself when m does not divide j.  For j = a m,
         1 - q^j = -Phi_m Psi_m [a]_{q^m}, so u_j = -Psi_m [a]_{q^m} with
         [a]_{q^m} = ((1 + x)^a - 1) / x = sum_{i<k} C(a, i+1) x^i.
         """
+        v = self._units.get(j)
+        if v is not None:
+            return v
         a, r = divmod(j, self.m)
         if r:
             v = [-c for c in self.q_power(j)]
             v[0] += 1
-            return v
-        series = self.from_x([comb(a, i + 1) for i in range(self.k)])
-        return [-c for c in self.mul(self._psi, series)]
+        else:
+            series = self.from_x([comb(a, i + 1) for i in range(self.k)])
+            v = [-c for c in self.mul(self._psi, series)]
+        return self._units.setdefault(j, v)
+
+
+@lru_cache(maxsize=64)
+def residue_ring(m: int, k: int) -> ResidueRing:
+    """The one ``ResidueRing(m, k)`` of a process, so that its units,
+    Phi_m, Psi_m and digit headroom are built once per ring, not once per
+    call; the least recently used of more than 64 rings is dropped."""
+    return ResidueRing(m, k)
 
 
 def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
@@ -322,7 +391,7 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     depend on D.
     """
     m, k = mod.m, mod.k
-    ring = ResidueRing(m, k)
+    ring = residue_ring(m, k)
     specs = []
     for w, e, triples in terms:
         if any(p < 0 and not 0 <= b <= t for t, b, p in triples):

@@ -19,13 +19,20 @@ is built from ints by one normaliser, ``_make``.  Storage grows with the
 exponent span, not the number of nonzero terms, as a product's cost does.
 
 Two polynomials are multiplied by Kronecker substitution (Schoenhage 1982;
-Harvey, arXiv:0712.4046) in ``_dense_mul``, the one product kernel, which
-``cyclotomic.ResidueRing`` shares.  Each coefficient list is packed into a
-single Python int, one digit of ``w`` bits per exponent, with
-``w = bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b))) + 1``; every
+Harvey, arXiv:0712.4046) in ``_dense_mul``; ``cyclotomic.ResidueRing.mul``
+is the only other product, and both move coefficients through one pair,
+``_pack`` and ``_digits``.  Each coefficient list is packed into a single
+Python int, one digit of ``w`` bits per exponent, with
+``w >= bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b))) + 1``; every
 coefficient of the product then fits a digit with its sign.  One bigint
 multiply (Karatsuba inside CPython) forms the packed product, which is read
-back as balanced digits; the denominators multiply.
+back as balanced digits; the denominators multiply.  A digit of at most 8
+bytes is widened to 1, 2, 4 or 8 bytes and moves through one
+``struct.pack``/``struct.unpack`` of two's-complement digits: XORing the top
+bit of every digit (the bias) turns those into c + 2^(w-1), which a plain
+``int.from_bytes`` reads with no carries, and subtracting the bias leaves
+sum c_i 2^(w i).  Wider digits go through ``int.to_bytes`` one coefficient
+at a time.  A product by a one-coefficient polynomial scales and shifts.
 
 All arithmetic is exact.  Division lives in ``divrem``/``exact_div`` and
 requires ordinary polynomials (no negative exponents); use
@@ -40,6 +47,7 @@ division.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -64,7 +72,10 @@ class LaurentPoly:
     __slots__ = ("_low", "_coeffs", "_den")
 
     def __init__(self, terms=None):
-        clean = {e: _clean_coeff(c) for e, c in terms.items()} if terms else {0: 0}
+        if not terms:
+            self._low, self._coeffs, self._den = 0, [], 1
+            return
+        clean = {e: _clean_coeff(c) for e, c in terms.items()}
         low = min(clean)
         values = [0] * (max(clean) - low + 1)
         for e, c in clean.items():
@@ -76,19 +87,20 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _make(0, [])
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _make(0, [1])
 
     @classmethod
     def constant(cls, c) -> "LaurentPoly":
-        return cls({0: c})
+        c = _clean_coeff(c)
+        return _make(0, [c.numerator], c.denominator)
 
     @classmethod
     def q_power(cls, e: int) -> "LaurentPoly":
-        return cls({e: 1})
+        return _make(e, [1])
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LaurentPoly":
@@ -162,17 +174,25 @@ class LaurentPoly:
         """Product with a scalar or another Laurent polynomial.
 
         Two polynomials go through the Kronecker product ``_dense_mul`` of
-        their coefficient lists; a scalar scales the numerators and the
-        denominator.  The digit width is safe because a product coefficient
-        is a sum of at most ``min(len(a), len(b))`` terms, each below
-        ``2**bits(max|a|) * 2**bits(max|b|)``, so it fits in their bits plus
-        ``bits(min(len(a), len(b)))`` and a sign bit.
+        their coefficient lists, unless one of them has a single coefficient,
+        which scales the other's and shifts its exponents; a scalar scales
+        the numerators and the denominator.  The digit width is safe because
+        a product coefficient is a sum of at most ``min(len(a), len(b))``
+        terms, each below ``2**bits(max|a|) * 2**bits(max|b|)``, so it fits
+        in their bits plus ``bits(min(len(a), len(b)))`` and a sign bit.
         """
         if isinstance(other, LaurentPoly):
-            if not self._coeffs or not other._coeffs:
+            a, b = self._coeffs, other._coeffs
+            if not a or not b:
                 return LaurentPoly()
-            return _make(self._low + other._low, _dense_mul(self._coeffs, other._coeffs),
-                         self._den * other._den)
+            if len(a) == 1:
+                a, b = b, a
+            if len(b) == 1:
+                c = b[0]
+                coeffs = a if c == 1 else [c * x for x in a]
+            else:
+                coeffs = _dense_mul(a, b)
+            return _make(self._low + other._low, coeffs, self._den * other._den)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             num = other.numerator
             return _make(self._low, [c * num for c in self._coeffs], self._den * other.denominator)
@@ -334,8 +354,34 @@ def _combine(a: LaurentPoly, b: LaurentPoly, sign: int) -> LaurentPoly:
     return _make(low, out, den)
 
 
-def _pack(coeffs: list, width: int) -> int:
-    """The integer sum of coeffs[i] * 2**(8*width*i)."""
+#: struct formats of the signed digits of 1, 2, 4 and 8 bytes
+_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _width(bits: int) -> int:
+    """Bytes per digit for signed digits of ``bits`` bits (bits >= 1): the
+    struct sizes 1, 2, 4 or 8 up to 8 bytes, whole bytes above."""
+    width = (bits + 7) >> 3
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+def _bias(count: int, width: int) -> int:
+    """Half a digit, 2**(8*width - 1), in each of ``count`` digits."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coeffs: list, width: int, bias: int = None) -> int:
+    """The integer sum of coeffs[i] * 2**(8*width*i), each |coeffs[i]| below
+    half a digit; ``bias`` is ``_bias(len(coeffs), width)`` if known."""
+    fmt = _FORMATS.get(width)
+    if fmt:
+        # two's-complement digits with their top bits flipped are c + half,
+        # so the bytes read as sum (c_i + half) 2**(8 width i), less the bias
+        count = len(coeffs)
+        if bias is None:
+            bias = _bias(count, width)
+        data = struct.pack("<%d%s" % (count, fmt), *coeffs)
+        return (int.from_bytes(data, "little") ^ bias) - bias
     zero = bytes(width)
     pos = [zero] * len(coeffs)
     neg = [zero] * len(coeffs)
@@ -348,12 +394,19 @@ def _pack(coeffs: list, width: int) -> int:
             - int.from_bytes(b"".join(neg), "little"))
 
 
-def _digits(packed: int, count: int, width: int) -> list:
-    """The ``count`` balanced digits of ``width`` bytes of ``packed``, lowest first."""
+def _digits(packed: int, count: int, width: int, bias: int = None) -> list:
+    """The ``count`` balanced digits of ``width`` bytes of ``packed``, lowest
+    first; ``packed`` + the bias, ``_bias(count, width)``, must lie in
+    [0, 2**(8*width*count))."""
     # adding half a digit to every digit makes each one nonnegative, so the
     # coefficients read back without carries or a sign
+    if bias is None:
+        bias = _bias(count, width)
+    fmt = _FORMATS.get(width)
+    if fmt:
+        data = ((packed + bias) ^ bias).to_bytes(count * width, "little")
+        return list(struct.unpack("<%d%s" % (count, fmt), data))
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
     data = (packed + bias).to_bytes(count * width, "little")
     from_bytes = int.from_bytes
     return [from_bytes(data[i:i + width], "little") - half
@@ -363,9 +416,8 @@ def _digits(packed: int, count: int, width: int) -> list:
 def _dense_mul(a: list, b: list) -> list:
     """The product of two nonempty dense integer coefficient lists, by
     Kronecker substitution; ``a is b`` packs once and squares."""
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(len(a), len(b)).bit_length() + 1)
-    width = (bits + 7) >> 3
+    width = _width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+                   + min(len(a), len(b)).bit_length() + 1)
     packed_a = _pack(a, width)
     packed_b = packed_a if a is b else _pack(b, width)
     return _digits(packed_a * packed_b, len(a) + len(b) - 1, width)
@@ -383,8 +435,8 @@ def _fold(v: list, m: int, wrap: list) -> list:
 
     For k = 1 that is q^m = 1, the sum of each residue class mod m.
     Otherwise each coefficient from the top down is moved onto lower powers
-    by ``wrap``, and v is reused.  ``cyclotomic.ResidueRing.mul`` reduces its
-    products here.
+    by ``wrap``, and v is reused.  ``cyclotomic.ResidueRing.mul_q_integer``
+    reduces its multiples here.
     """
     if len(wrap) == 1:
         return [sum(v[r::m]) for r in range(m)]

@@ -196,16 +196,37 @@ def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:
 
 
 def _compositions(total: int, parts: int, cap: int):
-    """All tuples of `parts` entries in [0, cap] summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+    """All tuples of `parts` entries in [0, cap] summing to `total`, in
+    lexicographic order.  Each next tuple raises the last entry that can grow
+    while a later one shrinks and refills the later ones smallest first, so
+    no recursion depth limits `parts`."""
+    if not 0 <= total <= parts * cap:
         return
-    lo = max(0, total - cap * (parts - 1))
-    hi = min(cap, total)
-    for c in range(lo, hi + 1):
-        for rest in _compositions(total - c, parts - 1, cap):
-            yield (c,) + rest
+    comp = [0] * parts
+    i, rest = -1, total
+    while True:
+        for j in range(parts - 1, i, -1):
+            comp[j] = min(cap, rest)
+            rest -= comp[j]
+        yield tuple(comp)
+        for i in range(parts - 2, -1, -1):
+            rest += comp[i + 1]
+            if comp[i] < cap and rest:
+                break
+        else:
+            return
+        comp[i] += 1
+        rest -= 1
+
+
+def _composition_count(total: int, parts: int, cap: int) -> int:
+    """How many tuples ``_compositions`` yields, by inclusion-exclusion over
+    the entries above cap (parts >= 1)."""
+    # c -> cap - c maps the compositions of total onto those of parts cap - total
+    total = min(total, parts * cap - total)
+    return sum((-1) ** j * math.comb(parts, j)
+               * math.comb(total - j * (cap + 1) + parts - 1, parts - 1)
+               for j in range(total // (cap + 1) + 1))
 
 
 def check_q_chu_vandermonde(a: int, b: int, n: int) -> CongruenceReport:
@@ -213,6 +234,10 @@ def check_q_chu_vandermonde(a: int, b: int, n: int) -> CongruenceReport:
 
         C(a*n, b*n)_q == sum over c_1 + ... + c_a = b*n of
             q^(n * sum (i-1) c_i - sum_{i<j} c_i c_j) * prod C(n, c_i)_q
+
+    An instance is refused first when the degree b n (a n - b n) of the
+    left side, or the number of q-binomial factors over all compositions,
+    a times their number, exceeds ``RING_SIZE_GUARD``.
     """
     started = time.perf_counter()
     params = {"a": a, "b": b, "n": n}
@@ -220,10 +245,13 @@ def check_q_chu_vandermonde(a: int, b: int, n: int) -> CongruenceReport:
         raise PreconditionError("convolution check requires a >= 2, b >= 0, n >= 1")
     if b * n > a * n:
         raise PreconditionError("convolution check requires b*n <= a*n")
+    _guard_size(b * n * (a * n - b * n), "degree %d of C(an, bn)_q")
+    _guard_size(a * _composition_count(b * n, a, n), "%d q-binomial factors over the compositions")
     total = LaurentPoly.zero()
     for comp in _compositions(b * n, a, n):
+        # sum_{i<j} c_i c_j = ((sum c_i)^2 - sum c_i^2) / 2
         e = n * sum(i * c for i, c in enumerate(comp))
-        e -= sum(comp[i] * comp[j] for i in range(a) for j in range(i + 1, a))
+        e -= (b * n * b * n - sum(c * c for c in comp)) // 2
         term = q_power(e)
         for c in comp:
             term = term * qbin(n, c)

@@ -129,7 +129,7 @@ def nothing_runs(monkeypatch):
     def unreachable(*args):
         raise AssertionError("an oversized instance got past the size guard")
 
-    for name in ("Modulus", "ResidueRing", "_harmonic_rhs"):
+    for name in ("Modulus", "residue_ring", "_harmonic_rhs"):
         monkeypatch.setattr(checks, name, unreachable)
 
 

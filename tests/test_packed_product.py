@@ -1,0 +1,171 @@
+"""The packed products: ``laurent._pack``/``_digits`` and ``ResidueRing.mul``.
+
+``ResidueRing.mul`` multiplies two elements as single integers and folds
+the packed product modulo (2^(wm) - 1)^k until it has k m balanced digits.
+Its oracle is the product it replaced, kept here: the Kronecker product
+``_dense_mul`` folded by the list fold ``_fold``.  The operands cover every
+struct digit width (1, 2, 4 and 8 bytes) and wide digits, squares, and
+operands of all +-(2^b - 1), which make the digit bound tight.  The ring
+memo is checked as well: a kernel call leaves every cached unit equal to a
+freshly built one.
+"""
+
+import importlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qapery.cyclotomic import Modulus, ResidueRing, binomial_sum_residue, residue_ring
+from qapery.laurent import LaurentPoly, _dense_mul, _digits, _fold, _pack, _width, _wrap
+
+cyclotomic_module = importlib.import_module("qapery.cyclotomic")
+
+
+def oracle(ring, a, b):
+    return _fold(_dense_mul(a, b), ring.m, _wrap(ring.m, ring.k))
+
+
+# -- _pack and _digits -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_struct_widths_round_trip_their_extremes(width):
+    half = 1 << (8 * width - 1)
+    coeffs = [-half, half - 1, 0, -1, 1, half - 1, -half]
+    packed = _pack(coeffs, width)
+    assert packed == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+    assert _digits(packed, len(coeffs), width) == coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 8, 9, 17]).flatmap(lambda width: st.tuples(
+    st.just(width), st.lists(st.integers(-(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1),
+                             min_size=1, max_size=40))))
+def test_pack_and_digits_round_trip(case):
+    width, coeffs = case
+    packed = _pack(coeffs, width)
+    assert packed == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
+    assert _digits(packed, len(coeffs), width) == coeffs
+
+
+def test_widths_round_up_to_struct_sizes():
+    assert [_width(bits) for bits in (1, 8, 9, 16, 17, 32, 33, 64, 65, 72, 73)] == \
+        [1, 1, 2, 2, 4, 4, 8, 8, 9, 9, 10]
+
+
+# -- ResidueRing.mul against the list fold --------------------------------------
+
+#: coefficient bit sizes: every struct width for the product digits, then wide ones
+BITS = [0, 1, 2, 5, 12, 20, 27, 40, 58, 61, 62, 63, 64, 65, 100, 300]
+
+
+@st.composite
+def ring_operands(draw):
+    m, k = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    size = m * k
+
+    def element(bits):
+        top = (1 << bits) - 1
+        kind = draw(st.sampled_from(["random", "+top", "-top", "alternating"]))
+        if kind == "random":
+            return draw(st.lists(st.integers(-top, top), min_size=size, max_size=size))
+        if kind == "alternating":
+            return [top if i % 2 else -top for i in range(size)]
+        return [top if kind == "+top" else -top] * size
+
+    a = element(draw(st.sampled_from(BITS)))
+    b = a if draw(st.booleans()) else element(draw(st.sampled_from(BITS)))
+    return m, k, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(ring_operands())
+def test_ring_product_is_the_folded_kronecker_product(case):
+    m, k, a, b = case
+    ring = ResidueRing(m, k)
+    assert ring.mul(a, b) == oracle(ring, a, b)
+    assert ring.mul(b, a) == oracle(ring, a, b)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_extreme_operands_at_every_ring(m, k):
+    # operands of all +-(2^b - 1), b just below and at each struct width,
+    # put every product coefficient at the top of the bound
+    ring = ResidueRing(m, k)
+    for bits in (1, 3, 7, 13, 27, 29, 59, 61, 62, 64, 120):
+        top = (1 << bits) - 1
+        for a in ([top] * ring.size, [-top] * ring.size):
+            assert ring.mul(a, a) == oracle(ring, a, a)
+            b = [-c for c in a]
+            assert ring.mul(a, b) == oracle(ring, a, b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_headroom_is_read_off_the_columns_of_q_powers(m, k):
+    # g is the bit length of the largest column sum of |q^e| over e < 2km - 1
+    ring = ResidueRing(m, k)
+    columns = [ring.q_power(e) for e in range(2 * ring.size - 1)]
+    g = max(sum(abs(v[i]) for v in columns) for i in range(ring.size)).bit_length()
+    assert ring._headroom == ring.size.bit_length() + g + 2
+
+
+# -- one ring per (m, k) ---------------------------------------------------------
+
+
+def test_one_ring_per_modulus(monkeypatch):
+    built = []
+    original = cyclotomic_module.ResidueRing
+    monkeypatch.setattr(cyclotomic_module, "ResidueRing",
+                        lambda m, k: built.append((m, k)) or original(m, k))
+    residue_ring.cache_clear()
+    try:
+        terms = [(1, 0, ((12, 4, 1),)), (-1, 3, ((9, 2, 1), (5, 2, 1)))]
+        first = binomial_sum_residue(terms, [1, 2, 3], Modulus(4, 3))
+        assert binomial_sum_residue(terms, [1, 2, 3], Modulus(4, 3)) == first
+        binomial_sum_residue(terms, [], Modulus(4, 2))
+        assert built == [(4, 3), (4, 2)]
+        assert residue_ring(4, 3) is residue_ring(4, 3)
+    finally:
+        residue_ring.cache_clear()
+
+
+@pytest.mark.parametrize("m, k", [(1, 3), (3, 3), (4, 2), (6, 3)])
+def test_a_kernel_call_mutates_no_cached_unit(m, k):
+    ring = residue_ring(m, k)
+    terms = [(1, 0, ((4 * m, 2 * m, 2),)), (3, -2, ((3 * m + 1, m, 1), (m + 1, 1, -1))),
+             (-2, 5, ((2 * m, m, 1), (2 * m, m - 1, 1)))]
+    binomial_sum_residue(terms, [1, -1, 2][:k], Modulus(m, k))
+    binomial_sum_residue(terms, [], Modulus(m, k))
+    assert ring._units
+    fresh = ResidueRing(m, k)
+    for j, unit in ring._units.items():
+        assert unit == fresh.unit(j)
+    assert ring.one == fresh.one == fresh.q_power(0)
+
+
+# -- LaurentPoly fast paths -------------------------------------------------------
+
+
+def test_constructors_are_canonical_without_a_dict():
+    assert LaurentPoly.zero() == LaurentPoly({0: 0}) == LaurentPoly() == LaurentPoly({})
+    assert LaurentPoly.one() == LaurentPoly({0: 1})
+    assert LaurentPoly.q_power(-7) == LaurentPoly({-7: 1})
+    assert LaurentPoly.constant(0).is_zero()
+    half = LaurentPoly.constant(Fraction(6, 4))
+    assert list(half.terms()) == [(0, Fraction(3, 2))]
+    for bad in (1.5, True, "1"):
+        with pytest.raises(TypeError):
+            LaurentPoly.constant(bad)
+
+
+def test_product_by_one_coefficient_scales_and_shifts(monkeypatch):
+    laurent = importlib.import_module("qapery.laurent")
+    monkeypatch.setattr(laurent, "_dense_mul", lambda a, b: pytest.fail("packed a monomial"))
+    f = LaurentPoly({-2: Fraction(1, 3), 0: 4, 5: -6})
+    assert list((f * LaurentPoly({3: Fraction(3, 2)})).terms()) == \
+        [(1, Fraction(1, 2)), (3, 6), (8, -9)]
+    assert list((LaurentPoly.q_power(2) * f).terms()) == [(0, Fraction(1, 3)), (2, 4), (7, -6)]
+    assert (f * LaurentPoly.one()) == f and (LaurentPoly.q_power(-1) * LaurentPoly.q_power(1)) == 1
