@@ -82,7 +82,9 @@ def _guard_base_size(terms):
     mu, still bounds n, lambda and mu where the M*m guard is loose: at small
     m that guard admits n in the thousands, whose lhs the kernel decides
     only slowly.  Without this guard it admits corollary (2, 1024), which
-    took 110 s (2 cores, Python 3.11), and (1, 2048), which ran past 150 s.
+    took 71 s (110 s before the kernel summed each valuation class in its
+    own ring; 2 cores, Python 3.11), and (1, 2048), which ran past 150 s;
+    at m = 1 every term has valuation 0, so that figure still holds.
     """
     span = (max(e + sum(p * b * (t - b) for t, b, p in triples) for e, triples in terms)
             - min(e for e, _ in terms))

@@ -15,11 +15,14 @@ q-binomial powers, less a polynomial in q^m - 1, without building the sum.
 It works in ``ResidueRing(m, k)``, integer polynomials modulo (q^m - 1)^k,
 a multiple of Phi_m^k, whose elements are k*m integers; the ring folds a
 product as one packed integer, modulo (2^(wm) - 1)^k, and
-``residue_ring`` keeps one ring per (m, k).  It takes no inverse until a
-residue is known to be nonzero.  The same ring multiplies by a q-integer
-[t]_q without a product and inverts [i]_q in closed form, which is how
-``harmonic-sp`` is decided.  ``inverse_mod`` runs its Euclid loop against Phi_m alone and
-lifts the inverse to Phi_m^k by Newton steps.
+``residue_ring`` keeps one ring per (m, k).  A term divisible by Phi_m^v
+matters only modulo Phi_m^(k - v), so the terms of each valuation v >= 1
+are summed in the smaller ring of (m, k - v), and their sum is lifted by
+Phi_m^v once.  It takes no inverse until a residue is known to be nonzero.
+The same ring multiplies by a q-integer [t]_q without a product and
+inverts [i]_q in closed form, which is how ``harmonic-sp`` is decided.
+``inverse_mod`` runs its Euclid loop against Phi_m alone and lifts the
+inverse to Phi_m^k by Newton steps.
 """
 
 from __future__ import annotations
@@ -385,10 +388,17 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     factorials of a term, every term times D = F(B)^d is q^e Phi_m^valuation
     times a product of prefixes F(i) and suffixes G(i) = F(B)/F(i); a term
     with fewer denominator factorials takes G(0) = F(B) for each one
-    missing.  The whole difference is scaled by D, and by the lcm of the
-    denominators of rhs.  Only a nonzero scaled residue is multiplied by the
-    inverse of that scale; since the residue is unique, the result does not
-    depend on D.
+    missing.
+
+    The terms of valuation v are summed in ``residue_ring(m, k - v)``: the
+    prefixes and suffixes they use are folded there once, and their sum,
+    padded to k m entries, is multiplied once by Phi_m^v in the full ring.
+    That is exact because Phi_m^v (a + (q^m - 1)^(k-v) b) == Phi_m^v a
+    (mod Phi_m^k).  Terms of valuation 0 are summed in the full ring, and
+    the units, the tables and D never leave it.  The whole difference is
+    scaled by D, and by the lcm of the denominators of rhs.  Only a nonzero
+    scaled residue is multiplied by the inverse of that scale; since the
+    residue is unique, the result does not depend on D.
     """
     m, k = mod.m, mod.k
     ring = residue_ring(m, k)
@@ -423,22 +433,35 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     for j in range(bottom, 0, -1):
         suffix[j - 1] = ring.mul(suffix[j], units[j])
     depth = max((denominators(counts) for *_, counts in specs), default=0)
+    groups = {}
+    for w, e, valuation, counts in specs:
+        counts[0] = denominators(counts) - depth
+        groups.setdefault(valuation, []).append((w, e, counts))
     phi_powers = [ring.one]
-    for _ in range(max((valuation for _, _, valuation, _ in specs), default=0)):
+    for _ in range(max(groups, default=0)):
         phi_powers.append(ring.mul(phi_powers[-1], ring.phi))
 
     total = [0] * ring.size
-    for w, e, valuation, counts in specs:
-        counts[0] = denominators(counts) - depth
-        g = gcd(*counts.values()) or 1
-        term = ring.q_power(e)
+    for valuation, group in groups.items():
+        sub, tops, bottoms = ring, prefix, suffix
         if valuation:
-            term = ring.mul(term, phi_powers[valuation])
-        factors = [ring.power(prefix[i] if n > 0 else suffix[i], abs(n) // g)
-                   for i, n in counts.items() if n]
-        if factors:
-            term = ring.mul(term, ring.power(reduce(ring.mul, factors), g))
-        total = [s + w * t for s, t in zip(total, term)]
+            sub = residue_ring(m, k - valuation)
+            used = {(i, n > 0) for _, _, counts in group for i, n in counts.items() if n}
+            # _fold reuses its list, and the table entries are shared
+            tops = {i: _fold(list(prefix[i]), m, sub._wrap) for i, top in used if top}
+            bottoms = {i: _fold(list(suffix[i]), m, sub._wrap) for i, top in used if not top}
+        part = [0] * sub.size
+        for w, e, counts in group:
+            g = gcd(*counts.values()) or 1
+            term = sub.q_power(e)
+            factors = [sub.power(tops[i] if n > 0 else bottoms[i], abs(n) // g)
+                       for i, n in counts.items() if n]
+            if factors:
+                term = sub.mul(term, sub.power(reduce(sub.mul, factors), g))
+            part = [s + w * t for s, t in zip(part, term)]
+        if valuation:
+            part = ring.mul(part + [0] * (ring.size - sub.size), phi_powers[valuation])
+        total = [s + t for s, t in zip(total, part)]
 
     scaling = ring.power(suffix[0], depth)
     scale = lcm(*(Fraction(r).denominator for r in rhs))

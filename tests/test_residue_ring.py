@@ -9,7 +9,8 @@ the two must give identical residues, for the statement as given and
 perturbed (the correction factor c raised by one, or a weight raised by
 one), which makes every residue nonzero.  The kernel's parts, and the bases
 it reads at m = 1, are compared with ``LaurentPoly`` arithmetic under
-hypothesis; with every builder made to raise, no checker builds a
+hypothesis, and so is each valuation group, whose ring products are
+recorded as well; with every builder made to raise, no checker builds a
 q-binomial; and the size guards are tested without running an oversized
 instance.
 """
@@ -525,6 +526,126 @@ def test_dropping_a_term_of_valuation_k_leaves_the_residue(m, k, data):
     with_term = binomial_sum_residue(others + [dropped], rhs, mod)
     assert with_term == binomial_sum_residue(others, rhs, mod)
     assert with_term == built_residue(others + [dropped], rhs, mod)
+
+
+# -- the valuation groups: a term of valuation v summed modulo Phi_m^(k - v) ------
+
+
+def phi_valuation(triples, m):
+    """The Phi_m-valuation of prod C(t, b)_q^p, by dividing each built
+    q-binomial by Phi_m while it divides."""
+    phi, total = cyclotomic(m), 0
+    for t, b, p in triples:
+        f = qbin(t, b)
+        while True:
+            quotient, remainder = divrem(f, phi)
+            if not remainder.is_zero():
+                break
+            f, total = quotient, total + p
+    return total
+
+
+def valued_term(data, m, v):
+    """A (w, e, triples) spec of Phi_m-valuation v (v = 0 when m = 1), with
+    powers -1..3; an optional divisor C(t, b)_q, t < 2m, may lower it by one
+    or, at v = 0, make the term refused."""
+    def phi_once():
+        # C(a m, c m + r)_q with 0 < r < m has valuation exactly 1
+        a = data.draw(st.integers(1, 3))
+        return a * m, data.draw(st.integers(0, a - 1)) * m + data.draw(st.integers(1, m - 1))
+
+    triples, left = [], v
+    while left:
+        p = data.draw(st.integers(1, min(3, left)))
+        triples.append((*phi_once(), p))
+        left -= p
+    if m > 1 and data.draw(st.booleans()):
+        triples += [(*phi_once(), -1), (*phi_once(), 1)]
+    # factors prime to Phi_m: C(t, b)_q with t < m, and C(a m, c m)_q
+    prime = st.one_of(
+        st.integers(0, m - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t))),
+        st.integers(0, 3).flatmap(lambda a: st.tuples(st.just(a * m), st.integers(0, a).map(lambda c: c * m))))
+    triples += [(t, b, data.draw(st.integers(-1, 3))) for t, b in data.draw(st.lists(prime, max_size=2))]
+    if data.draw(st.booleans()):
+        t = data.draw(st.integers(0, 2 * m - 1))
+        triples.append((t, data.draw(st.integers(0, t)), -1))
+    return data.draw(st.integers(-3, 3)), data.draw(st.integers(-30, 30)), tuple(triples)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.data())
+def test_every_valuation_group_matches_the_built_residue(m, k, data):
+    # one term of every valuation 0..k-1, then the statement made to hold by
+    # its own negation, and broken by raising one term's weight by one
+    mod = Modulus(m, k)
+    top = k - 1 if m > 1 else 0
+    terms = [valued_term(data, m, v) for v in range(top + 1)]
+    terms += [valued_term(data, m, data.draw(st.integers(0, top)))
+              for _ in range(data.draw(st.integers(0, 2)))]
+    rhs = data.draw(x_coefficients)[:k]
+    i = data.draw(st.integers(0, len(terms) - 1))
+    holding = terms + [(-w, e, triples) for w, e, triples in terms]
+    w, e, triples = holding[len(terms) + i]
+    broken = holding[:len(terms) + i] + [(w + 1, e, triples)] + holding[len(terms) + i + 1:]
+    try:
+        want = built_residue(terms, rhs, mod)
+        want_broken = built_residue(broken, [], mod)
+    except NotInvertibleError:
+        for statement in (terms, broken):
+            with pytest.raises(NotInvertibleError):
+                binomial_sum_residue(statement, rhs, mod)
+        return
+    assert binomial_sum_residue(terms, rhs, mod) == want
+    assert binomial_sum_residue(holding, [], mod).is_zero()
+    assert binomial_sum_residue(broken, [], mod) == want_broken
+    assert not want_broken.is_zero()
+
+
+def kernel_products(monkeypatch, terms, rhs, mod):
+    """The (m, k) ring, and both operands, of every ring product of one
+    kernel call."""
+    products = []
+    mul = ResidueRing.mul
+
+    def recording(ring, a, b):
+        products.append(((ring.m, ring.k), a, b))
+        return mul(ring, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ResidueRing, "mul", recording)
+        binomial_sum_residue(terms, rhs, mod)
+    return products
+
+
+@pytest.mark.parametrize("run, params", [(check_corollary, (5, 3)), (check_qbin_prop, (6, 3, 1, 2))],
+                         ids=["corollary", "qbin-prop"])
+def test_a_valuation_group_is_multiplied_in_its_ring_and_lifted_once(monkeypatch, run, params):
+    calls = record_kernel(monkeypatch)
+    assert run(*params).holds
+    assert calls
+    for terms, rhs, mod, _ in calls:
+        m, k = mod.m, mod.k
+        valuations = {phi_valuation(triples, m) for _, _, triples in terms} - {0}
+        assert valuations and max(valuations) < k
+        binomial_sum_residue(terms, rhs, mod)
+        products = kernel_products(monkeypatch, terms, rhs, mod)
+        # more terms of valuation v >= 1 add products in their rings alone
+        more = kernel_products(monkeypatch, terms + [(w, e + 1, triples) for w, e, triples in terms
+                                                     if phi_valuation(triples, m)], rhs, mod)
+        for recorded in (products, more):
+            assert {ring for ring, _, _ in recorded} == {(m, k)} | {(m, k - v) for v in valuations}
+            assert all(len(a) == len(b) == ring[0] * ring[1] for ring, a, b in recorded)
+
+        def count(recorded, ring):
+            return sum(r == ring for r, _, _ in recorded)
+        assert count(more, (m, k)) == count(products, (m, k))
+        assert all(count(more, (m, k - v)) > count(products, (m, k - v)) for v in valuations)
+        # the lifts: a full-ring product by Phi_m^v whose other side is no power of Phi_m
+        ring = ResidueRing(m, k)
+        phi_powers = [ring.from_poly(cyclotomic(m) ** v) for v in range(k)]
+        lifts = [phi_powers.index(b) for r, a, b in products
+                 if r == (m, k) and b in phi_powers[1:] and a not in phi_powers]
+        assert sorted(lifts) == sorted(valuations)
 
 
 # -- reach: instances whose left side would be large fail when perturbed -------
