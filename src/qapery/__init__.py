@@ -23,13 +23,11 @@ from .cyclotomic import (
     ResidueRing,
     binomial_sum_residue,
     congruent,
-    cyclotomic,
     cyclotomic_at_one,
     euler_phi,
     integer_coefficient_check,
     inverse_mod,
     reduce_mod,
-    residue_exact,
 )
 from .qcombinatorics import (
     binom,
@@ -45,9 +43,7 @@ from .qcombinatorics import (
 )
 from .qcommute import (
     QPolynomial,
-    coefficient_of,
     expand_linear_form_product,
-    qcommute_mul,
 )
 from .sequences import (
     AlphaExponent,

@@ -10,6 +10,7 @@ output apart from the elapsed-time fields.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import os
@@ -86,16 +87,16 @@ def _sweep_worker(item):
     return ("ok", params, report.to_row())
 
 
-def run_sweep(spec: SweepSpec, guard: int = None) -> dict:
-    """Run the full grid and return the report document."""
+def run_sweep(spec: SweepSpec) -> dict:
+    """Run the full grid and return the report document; the ``QCONG_GUARD``
+    environment variable caps the instance count."""
     if spec.check_name not in CHECKS:
         raise UsageError("unknown check %r" % (spec.check_name,))
-    if guard is None:
-        raw = os.environ.get("QCONG_GUARD", str(DEFAULT_INSTANCE_GUARD))
-        try:
-            guard = int(raw)
-        except ValueError:
-            raise UsageError("bad QCONG_GUARD value %r (expected an integer)" % (raw,))
+    raw = os.environ.get("QCONG_GUARD", str(DEFAULT_INSTANCE_GUARD))
+    try:
+        guard = int(raw)
+    except ValueError:
+        raise UsageError("bad QCONG_GUARD value %r (expected an integer)" % (raw,))
     total = spec.instance_count()
     if total > guard:
         raise UsageError(
@@ -137,28 +138,22 @@ def _params_text(params: dict) -> str:
     return " ".join("%s=%s" % (k, params[k]) for k in sorted(params))
 
 
-def _render_rows_table(rows, out):
-    for row in rows:
-        out.write(
+def _rows_text(rows, fmt: str) -> str:
+    """Result rows as table lines, or as CSV under one header line."""
+    if fmt != "csv":
+        return "".join(
             "%-20s %-40s %-12s %-5s residue@1=%s %dms\n"
-            % (
-                row["check"],
-                _params_text(row["params"]),
-                row["modulus"],
-                "holds" if row["holds"] else "FAILS",
-                row["residue_at_one"],
-                row["elapsed_ms"],
-            )
+            % (row["check"], _params_text(row["params"]), row["modulus"],
+               "holds" if row["holds"] else "FAILS", row["residue_at_one"], row["elapsed_ms"])
+            for row in rows
         )
-
-
-def _render_rows_csv(rows, out):
+    if not rows:
+        return ""
     import csv
 
-    if not rows:
-        return
     param_names = sorted(set().union(*(row["params"] for row in rows)))
-    writer = csv.writer(out)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(["check"] + param_names + ["modulus", "holds", "residue_at_one", "elapsed_ms"])
     for row in rows:
         writer.writerow(
@@ -166,6 +161,7 @@ def _render_rows_csv(rows, out):
             + [row["params"].get(p, "") for p in param_names]
             + [row["modulus"], row["holds"], row["residue_at_one"], row["elapsed_ms"]]
         )
+    return buf.getvalue()
 
 
 def _check_output(output_path):
@@ -189,25 +185,12 @@ def _emit(text: str, output_path, mode: str = "w"):
 def _document_text(document: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(document, indent=2) + "\n"
-    import io
-
-    buf = io.StringIO()
     if fmt == "csv":
-        _render_rows_csv(document["results"], buf)
-        summary = document["summary"]
-        buf.write(
-            "# total=%d held=%d failed=%d skipped=%d\n"
-            % (summary["total"], summary["held"], summary["failed"], summary["skipped"])
-        )
+        tail = "# total=%(total)d held=%(held)d failed=%(failed)d skipped=%(skipped)d\n"
     else:
-        _render_rows_table(document["results"], buf)
-        summary = document["summary"]
-        buf.write(
-            "total %d: %d held, %d failed, %d skipped (%d ms)\n"
-            % (summary["total"], summary["held"], summary["failed"],
-               summary["skipped"], summary["elapsed_ms"])
-        )
-    return buf.getvalue()
+        tail = ("total %(total)d: %(held)d held, %(failed)d failed, %(skipped)d skipped"
+                " (%(elapsed_ms)d ms)\n")
+    return _rows_text(document["results"], fmt) + tail % document["summary"]
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +363,7 @@ def _cmd_verify(ns) -> int:
     except PreconditionError as exc:
         raise UsageError("bad parameters for %s: %s" % (ns.check, exc))
     row = report.to_row()
-    if ns.format == "json":
-        text = json.dumps(row, indent=2) + "\n"
-    else:
-        import io
-
-        buf = io.StringIO()
-        render = _render_rows_csv if ns.format == "csv" else _render_rows_table
-        render([row], buf)
-        text = buf.getvalue()
+    text = json.dumps(row, indent=2) + "\n" if ns.format == "json" else _rows_text([row], ns.format)
     _emit(text, ns.output)
     return 0 if report.holds else 1
 

@@ -34,8 +34,8 @@ from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import sub
 
-from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _pack, _width, _wrap,
-                      divrem, exact_div, fold, q_power)
+from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _pack, _power, _width,
+                      _wrap, divrem, exact_div, fold, q_power)
 
 
 class NotInvertibleError(ValueError):
@@ -134,24 +134,21 @@ def reduce_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
     (``laurent.fold``, the reduction ``ResidueRing.mul`` also runs), and only
     the folded polynomial is divided by Phi_m^k.  Negative exponents are
     cleared by multiplying f by q^(m a), with m a >= -min_degree(f), and by
-    the inverse of q^(m a).  Writing q^m = 1 + x, x^k == 0, so that inverse
-    is the truncated binomial series sum_{j<k} C(-a, j) x^j.
+    the inverse of q^(m a), which ``ResidueRing.q_power`` gives modulo
+    (q^m - 1)^k as the truncated binomial series sum_{j<k} C(-a, j) x^j,
+    x = q^m - 1.
     """
     m, k = mod.m, mod.k
     if not f.is_ordinary():
         a = -(f.min_degree() // m)
-        x = q_power(m) - 1
-        u = sum((comb(a + j - 1, j) * (-x) ** j for j in range(k)), LaurentPoly.zero())
-        f = u * (q_power(m * a) * f)
+        ring = residue_ring(m, k)
+        f = ring.to_poly(ring.q_power(-m * a)) * (q_power(m * a) * f)
     return divrem(fold(f, m, k), mod.polynomial)[1]
 
 
 def congruent(f: LaurentPoly, g: LaurentPoly, mod: Modulus) -> bool:
     """True iff f == g (mod Phi_m^k) in Q[q^{+-1}]."""
     return reduce_mod(f - g, mod).is_zero()
-
-
-residue_exact = reduce_mod
 
 
 def inverse_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
@@ -304,14 +301,7 @@ class ResidueRing:
 
     def power(self, a: list, e: int) -> list:
         """a^e for e >= 0."""
-        result = self.one
-        while e:
-            if e & 1:
-                result = a if result is self.one else self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
+        return _power(a, e, self.mul, self.one)
 
     def from_x(self, coeffs, r: int = 0) -> list:
         """q^r sum_j coeffs[j] x^j, for 0 <= r < m and at most k coefficients."""
@@ -437,9 +427,6 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     for w, e, valuation, counts in specs:
         counts[0] = denominators(counts) - depth
         groups.setdefault(valuation, []).append((w, e, counts))
-    phi_powers = [ring.one]
-    for _ in range(max(groups, default=0)):
-        phi_powers.append(ring.mul(phi_powers[-1], ring.phi))
 
     total = [0] * ring.size
     for valuation, group in groups.items():
@@ -460,7 +447,7 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
                 term = sub.mul(term, sub.power(reduce(sub.mul, factors), g))
             part = [s + w * t for s, t in zip(part, term)]
         if valuation:
-            part = ring.mul(part + [0] * (ring.size - sub.size), phi_powers[valuation])
+            part = ring.mul(part + [0] * (ring.size - sub.size), ring.power(ring.phi, valuation))
         total = [s + t for s, t in zip(total, part)]
 
     scaling = ring.power(suffix[0], depth)

@@ -26,13 +26,15 @@ Python int, one digit of ``w`` bits per exponent, with
 ``w >= bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b))) + 1``; every
 coefficient of the product then fits a digit with its sign.  One bigint
 multiply (Karatsuba inside CPython) forms the packed product, which is read
-back as balanced digits; the denominators multiply.  A digit of at most 8
-bytes is widened to 1, 2, 4 or 8 bytes and moves through one
-``struct.pack``/``struct.unpack`` of two's-complement digits: XORing the top
-bit of every digit (the bias) turns those into c + 2^(w-1), which a plain
-``int.from_bytes`` reads with no carries, and subtracting the bias leaves
-sum c_i 2^(w i).  Wider digits go through ``int.to_bytes`` one coefficient
-at a time.  A product by a one-coefficient polynomial scales and shifts.
+back as balanced digits; the denominators multiply.  Every digit is laid
+out in two's complement: one of at most 8 bytes is widened to 1, 2, 4 or 8
+bytes and moves through one ``struct.pack``/``struct.unpack``, a wider one
+through signed ``int.to_bytes``/``int.from_bytes`` one coefficient at a
+time.  XORing the top bit of every digit (the bias) turns those into
+c + 2^(w-1), which a plain ``int.from_bytes`` reads with no carries, and
+subtracting the bias leaves sum c_i 2^(w i).  A product by a
+one-coefficient polynomial scales and shifts; ``_power`` is the one
+squaring loop, for polynomials and residue-ring elements alike.
 
 All arithmetic is exact.  Division lives in ``divrem``/``exact_div`` and
 requires ordinary polynomials (no negative exponents); use
@@ -47,6 +49,7 @@ division.
 
 from __future__ import annotations
 
+import operator
 import struct
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -211,15 +214,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial power requires a nonnegative integer exponent")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return LaurentPoly.one() if result is None else result
+        return _power(self, n, operator.mul, one)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -373,25 +368,17 @@ def _bias(count: int, width: int) -> int:
 def _pack(coeffs: list, width: int, bias: int = None) -> int:
     """The integer sum of coeffs[i] * 2**(8*width*i), each |coeffs[i]| below
     half a digit; ``bias`` is ``_bias(len(coeffs), width)`` if known."""
+    count = len(coeffs)
+    if bias is None:
+        bias = _bias(count, width)
     fmt = _FORMATS.get(width)
     if fmt:
-        # two's-complement digits with their top bits flipped are c + half,
-        # so the bytes read as sum (c_i + half) 2**(8 width i), less the bias
-        count = len(coeffs)
-        if bias is None:
-            bias = _bias(count, width)
         data = struct.pack("<%d%s" % (count, fmt), *coeffs)
-        return (int.from_bytes(data, "little") ^ bias) - bias
-    zero = bytes(width)
-    pos = [zero] * len(coeffs)
-    neg = [zero] * len(coeffs)
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i] = c.to_bytes(width, "little")
-        elif c:
-            neg[i] = (-c).to_bytes(width, "little")
-    return (int.from_bytes(b"".join(pos), "little")
-            - int.from_bytes(b"".join(neg), "little"))
+    else:
+        data = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
+    # two's-complement digits with their top bits flipped are c + half,
+    # so the bytes read as sum (c_i + half) 2**(8 width i), less the bias
+    return (int.from_bytes(data, "little") ^ bias) - bias
 
 
 def _digits(packed: int, count: int, width: int, bias: int = None) -> list:
@@ -399,18 +386,30 @@ def _digits(packed: int, count: int, width: int, bias: int = None) -> list:
     first; ``packed`` + the bias, ``_bias(count, width)``, must lie in
     [0, 2**(8*width*count))."""
     # adding half a digit to every digit makes each one nonnegative, so the
-    # coefficients read back without carries or a sign
+    # sum has no carries; flipping the top bits again gives two's complement
     if bias is None:
         bias = _bias(count, width)
+    data = ((packed + bias) ^ bias).to_bytes(count * width, "little")
     fmt = _FORMATS.get(width)
     if fmt:
-        data = ((packed + bias) ^ bias).to_bytes(count * width, "little")
         return list(struct.unpack("<%d%s" % (count, fmt), data))
-    half = 1 << (8 * width - 1)
-    data = (packed + bias).to_bytes(count * width, "little")
     from_bytes = int.from_bytes
-    return [from_bytes(data[i:i + width], "little") - half
-            for i in range(0, count * width, width)]
+    return [from_bytes(data[i:i + width], "little", signed=True)
+            for i in range(0, len(data), width)]
+
+
+def _power(a, e: int, mul, one):
+    """a^e for e >= 0 by repeated squaring with the product ``mul``, and
+    ``one`` when e = 0; the first factor is taken as it is, not multiplied
+    by ``one``."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return one if result is None else result
 
 
 def _dense_mul(a: list, b: list) -> list:

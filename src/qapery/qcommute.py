@@ -64,11 +64,6 @@ class QPolynomial:
         out.words = words
         return out
 
-    def total_degree(self) -> int:
-        if not self.words:
-            return 0
-        return max(sum(e) for e in self.words)
-
     def __add__(self, other):
         if not isinstance(other, QPolynomial):
             return NotImplemented
@@ -136,11 +131,6 @@ class QPolynomial:
         return " + ".join(parts)
 
 
-def qcommute_mul(p: QPolynomial, r: QPolynomial) -> QPolynomial:
-    """Normal-ordered product of two elements of the same arity."""
-    return p * r
-
-
 def expand_linear_form_product(factors, arity: int) -> QPolynomial:
     """Expand prod (sum of chosen variables)^exponent in the given order.
 
@@ -163,7 +153,3 @@ def expand_linear_form_product(factors, arity: int) -> QPolynomial:
         for _ in range(exponent):
             acc = acc * form
     return acc
-
-
-def coefficient_of(p: QPolynomial, exponents) -> LaurentPoly:
-    return p.coefficient_of(exponents)

@@ -277,9 +277,10 @@ class TestSweepLibrary:
         with pytest.raises(UsageError):
             run_sweep(SweepSpec(check_name="riemann", ranges={"n": (1, 2, 1)}))
 
-    def test_guard_parameter(self):
+    def test_guard_parameter(self, monkeypatch):
+        monkeypatch.setenv("QCONG_GUARD", "5")
         with pytest.raises(UsageError):
-            run_sweep(SweepSpec(check_name="wolstenholme-q", ranges={"n": (1, 100, 1)}), guard=5)
+            run_sweep(SweepSpec(check_name="wolstenholme-q", ranges={"n": (1, 100, 1)}))
 
 
 class TestListing:

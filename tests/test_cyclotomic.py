@@ -16,7 +16,6 @@ from qapery.cyclotomic import (
     integer_coefficient_check,
     inverse_mod,
     reduce_mod,
-    residue_exact,
 )
 from qapery.laurent import LaurentPoly, divrem, ext_gcd, q, q_power
 
@@ -202,13 +201,13 @@ class TestResidueExact:
             mod = Modulus(m, k)
             for _ in range(20):
                 f = LaurentPoly({e: rng.randint(-5, 5) for e in range(-4, 5)})
-                r = residue_exact(f, mod)
+                r = reduce_mod(f, mod)
                 assert congruent(r, f, mod)
                 assert r.is_zero() or (r.is_ordinary() and r.degree() < mod.polynomial.degree())
 
     def test_negative_power_of_q(self):
         mod = Modulus(3, 1)
-        r = residue_exact(q_power(-1), mod)
+        r = reduce_mod(q_power(-1), mod)
         # q * q^-1 == 1, so q * r == 1 mod Phi_3
         assert congruent(q * r, LaurentPoly.one(), mod)
 

@@ -1,14 +1,19 @@
 """Every module in the package uses every name it imports, every
-module-level private name is referenced somewhere in the package, and only
-``laurent.py`` reads the fields of a ``LaurentPoly``.
+module-level private name is referenced somewhere in the package, only
+``laurent.py`` reads the fields of a ``LaurentPoly``, and no re-export hides
+a submodule.
 
 Re-exports in ``__init__.py`` and ``from __future__`` imports are exempt.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
+
+import qapery
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qapery"
 TESTS = Path(__file__).resolve().parent
@@ -99,3 +104,13 @@ def test_only_laurent_reads_the_representation():
     reads = [(p.name, line) for p in paths if p.name != "laurent.py"
              for line in _slot_reads(p.read_text(encoding="utf-8"))]
     assert reads == []
+
+
+#: The importable submodules; ``__main__`` runs the CLI when imported.
+SUBMODULES = [p.stem for p in MODULES if p.stem != "__main__"]
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_package_attribute_is_the_submodule(name):
+    importlib.import_module("qapery." + name)
+    assert getattr(qapery, name) is sys.modules["qapery." + name]

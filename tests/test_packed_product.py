@@ -29,8 +29,8 @@ def oracle(ring, a, b):
 # -- _pack and _digits -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, 8])
-def test_struct_widths_round_trip_their_extremes(width):
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9, 16, 17])
+def test_digit_widths_round_trip_their_extremes(width):
     half = 1 << (8 * width - 1)
     coeffs = [-half, half - 1, 0, -1, 1, half - 1, -half]
     packed = _pack(coeffs, width)

@@ -15,13 +15,13 @@ q-binomial; and the size guards are tested without running an oversized
 instance.
 """
 
-import importlib
 import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qapery.cyclotomic
 from qapery import checks, qcombinatorics, sequences
 from qapery.checks import (
     _cube_rhs,
@@ -373,10 +373,8 @@ def test_ring_unit_is_one_minus_q_power_without_phi(mk, j):
 
 
 def test_phi_and_psi_are_built_on_first_use(monkeypatch):
-    module = importlib.import_module("qapery.cyclotomic")
     built = []
-    original = module.cyclotomic
-    monkeypatch.setattr(module, "cyclotomic", lambda m: built.append(m) or original(m))
+    monkeypatch.setattr(qapery.cyclotomic, "cyclotomic", lambda m: built.append(m) or cyclotomic(m))
     ring = ResidueRing(6, 2)
     ring.mul_q_integer(ring.mul(ring.q_power(7), ring.unit(5)), 4)
     ring.q_integer_inverse(5)
