@@ -15,6 +15,7 @@ import itertools
 import json
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -89,7 +90,10 @@ def _sweep_worker(item):
 
 def run_sweep(spec: SweepSpec) -> dict:
     """Run the full grid and return the report document; the ``QCONG_GUARD``
-    environment variable caps the instance count."""
+    environment variable caps the instance count.  The summary's
+    ``elapsed_ms`` sums the instances' times, and ``wall_ms`` is the time
+    of the whole run, which is less with ``jobs`` > 1."""
+    started = time.perf_counter()
     if spec.check_name not in CHECKS:
         raise UsageError("unknown check %r" % (spec.check_name,))
     raw = os.environ.get("QCONG_GUARD", str(DEFAULT_INSTANCE_GUARD))
@@ -126,6 +130,7 @@ def run_sweep(spec: SweepSpec) -> dict:
             "failed": failed,
             "skipped": skipped,
             "elapsed_ms": sum(row["elapsed_ms"] for row in results),
+            "wall_ms": int(round((time.perf_counter() - started) * 1000)),
         },
     }
 

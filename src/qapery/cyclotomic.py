@@ -6,9 +6,12 @@ has one canonical residue modulo Phi_m(q)^k: the unique ordinary r == f with
 deg r below the modulus degree.  It exists because gcd(q, Phi_m) = 1 for
 every m, so q is invertible modulo Phi_m^k; congruence is the vanishing of
 that residue.  Since Phi_m^k divides (q^m - 1)^k, ``reduce_mod`` first folds
-f below degree k*m by the sparse relation (q^m - 1)^k = 0 and divides only
-the folded polynomial by Phi_m^k; the fold is one helper,
-``laurent._fold``, which ``ResidueRing.mul_q_integer`` runs as well.
+f's numerator below degree k*m by the sparse relation (q^m - 1)^k = 0 and
+then takes the remainder of the folded integers by the monic integer
+Phi_m^k, whose nonzero terms ``Modulus`` keeps, building no quotient; f's
+denominator is applied once at the end.  The fold is one helper,
+``laurent._fold``, which ``ResidueRing.mul_q_integer`` runs as well, and the
+division loop is ``laurent._divide``, which ``divrem`` shares.
 
 ``binomial_sum_residue`` finds the residue of a weighted sum of products of
 q-binomial powers, less a polynomial in q^m - 1, without building the sum.
@@ -34,8 +37,8 @@ from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import sub
 
-from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _pack, _power, _width,
-                      _wrap, divrem, exact_div, fold, q_power)
+from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _lower_terms, _pack, _power,
+                      _residue, _width, _wrap, exact_div, q_power)
 
 
 class NotInvertibleError(ValueError):
@@ -101,9 +104,13 @@ def cyclotomic_at_one(m: int) -> int:
 
 
 class Modulus:
-    """A modulus Phi_m(q)^k for congruences in Q[q^{+-1}]."""
+    """A modulus Phi_m(q)^k for congruences in Q[q^{+-1}].
 
-    __slots__ = ("m", "k", "polynomial")
+    Besides the polynomial it keeps what ``reduce_mod`` divides by: the
+    (exponent, coefficient) pairs of the nonzero terms of Phi_m^k below its
+    leading term, and the wrap of (q^m - 1)^k that folds first."""
+
+    __slots__ = ("m", "k", "polynomial", "lower", "wrap")
 
     def __init__(self, m: int, k: int = 1):
         if m < 1 or k < 1:
@@ -111,6 +118,8 @@ class Modulus:
         self.m = m
         self.k = k
         self.polynomial = cyclotomic(m) ** k
+        self.lower = _lower_terms(self.polynomial)
+        self.wrap = _wrap(m, k)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and (self.m, self.k) == (other.m, other.k)
@@ -129,10 +138,13 @@ def reduce_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
 
     This is the unique ordinary r with r == f (mod Phi_m^k) and deg r below
     the modulus degree, so it is zero exactly when f == 0 (mod Phi_m^k) and
-    does not depend on how f is written.  Phi_m^k divides (q^m - 1)^k, so f
-    is first folded below degree k m by the sparse relation (q^m - 1)^k = 0
-    (``laurent.fold``, the reduction ``ResidueRing.mul`` also runs), and only
-    the folded polynomial is divided by Phi_m^k.  Negative exponents are
+    does not depend on how f is written.  Phi_m^k divides (q^m - 1)^k, so
+    f's numerator is first folded below degree k m by the sparse relation
+    (q^m - 1)^k = 0 (``laurent._fold``, the reduction
+    ``ResidueRing.mul_q_integer`` also runs), and only the folded integers
+    are divided by the monic integer Phi_m^k, through the nonzero terms the
+    modulus keeps.  No quotient is built, and f's denominator is applied
+    once, to the remainder (``laurent._residue``).  Negative exponents are
     cleared by multiplying f by q^(m a), with m a >= -min_degree(f), and by
     the inverse of q^(m a), which ``ResidueRing.q_power`` gives modulo
     (q^m - 1)^k as the truncated binomial series sum_{j<k} C(-a, j) x^j,
@@ -143,7 +155,7 @@ def reduce_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
         a = -(f.min_degree() // m)
         ring = residue_ring(m, k)
         f = ring.to_poly(ring.q_power(-m * a)) * (q_power(m * a) * f)
-    return divrem(fold(f, m, k), mod.polynomial)[1]
+    return _residue(f, m, mod.wrap, mod.lower, mod.polynomial.degree())
 
 
 def congruent(f: LaurentPoly, g: LaurentPoly, mod: Modulus) -> bool:

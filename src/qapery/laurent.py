@@ -38,13 +38,15 @@ squaring loop, for polynomials and residue-ring elements alike.
 
 All arithmetic is exact.  Division lives in ``divrem``/``exact_div`` and
 requires ordinary polynomials (no negative exponents); use
-``shift_to_ordinary`` first for general Laurent operands.  Division by a
-monic divisor stays in integers.  There is no rational-function type: a
-quotient is multiplied through by its denominator, or inverted modulo
-Phi_m^k by ``cyclotomic.inverse_mod``, which runs ``_euclid``, the one
-Euclid loop, against Phi_m and lifts by Newton steps; the loop tracks only
-the cofactor an inverse needs, and ``ext_gcd`` adds the other by one exact
-division.
+``shift_to_ordinary`` first for general Laurent operands.  ``_divide`` is
+the one division loop, and division by a monic divisor stays in integers.
+``_residue``, the remainder ``cyclotomic.reduce_mod`` takes, runs the same
+loop on the folded numerator with no quotient.  There is no
+rational-function type: a quotient is multiplied through by its
+denominator, or inverted modulo Phi_m^k by ``cyclotomic.inverse_mod``,
+which runs ``_euclid``, the one Euclid loop, against Phi_m and lifts by
+Newton steps; the loop tracks only the cofactor an inverse needs, and
+``ext_gcd`` adds the other by one exact division.
 """
 
 from __future__ import annotations
@@ -434,8 +436,9 @@ def _fold(v: list, m: int, wrap: list) -> list:
 
     For k = 1 that is q^m = 1, the sum of each residue class mod m.
     Otherwise each coefficient from the top down is moved onto lower powers
-    by ``wrap``, and v is reused.  ``cyclotomic.ResidueRing.mul_q_integer``
-    reduces its multiples here.
+    by ``wrap``, and v is reused.  ``_residue`` folds here before it
+    divides, and ``cyclotomic.ResidueRing.mul_q_integer`` reduces its
+    multiples here.
     """
     if len(wrap) == 1:
         return [sum(v[r::m]) for r in range(m)]
@@ -450,14 +453,46 @@ def _fold(v: list, m: int, wrap: list) -> list:
     return v
 
 
-def fold(f: LaurentPoly, m: int, k: int) -> LaurentPoly:
-    """A polynomial of degree below k m congruent to the ordinary f modulo
-    (q^m - 1)^k, by the sparse relation of ``_fold``."""
-    if not f.is_ordinary():
-        raise ValueError("fold requires an ordinary polynomial; shift first")
-    if f._low + len(f._coeffs) <= k * m:
-        return f
-    return _make(0, _fold([0] * f._low + f._coeffs, m, _wrap(m, k)), f._den)
+def _integers(f: LaurentPoly) -> list:
+    """The coefficients of q^0 .. q^deg of an ordinary f with integer
+    coefficients, possibly f's own list, which must not be mutated."""
+    return [0] * f._low + f._coeffs if f._low else f._coeffs
+
+
+def _lower_terms(g: LaurentPoly) -> list:
+    """The (exponent, coefficient) pairs of the nonzero numerator terms of
+    the ordinary g below its leading term."""
+    return [(e, c) for e, c in enumerate(g._coeffs[:-1], g._low) if c]
+
+
+def _divide(r: list, lower: list, degree: int, lead=1, quot: list = None) -> list:
+    """Divide r, the coefficients from q^0, in place by the divisor
+    lead q^degree + sum c q^e over the pairs (e, c) of ``lower``, and return
+    r cut to the remainder below q^degree; quotient coefficients go to
+    ``quot`` when it is given.  A lead of 1 keeps ints in ints."""
+    for shift in range(len(r) - 1 - degree, -1, -1):
+        c = r[shift + degree]
+        if not c:
+            continue
+        t = c if lead == 1 else Fraction(c) / lead
+        if quot is not None:
+            quot[shift] = t
+        for e, ce in lower:
+            r[e + shift] -= t * ce
+    del r[degree:]
+    return r
+
+
+def _residue(f: LaurentPoly, m: int, wrap: list, lower: list, degree: int) -> LaurentPoly:
+    """The remainder of an ordinary f by a monic integer divisor
+    q^degree + sum c q^e, (e, c) in ``lower``, of (q^m - 1)^k, with
+    ``wrap = _wrap(m, k)``.  f's numerator is folded below q^(k m) by
+    ``_fold`` and divided in ints, with no quotient; f's denominator is
+    applied once, at the end."""
+    r = [0] * f._low + f._coeffs
+    if len(r) > len(wrap) * m:
+        r = _fold(r, m, wrap)
+    return _make(0, _divide(r, lower, degree), f._den)
 
 
 #: The generator q and the constant 1, for building expressions.
@@ -484,23 +519,11 @@ def divrem(f: LaurentPoly, g: LaurentPoly):
     if f.is_zero():
         return LaurentPoly(), LaurentPoly()
     dg = g.degree()
-    df = f.degree()
     # with f = F/f_den and g = G/g_den, F*g_den divided by G gives the quotient
     # times f_den and the remainder times f_den*g_den; a monic G stays in ints
-    divisor = [0] * g._low + g._coeffs
-    lc = divisor[-1]
-    rest = [(e, c) for e, c in enumerate(divisor[:-1]) if c]
     r = [0] * f._low + [c * g._den for c in f._coeffs]
-    quot = [0] * (df - dg + 1)
-    for shift in range(df - dg, -1, -1):
-        c = r[shift + dg]
-        if not c:
-            continue
-        t = c if lc == 1 else Fraction(c) / lc
-        quot[shift] = t
-        for e, ce in rest:
-            r[e + shift] -= t * ce
-    del r[dg:]
+    quot = [0] * (len(r) - dg)
+    r = _divide(r, _lower_terms(g), dg, g._coeffs[-1], quot)
     return _from_values(0, quot, f._den), _from_values(0, r, f._den * g._den)
 
 

@@ -6,11 +6,14 @@ C(n, k)_q = prod_{i<=k} (1 - q^(n-k+i)) / (1 - q^i) on one list of ints
 (Andrews, *The Theory of Partitions*, ch. 3), with k replaced by
 min(k, n - k): a multiply by 1 - q^a is one shift-subtract, an exact
 division by 1 - q^i one running sum over each residue class mod i, so no
-polynomial product is formed.  It is memoized in ``_QBIN_CACHE``, one entry
-per requested (n, k).  ``q_binomial`` keeps three independent routes as its
-oracles, tested to agree with it and with each other: the factorial
-quotient definition, the Pascal-type recurrence, and the square-free
-product of cyclotomic polynomials Phi_d over d with
+polynomial product is formed.  After i factors the list is C(n - k + i, i)_q,
+so a miss resumes from the largest i whose binomial is already cached, under
+(n - k + i, i) or its mirror (n - k + i, n - k), and runs only the remaining
+factors.  It is memoized in ``_QBIN_CACHE``, one entry per requested (n, k);
+the steps it passes are not stored.  ``q_binomial`` keeps three independent
+routes as its oracles, tested to agree with it and with each other: the
+factorial quotient definition, the Pascal-type recurrence, and the
+square-free product of cyclotomic polynomials Phi_d over d with
 floor(n/d) - floor(k/d) - floor((n-k)/d) = 1, which is not memoized.
 
 No quotient of polynomials is represented, so q-harmonic sums
@@ -27,7 +30,7 @@ from itertools import accumulate
 from operator import sub
 
 from .cyclotomic import Modulus, cyclotomic, reduce_mod
-from .laurent import LaurentPoly, _make, exact_div, q_power
+from .laurent import LaurentPoly, _integers, _make, exact_div, q_power
 from .reports import CongruenceReport, PreconditionError, _finish_poly, _guard_size
 
 
@@ -73,11 +76,19 @@ _PASCAL_CACHE = {}
 
 
 def _qbin_row(n: int, k: int) -> LaurentPoly:
-    """C(n, k)_q for 0 <= k <= n by the row recurrence on a list of ints."""
+    """C(n, k)_q for 0 <= k <= n by the row recurrence on a list of ints,
+    resumed from its latest step in ``_QBIN_CACHE``."""
     k = min(k, n - k)
-    g = [1]
-    for i in range(1, k + 1):
-        a = n - k + i
+    d = n - k
+    # after step i the list is C(d + i, i)_q, cached as it is or as its mirror
+    start, g = 0, [1]
+    for i in range(k, 0, -1):
+        cached = _QBIN_CACHE.get((d + i, i)) or _QBIN_CACHE.get((d + i, d))
+        if cached is not None:
+            start, g = i, _integers(cached)
+            break
+    for i in range(start + 1, k + 1):
+        a = d + i
         f, g = g, g + [0] * a
         g[a:] = map(sub, g[a:], f)
         # g / (1 - q^i) = h with h[j] = g[j] + h[j - i]; the division is
@@ -129,7 +140,12 @@ def q_binomial(n: int, k: int, method: str = "cyclotomic") -> LaurentPoly:
 
 def qbin(n: int, k: int) -> LaurentPoly:
     """Cached Gaussian binomial, built by the row recurrence; 0 outside
-    0 <= k <= n."""
+    0 <= k <= n.
+
+    A miss adds exactly one cache entry, under (n, k) as requested.  Its
+    recurrence starts from the latest of its own steps C(n - k + i, i)_q,
+    k <= n - k, that is cached under either of its two keys, so a cached
+    neighbour on the same row saves the factors up to it."""
     if k < 0 or k > n or n < 0:
         return LaurentPoly.zero()
     key = (n, k)

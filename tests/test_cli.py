@@ -21,6 +21,7 @@ def run_cli(capsys, *argv):
 def strip_elapsed(document):
     document = copy.deepcopy(document)
     document["summary"].pop("elapsed_ms", None)
+    document["summary"].pop("wall_ms", None)
     for row in document["results"]:
         row.pop("elapsed_ms", None)
     return document
@@ -146,6 +147,14 @@ class TestSweep:
         assert document["summary"]["total"] == 48
         assert document["tool_version"]
         assert document["spec"]["check"] == "ljunggren"
+
+    def test_summary_reports_wall_time(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "wolstenholme-q", "--n", "1..3", "--format", "json")
+        summary = json.loads(out)["summary"]
+        assert code == 0
+        assert list(summary) == ["total", "held", "failed", "skipped", "elapsed_ms", "wall_ms"]
+        assert isinstance(summary["wall_ms"], int) and summary["wall_ms"] >= 0
 
     def test_skipped_instances(self, capsys):
         code, out, _ = run_cli(

@@ -10,16 +10,15 @@ memo is checked as well: a kernel call leaves every cached unit equal to a
 freshly built one.
 """
 
-import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qapery.cyclotomic
+import qapery.laurent
 from qapery.cyclotomic import Modulus, ResidueRing, binomial_sum_residue, residue_ring
 from qapery.laurent import LaurentPoly, _dense_mul, _digits, _fold, _pack, _width, _wrap
-
-cyclotomic_module = importlib.import_module("qapery.cyclotomic")
 
 
 def oracle(ring, a, b):
@@ -117,8 +116,8 @@ def test_headroom_is_read_off_the_columns_of_q_powers(m, k):
 
 def test_one_ring_per_modulus(monkeypatch):
     built = []
-    original = cyclotomic_module.ResidueRing
-    monkeypatch.setattr(cyclotomic_module, "ResidueRing",
+    original = qapery.cyclotomic.ResidueRing
+    monkeypatch.setattr(qapery.cyclotomic, "ResidueRing",
                         lambda m, k: built.append((m, k)) or original(m, k))
     residue_ring.cache_clear()
     try:
@@ -166,8 +165,7 @@ def test_constructors_are_canonical_without_a_dict():
 
 
 def test_product_by_one_coefficient_scales_and_shifts(monkeypatch):
-    laurent = importlib.import_module("qapery.laurent")
-    monkeypatch.setattr(laurent, "_dense_mul", lambda a, b: pytest.fail("packed a monomial"))
+    monkeypatch.setattr(qapery.laurent, "_dense_mul", lambda a, b: pytest.fail("packed a monomial"))
     f = LaurentPoly({-2: Fraction(1, 3), 0: 4, 5: -6})
     assert list((f * LaurentPoly({3: Fraction(3, 2)})).terms()) == \
         [(1, Fraction(1, 2)), (3, 6), (8, -9)]

@@ -94,6 +94,36 @@ class TestQBinomial:
     def test_row_recurrence_matches_pascal(self, n, k):
         assert qbin(n, k) == q_binomial(n, k, "pascal")
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 24), st.integers(-2, 26), st.booleans()),
+                    max_size=30))
+    def test_resumed_rows_match_pascal(self, requests):
+        # mirrors and neighbours on one row make most misses resume from a
+        # cached step; every entry must stay as first stored
+        with pytest.MonkeyPatch.context() as mp:
+            cache = {}
+            mp.setattr(qcombinatorics, "_QBIN_CACHE", cache)
+            stored = {}
+            for n, k, mirror in requests:
+                if mirror:
+                    k = n - k
+                miss = 0 <= k <= n and (n, k) not in cache
+                size = len(cache)
+                assert qbin(n, k) == q_binomial(n, k, "pascal"), (n, k)
+                assert len(cache) == size + miss
+                if miss:
+                    stored[n, k] = list(cache[n, k].terms())
+            assert {key: list(value.terms()) for key, value in cache.items()} == stored
+
+    @pytest.mark.parametrize("planted", [(20, 9), (20, 11)])
+    def test_a_miss_reads_its_cached_step(self, monkeypatch, planted):
+        # C(21, 11)_q = C(21, 10)_q passes through C(20, 9)_q = C(20, 11)_q;
+        # a wrong value planted under either key must show in the result
+        monkeypatch.setattr(qcombinatorics, "_QBIN_CACHE",
+                            {planted: q_binomial(20, 9, "pascal") + q_power(3)})
+        assert qbin(21, 11) != q_binomial(21, 11, "pascal")
+        assert qbin(21, 12) == q_binomial(21, 12, "pascal")
+
     def test_cyclotomic_oracle_is_not_cached(self):
         before = dict(qcombinatorics._QBIN_CACHE)
         for n, k in ((0, 0), (7, 3), (97, 40)):
