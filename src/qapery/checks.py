@@ -26,8 +26,11 @@ largest q-binomial top index M of its lhs has M*m above
 ``reports.RING_SIZE_GUARD``, or when its base spans more exponents than that.
 
 ``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)`` as
-well, with no product of the [i]_q and no Euclid loop; it is refused when
-n steps over its k n ring coefficients, n k n, exceed the same guard.
+well, with no product of the [i]_q and no Euclid loop: the primary route
+steps the last three elementary symmetric functions of the [i]_q and reads
+the squared sums off them by Newton's identity, and the cross route sums
+the squares of the inverses with one fold.  It is refused when n steps
+over its k n ring coefficients, n k n, exceed the same guard.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def _cube_rhs(m, base, c):
 
 
 def _guard_ring_size(m, top):
-    """Refuse an instance whose top index (or ring size) times m exceeds the guard."""
+    """Refuse an instance whose top index M times m exceeds the guard."""
     _guard_size(top * m, "M*m = %d")
 
 
@@ -178,16 +181,9 @@ def _harmonic_rhs(n, which):
     return Fraction((n - 1) * (n - 2), 6) * qm1 ** 2
 
 
-def _harmonic_residue(ring, mod, which, e1, e2, den, w1, w2, rhs):
-    """The residue of (lhs - rhs) w, w = w1 for sp1 and w2 otherwise, from
-    the ring elements e1 / den = w1 sum 1/[i]_q and e2 / den^2 =
-    w2 sum 1/[i]_q^2; rhs is an integer element and its denominator."""
-    if which == "sp1":
-        num, scale, w = e1, den, w1
-    elif which == "sp2":
-        num, scale, w = e2, den * den, w2
-    else:
-        num, scale, w = [a - b for a, b in zip(ring.mul(e1, e1), e2)], 2 * den * den, w2
+def _harmonic_residue(ring, mod, num, scale, w, rhs):
+    """The residue of (lhs - rhs) w from the ring element num with
+    num / scale = w lhs; rhs is an integer element and its denominator."""
     rhs, rhs_den = rhs
     diff = [rhs_den * a - scale * b for a, b in zip(num, ring.mul(rhs, w))]
     return reduce_mod(ring.to_poly(diff), mod) / (scale * rhs_den)
@@ -201,15 +197,19 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
         sp3:  sum_{i<j} 1/([i]_q [j]_q) == (n-1)(n-2)/6 (q-1)^2           (mod Phi_n)
 
     Both routes run in ``ResidueRing(n, k)``, on lists of k n integers, and
-    neither builds D = prod [i]_q.  The primary route is multiplied through:
-    P_t = P_(t-1) [t]_q, S_t = S_(t-1) [t]_q + P_(t-1) and
-    T_t = T_(t-1) [t]_q^2 + P_(t-1)^2 give D, S = D sum 1/[i]_q and
-    T = D^2 sum 1/[i]_q^2, each step a ring multiply by [t]_q with no
-    product, and sp3's sum is (S^2 - T)/2.  The cross-check uses the explicit
-    inverses of ``ResidueRing.q_integer_inverse``, since invertibility of
-    [i]_q modulo Phi_n is itself part of the claim.  Each residue is reduced
-    once, over one common denominator, so it is the canonical one.  An
-    instance with n k n above ``RING_SIZE_GUARD`` is refused first.
+    neither builds D = prod [i]_q.  The primary route is multiplied through.
+    It keeps the last three elementary symmetric functions of
+    [1]_q, ..., [t]_q: P_t = P_(t-1) [t]_q, S_t = S_(t-1) [t]_q + P_(t-1)
+    and, for sp2 and sp3, E_t = E_(t-1) [t]_q + S_(t-1), each step a ring
+    multiply by [t]_q with no product.  At t = n - 1 they are D,
+    S = D sum 1/[i]_q and E = D sum_{i<j} 1/([i]_q [j]_q), so by Newton's
+    identity D^2 sum 1/[i]_q^2 = S^2 - 2 P E and
+    D^2 sum_{i<j} 1/([i]_q [j]_q) = P E.  The cross-check uses the explicit
+    inverses h_i of ``ResidueRing.q_integer_inverse``, since invertibility
+    of [i]_q modulo Phi_n is itself part of the claim, and sums their
+    squares with one fold (``ResidueRing.sum_of_squares``).  Each residue is
+    reduced once, over one common denominator, so it is the canonical one.
+    An instance with n k n above ``RING_SIZE_GUARD`` is refused first.
     """
     started = time.perf_counter()
     params = {"n": n, "which": which}
@@ -218,7 +218,7 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     if n < 2:
         raise PreconditionError("requires n >= 2")
     k = 2 if which == "sp1" else 1
-    _guard_ring_size(n, k * n)
+    _guard_size(n * k * n, "n*k*n = %d")
     mod = Modulus(n, k)
     ring = residue_ring(n, k)
     rhs = _harmonic_rhs(n, which)
@@ -226,22 +226,32 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     rhs = ring.from_poly(rhs * rhs_den), rhs_den
 
     squares = which != "sp1"
-    p = p2 = ring.one
-    s = s2 = [0] * ring.size
+    p = ring.one
+    s = e = [0] * ring.size
     for t in range(1, n):
+        if squares:
+            e = [a + b for a, b in zip(ring.mul_q_integer(e, t), s)]
         s = [a + b for a, b in zip(ring.mul_q_integer(s, t), p)]
         p = ring.mul_q_integer(p, t)
-        if squares:
-            s2 = [a + b for a, b in zip(ring.mul_q_integer(ring.mul_q_integer(s2, t), t), p2)]
-            p2 = ring.mul_q_integer(ring.mul_q_integer(p2, t), t)
-    primary = _harmonic_residue(ring, mod, which, s, s2, 1, p, p2, rhs)
+    num, w = s, p
+    if squares:
+        pe = ring.mul(p, e)
+        num = pe if which == "sp3" else [a - 2 * b for a, b in zip(ring.mul(s, s), pe)]
+        w = ring.mul(p, p)
+    primary = _harmonic_residue(ring, mod, num, 1, w, rhs)
 
     inverses = [ring.q_integer_inverse(i) for i in range(1, n)]
     den = lcm(*(d for _, d in inverses))
     hs = [[c * (den // d) for c in v] for v, d in inverses]
     h1 = [sum(c) for c in zip(*hs)]
-    h2 = [sum(c) for c in zip(*(ring.mul(h, h) for h in hs))] if squares else None
-    cross = _harmonic_residue(ring, mod, which, h1, h2, den, ring.one, ring.one, rhs)
+    if which == "sp1":
+        num, scale = h1, den
+    elif which == "sp2":
+        num, scale = ring.sum_of_squares(hs), den * den
+    else:
+        num = [a - b for a, b in zip(ring.mul(h1, h1), ring.sum_of_squares(hs))]
+        scale = 2 * den * den
+    cross = _harmonic_residue(ring, mod, num, scale, ring.one, rhs)
     return _finish_poly("harmonic-sp", params, [primary, cross], mod, started)
 
 

@@ -22,8 +22,10 @@ product as one packed integer, modulo (2^(wm) - 1)^k, and
 matters only modulo Phi_m^(k - v), so the terms of each valuation v >= 1
 are summed in the smaller ring of (m, k - v), and their sum is lifted by
 Phi_m^v once.  It takes no inverse until a residue is known to be nonzero.
-The same ring multiplies by a q-integer [t]_q without a product and
-inverts [i]_q in closed form, which is how ``harmonic-sp`` is decided.
+The same ring multiplies by a q-integer [t]_q without a product, inverts
+[i]_q in closed form and sums the squares of many elements with one fold,
+which is how ``harmonic-sp`` is decided.  ``Modulus`` takes Phi_m^k and
+its division data from one memo per (m, k).
 ``inverse_mod`` runs its Euclid loop against Phi_m alone and lifts the
 inverse to Phi_m^k by Newton steps.
 """
@@ -37,8 +39,8 @@ from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import sub
 
-from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _lower_terms, _pack, _power,
-                      _residue, _width, _wrap, exact_div, q_power)
+from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _lower_terms, _make, _pack,
+                      _power, _residue, _width, _wrap, exact_div, q_power)
 
 
 class NotInvertibleError(ValueError):
@@ -103,12 +105,22 @@ def cyclotomic_at_one(m: int) -> int:
     return 1
 
 
+@lru_cache(maxsize=64)
+def _modulus_parts(m: int, k: int) -> tuple:
+    """Phi_m^k, its nonzero terms below the leading one and the wrap of
+    (q^m - 1)^k, built once per (m, k); the least recently used of more
+    than 64 is dropped.  The lists are shared and never mutated."""
+    polynomial = cyclotomic(m) ** k
+    return polynomial, _lower_terms(polynomial), _wrap(m, k)
+
+
 class Modulus:
     """A modulus Phi_m(q)^k for congruences in Q[q^{+-1}].
 
     Besides the polynomial it keeps what ``reduce_mod`` divides by: the
     (exponent, coefficient) pairs of the nonzero terms of Phi_m^k below its
-    leading term, and the wrap of (q^m - 1)^k that folds first."""
+    leading term, and the wrap of (q^m - 1)^k that folds first.  All three
+    come from ``_modulus_parts``, so equal moduli share them."""
 
     __slots__ = ("m", "k", "polynomial", "lower", "wrap")
 
@@ -117,9 +129,7 @@ class Modulus:
             raise ValueError("Modulus requires positive m and k")
         self.m = m
         self.k = k
-        self.polynomial = cyclotomic(m) ** k
-        self.lower = _lower_terms(self.polynomial)
-        self.wrap = _wrap(m, k)
+        self.polynomial, self.lower, self.wrap = _modulus_parts(m, k)
 
     def __eq__(self, other):
         return isinstance(other, Modulus) and (self.m, self.k) == (other.m, other.k)
@@ -198,6 +208,8 @@ class ResidueRing:
     representative, the one of degree below k m; ``mul`` finds the product's
     as one integer (see there), reduced by the sparse relation
     (q^m - 1)^k = 0, which for k = 3 reads q^(3m) = 3 q^(2m) - 3 q^m + 1.
+    ``sum_of_squares`` adds N packed squares as integers and reduces them
+    once, and both read their digits through one fold, ``_fold_packed``.
     Powers need no products: with x = q^m - 1, x^k = 0, so
     q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
     well.  Nor does a multiple by [t]_q (``mul_q_integer``), which
@@ -239,27 +251,57 @@ class ResidueRing:
         c(q^e) is the element of q^e; an exponent s + t is hit at most km
         times, so |r_i| < 2^(bits(max|a|) + bits(max|b|) + bits(km) + g) with
         g = bits(max_i sum_{e<2km-1} |c(q^e)_i|), a constant of the ring.
-        Two more bits make |r_i| < Q/4.
-
-        The packed product P = c(Q) plus the bias H = sum_{i<km} (Q/2) Q^i is
-        folded: U = hi Q^(km) + lo becomes hi W + lo, W = sum_j w_j Q^(m j)
-        the image of q^(km) modulo (q^m - 1)^k, which is U - hi R with
-        R = (Q^m - 1)^k = Q^(km) - W, the image of (q^m - 1)^k under
-        q -> Q.  So every round is exact modulo R, and it never overshoots:
-        from above hi >= 1 and U - hi R >= lo >= 0, from below hi <= -1 and
-        U - hi R < lo.  The rounds stop at 0 <= U < Q^(km), where U - H is
-        an integer V with km balanced digits |v_i| <= Q/2, congruent to
-        r(Q) modulo R.  Then |V - r(Q)| < (3Q/4)(Q^(km) - 1)/(Q - 1), which is
-        below R since Q > 8 k m, so V = r(Q) and its digits are r.
+        Two more bits make |r_i| < Q/4.  ``_fold_packed`` reads r off c(Q).
         """
-        width = _width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-                       + self._headroom)
+        width, bias = self._digit_layout(max(map(abs, a)).bit_length()
+                                         + max(map(abs, b)).bit_length())
+        packed_a = _pack(a, width, bias)
+        return self._fold_packed(packed_a * (packed_a if a is b else _pack(b, width, bias)),
+                                 width)
+
+    def sum_of_squares(self, vectors: list) -> list:
+        """The sum of the squares of N elements, with one fold.
+
+        Each element is packed at one common width and squared, and the N
+        integer squares are added before ``_fold_packed`` reads the digits.
+        The sum of the N canonical squares has coefficients below N times
+        ``mul``'s bound at the largest entry, so a digit of ``mul``'s width
+        plus bits(N) keeps them below Q/4, and the fold is exact as in
+        ``mul``.
+        """
+        top = max(max(map(abs, v)).bit_length() for v in vectors)
+        width, bias = self._digit_layout(2 * top + len(vectors).bit_length())
+        return self._fold_packed(sum(p * p for p in (_pack(v, width, bias) for v in vectors)),
+                                 width)
+
+    def _digit_layout(self, bits: int):
+        """(width, bias) of digits for canonical coefficients of ``bits``
+        bits before the ring's headroom, building the fold's layout at that
+        width on first use."""
+        width = _width(bits + self._headroom)
         layout = self._layouts.get(width)
         if layout is None:
             layout = self._layouts.setdefault(width, self._layout(width))
-        bias, shift, mask, wrap = layout
-        packed_a = _pack(a, width, bias)
-        u = packed_a * (packed_a if a is b else _pack(b, width, bias)) + bias
+        return width, layout[0]
+
+    def _fold_packed(self, u: int, width: int) -> list:
+        """The element whose digits at ``width`` bytes are u = c(Q),
+        Q = 2^(8 width), for an integer polynomial c congruent modulo
+        (q^m - 1)^k to an r whose coefficients are below Q/4.
+
+        u plus the bias H = sum_{i<km} (Q/2) Q^i is folded: U = hi Q^(km) + lo
+        becomes hi W + lo, W = sum_j w_j Q^(m j) the image of q^(km) modulo
+        (q^m - 1)^k, which is U - hi R with R = (Q^m - 1)^k = Q^(km) - W, the
+        image of (q^m - 1)^k under q -> Q.  So every round is exact modulo R,
+        and it never overshoots: from above hi >= 1 and U - hi R >= lo >= 0,
+        from below hi <= -1 and U - hi R < lo.  The rounds stop at
+        0 <= U < Q^(km), where U - H is an integer V with km balanced digits
+        |v_i| <= Q/2, congruent to r(Q) modulo R.  Then
+        |V - r(Q)| < (3Q/4)(Q^(km) - 1)/(Q - 1), which is below R since
+        Q > 8 k m, so V = r(Q) and its digits are r.
+        """
+        bias, shift, mask, wrap = self._layouts[width]
+        u += bias
         hi = u >> shift
         while hi:
             u &= mask
@@ -269,9 +311,9 @@ class ResidueRing:
         return _digits(u - bias, self.size, width, bias)
 
     def _layout(self, width: int):
-        """(bias, shift, mask, wrap) of ``mul`` at ``width`` bytes a digit:
-        the bias of k m digits, the bits of k m digits and their mask, and
-        the wrap with its offsets in bits."""
+        """(bias, shift, mask, wrap) of ``_fold_packed`` at ``width`` bytes a
+        digit: the bias of k m digits, the bits of k m digits and their
+        mask, and the wrap with its offsets in bits."""
         shift = 8 * width * self.size
         wrap = [(8 * width * offset, weight) for offset, weight in self._wrap]
         return _bias(self.size, width), shift, (1 << shift) - 1, wrap
@@ -338,8 +380,8 @@ class ResidueRing:
         return v
 
     def to_poly(self, v: list) -> LaurentPoly:
-        """The polynomial sum_i v[i] q^i."""
-        return LaurentPoly(dict(enumerate(v)))
+        """The polynomial sum_i v[i] q^i, which may share v's list."""
+        return _make(0, v)
 
     def unit(self, j: int) -> list:
         """u_j, the part of 1 - q^j (j >= 1) prime to Phi_m, memoized in

@@ -434,13 +434,20 @@ def _fold(v: list, m: int, wrap: list) -> list:
     """The coefficients from q^0 of v modulo (q^m - 1)^k, below q^(k m),
     with ``wrap = _wrap(m, k)``.
 
-    For k = 1 that is q^m = 1, the sum of each residue class mod m.
-    Otherwise each coefficient from the top down is moved onto lower powers
-    by ``wrap``, and v is reused.  ``_residue`` folds here before it
-    divides, and ``cyclotomic.ResidueRing.mul_q_integer`` reduces its
-    multiples here.
+    For k = 1 that is q^m = 1, the sum of each residue class mod m.  A list
+    of m to 2m entries, such as ``mul_q_integer``'s multiple by [t]_q for
+    t <= m + 1, adds its overhang above q^m onto its first entries pair by
+    pair; a longer one, such as a q-binomial that ``_residue`` reduces,
+    sums each class by a slice.  Otherwise each coefficient from
+    the top down is moved onto lower powers by ``wrap``, and v is reused.
+    ``_residue`` folds here before it divides, and
+    ``cyclotomic.ResidueRing.mul_q_integer`` reduces its multiples here.
     """
     if len(wrap) == 1:
+        if m <= len(v) <= 2 * m:
+            out = list(map(operator.add, v, v[m:]))
+            out += v[len(out):m]
+            return out
         return [sum(v[r::m]) for r in range(m)]
     size = len(wrap) * m
     for i in range(len(v) - 1, size - 1, -1):

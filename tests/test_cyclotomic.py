@@ -17,7 +17,7 @@ from qapery.cyclotomic import (
     inverse_mod,
     reduce_mod,
 )
-from qapery.laurent import LaurentPoly, divrem, ext_gcd, q, q_power
+from qapery.laurent import LaurentPoly, _fold, _wrap, divrem, ext_gcd, q, q_power
 
 
 def P(terms):
@@ -192,6 +192,41 @@ class TestFold:
             mod = Modulus(m, k)
             f = LaurentPoly({e: rng.randint(-99, 99) for e in range(40 * m + 1)})
             assert reduce_mod(f, mod) == divrem(f, mod.polynomial)[1]
+
+
+@st.composite
+def _class_fold_cases(draw):
+    """(v, m): m <= 30 and v of length m + 1 .. 2m (the pairwise path),
+    0 .. m, or 2m + 1 .. 8m (the class sums), with wide entries."""
+    m = draw(st.integers(1, 30))
+    low, high = draw(st.sampled_from([(m + 1, 2 * m), (0, m), (2 * m + 1, 8 * m)]))
+    v = draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=low, max_size=high))
+    return v, m
+
+
+class TestClassFold:
+    """``laurent._fold`` at k = 1 adds a list of m to 2m entries pairwise and
+    sums the classes of a longer one; both must be the per-coefficient fold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_class_fold_cases())
+    def test_fold_at_k_1_sums_each_residue_class(self, case):
+        v, m = case
+        want = [0] * m
+        for i, c in enumerate(v):
+            want[i % m] += c
+        folded = list(v)
+        assert _fold(folded, m, _wrap(m, 1)) == want
+        assert folded == v
+
+
+class TestModulusParts:
+    def test_equal_moduli_share_their_parts(self):
+        first, second = Modulus(6, 3), Modulus(6, 3)
+        assert first.polynomial is second.polynomial
+        assert first.lower is second.lower and first.wrap is second.wrap
+        assert first.polynomial == cyclotomic(6) ** 3
+        assert first.wrap == _wrap(6, 3)
 
 
 class TestResidueExact:

@@ -115,6 +115,35 @@ def test_a_wrong_inverse_fails_only_the_cross_route(monkeypatch, residues, which
     assert report.holds is False and report.first_residue_coeff
 
 
+@pytest.fixture
+def ring_calls(monkeypatch):
+    """Count the ring's multiples by [t]_q and record the sums of squares."""
+    calls = {"mul_q_integer": 0, "sum_of_squares": []}
+    mul_q_integer, sum_of_squares = ResidueRing.mul_q_integer, ResidueRing.sum_of_squares
+
+    def counting(ring, a, t):
+        calls["mul_q_integer"] += 1
+        return mul_q_integer(ring, a, t)
+
+    def recording(ring, vectors):
+        calls["sum_of_squares"].append(len(vectors))
+        return sum_of_squares(ring, vectors)
+
+    monkeypatch.setattr(ResidueRing, "mul_q_integer", counting)
+    monkeypatch.setattr(ResidueRing, "sum_of_squares", recording)
+    return calls
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_three_multiples_by_q_integers_a_step(ring_calls, which):
+    # sp1: S and P at each of the 24 steps, and one Newton step for each of
+    # the 24 inverses modulo Phi_25^2; sp2 and sp3: S, P and E at each step
+    assert check_harmonic_sp(25, which).holds
+    assert ring_calls["mul_q_integer"] == 72
+    # the cross route squares the 24 inverses with one fold, and sp1 none
+    assert ring_calls["sum_of_squares"] == ([] if which == "sp1" else [24])
+
+
 def test_reach_beyond_the_workload():
     for which in WHICH:
         assert check_harmonic_sp(60, which).holds
@@ -147,6 +176,8 @@ def test_oversized_verify_is_a_usage_error(nothing_runs, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "size guard" in err
+    # the refusal names the bound harmonic-sp checks, n k n = 129 * 2 * 129
+    assert "instance too large: n*k*n = 33282 exceeds the size guard" in err
 
 
 def test_guard_admits_the_last_n():

@@ -111,6 +111,53 @@ def test_headroom_is_read_off_the_columns_of_q_powers(m, k):
     assert ring._headroom == ring.size.bit_length() + g + 2
 
 
+# -- ResidueRing.sum_of_squares against the folded squares ----------------------
+
+
+def folded_squares(ring, vectors):
+    return [sum(c) for c in zip(*(oracle(ring, v, v) for v in vectors))]
+
+
+@st.composite
+def square_sums(draw):
+    """(m, k, vectors): 1 to 30 elements, each with its own coefficient size,
+    so the common digit width is set by the widest, over 8 bytes from
+    40 bits up."""
+    m, k = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    size = m * k
+
+    def element():
+        top = (1 << draw(st.sampled_from(BITS))) - 1
+        kind = draw(st.sampled_from(["random", "+top", "-top"]))
+        if kind == "random":
+            return draw(st.lists(st.integers(-top, top), min_size=size, max_size=size))
+        return [top if kind == "+top" else -top] * size
+
+    return m, k, [element() for _ in range(draw(st.integers(1, 30)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_sums())
+def test_sum_of_squares_is_the_sum_of_folded_squares(case):
+    m, k, vectors = case
+    ring = ResidueRing(m, k)
+    assert ring.sum_of_squares(vectors) == folded_squares(ring, vectors)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_sum_of_squares_of_extreme_elements(m, k):
+    # N equal elements of all +-(2^b - 1) put the sum at N times mul's bound,
+    # which the bits(N) added to the digit must hold; N = 2^j - 1 fills them
+    ring = ResidueRing(m, k)
+    for bits in (1, 7, 29, 61, 120):
+        top = (1 << bits) - 1
+        for count in (1, 2, 3, 7, 30, 31):
+            for sign in (1, -1):
+                vectors = [[sign * top] * ring.size] * count
+                assert ring.sum_of_squares(vectors) == folded_squares(ring, vectors)
+
+
 # -- one ring per (m, k) ---------------------------------------------------------
 
 
