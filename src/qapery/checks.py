@@ -183,9 +183,12 @@ def _harmonic_rhs(n, which):
 
 def _harmonic_residue(ring, mod, num, scale, w, rhs):
     """The residue of (lhs - rhs) w from the ring element num with
-    num / scale = w lhs; rhs is an integer element and its denominator."""
+    num / scale = w lhs; rhs is an integer element and its denominator.
+    A weight of ``ring.one`` takes no product."""
     rhs, rhs_den = rhs
-    diff = [rhs_den * a - scale * b for a, b in zip(num, ring.mul(rhs, w))]
+    if w is not ring.one:
+        rhs = ring.mul(rhs, w)
+    diff = [rhs_den * a - scale * b for a, b in zip(num, rhs)]
     return reduce_mod(ring.to_poly(diff), mod) / (scale * rhs_den)
 
 
@@ -207,7 +210,9 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     D^2 sum_{i<j} 1/([i]_q [j]_q) = P E.  The cross-check uses the explicit
     inverses h_i of ``ResidueRing.q_integer_inverse``, since invertibility
     of [i]_q modulo Phi_n is itself part of the claim, and sums their
-    squares with one fold (``ResidueRing.sum_of_squares``).  Each residue is
+    squares with one fold (``ResidueRing.sum_of_powers`` at e = 0, g = 2);
+    for sp3, +(sum h_i)^2 joins the -h_i^2 in the same sum.  The cross
+    route's weight is one, so its right side takes no product.  Each residue is
     reduced once, over one common denominator, so it is the canonical one.
     An instance with n k n above ``RING_SIZE_GUARD`` is refused first.
     """
@@ -247,9 +252,9 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     if which == "sp1":
         num, scale = h1, den
     elif which == "sp2":
-        num, scale = ring.sum_of_squares(hs), den * den
+        num, scale = ring.sum_of_powers([(1, 0, h, 2) for h in hs]), den * den
     else:
-        num = [a - b for a, b in zip(ring.mul(h1, h1), ring.sum_of_squares(hs))]
+        num = ring.sum_of_powers([(1, 0, h1, 2)] + [(-1, 0, h, 2) for h in hs])
         scale = 2 * den * den
     cross = _harmonic_residue(ring, mod, num, scale, ring.one, rhs)
     return _finish_poly("harmonic-sp", params, [primary, cross], mod, started)

@@ -18,10 +18,14 @@ q-binomial powers, less a polynomial in q^m - 1, without building the sum.
 It works in ``ResidueRing(m, k)``, integer polynomials modulo (q^m - 1)^k,
 a multiple of Phi_m^k, whose elements are k*m integers; the ring folds a
 product as one packed integer, modulo (2^(wm) - 1)^k, and
-``residue_ring`` keeps one ring per (m, k).  A term divisible by Phi_m^v
+``residue_ring`` keeps one ring per (m, k), with its table of prefix
+products, shared by every call on the ring.  A term divisible by Phi_m^v
 matters only modulo Phi_m^(k - v), so the terms of each valuation v >= 1
 are summed in the smaller ring of (m, k - v), and their sum is lifted by
-Phi_m^v once.  It takes no inverse until a residue is known to be nonzero.
+Phi_m^v once.  Each valuation group, the right side joining the group of
+valuation 0, is one ``ResidueRing.sum_of_powers``: the weighted sum of
+q^e times a power of each term's base, with one fold.  The kernel forms
+its common denominator, and takes an inverse, only for a nonzero residue.
 The same ring multiplies by a q-integer [t]_q without a product, inverts
 [i]_q in closed form and sums the squares of many elements with one fold,
 which is how ``harmonic-sp`` is decided.  ``Modulus`` takes Phi_m^k and
@@ -208,25 +212,27 @@ class ResidueRing:
     representative, the one of degree below k m; ``mul`` finds the product's
     as one integer (see there), reduced by the sparse relation
     (q^m - 1)^k = 0, which for k = 3 reads q^(3m) = 3 q^(2m) - 3 q^m + 1.
-    ``sum_of_squares`` adds N packed squares as integers and reduces them
-    once, and both read their digits through one fold, ``_fold_packed``.
-    Powers need no products: with x = q^m - 1, x^k = 0, so
-    q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
-    well.  Nor does a multiple by [t]_q (``mul_q_integer``), which
-    ``laurent._fold`` reduces, and the inverse of [i]_q has a closed form
-    modulo Phi_m that Newton steps lift (``q_integer_inverse``).
+    ``sum_of_powers`` adds the packed sum of w q^e y^g over many terms as
+    integers and reduces it once, and both read their digits through one
+    fold, ``_fold_packed``.  Powers of q need no products: with
+    x = q^m - 1, x^k = 0, so q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j,
+    for negative a as well, which has at most k nonzero entries in closed
+    form (``q_power``).  Nor does a multiple by [t]_q (``mul_q_integer``),
+    which ``laurent._fold`` reduces, and the inverse of [i]_q has a closed
+    form modulo Phi_m that Newton steps lift (``q_integer_inverse``).
 
     ``residue_ring(m, k)`` memoizes one ring per (m, k), and the ring keeps
-    what does not depend on a call: the units u_j, Phi_m and Psi_m, built on
-    first use, and the headroom of ``mul``'s digits.  Elements are lists
-    that no method mutates, so they may be shared.
+    what does not depend on a call: the units u_j, their prefix products
+    F(i) = u_1 ... u_i (``prefix``), Phi_m and Psi_m, built on first use,
+    and the headroom of ``mul``'s digits.  Elements are lists that no
+    method mutates, so they may be shared.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k, self.size = m, k, m * k
         self._wrap = _wrap(m, k)
         self.one = self.q_power(0)
-        self._units, self._layouts = {}, {}
+        self._units, self._layouts, self._prefix = {}, {}, [self.one]
         # q^(a m + r) has the entries of q^(a m), moved up by r; below q^(2km - 1),
         # r = 0 takes every a up to 2k - 1 (2k - 2 when m = 1), so its columns sum largest
         powers = [self.q_power(a * m) for a in range(2 * k - (1 if m > 1 else 2) + 1)]
@@ -259,20 +265,64 @@ class ResidueRing:
         return self._fold_packed(packed_a * (packed_a if a is b else _pack(b, width, bias)),
                                  width)
 
-    def sum_of_squares(self, vectors: list) -> list:
-        """The sum of the squares of N elements, with one fold.
+    def sum_of_powers(self, terms) -> list:
+        """sum w q^e y^g over the (w, e, y, g) of ``terms``, integers w and
+        e, elements y and g >= 1, with one fold.
 
-        Each element is packed at one common width and squared, and the N
-        integer squares are added before ``_fold_packed`` reads the digits.
-        The sum of the N canonical squares has coefficients below N times
-        ``mul``'s bound at the largest entry, so a digit of ``mul``'s width
-        plus bits(N) keeps them below Q/4, and the fold is exact as in
-        ``mul``.
+        Every base is packed once, at one width for the call, and powered
+        as an integer: y^2 is one square, left unfolded, and a higher power
+        runs ``_power`` with ``_fold_int`` after each product, whose result
+        is again a packed canonical element.  q^e is then applied as at
+        most k shifted small multiples of the packed power, one for each of
+        its entries c (``_q_power_entries``), and the weights multiply; a
+        base with one g is powered once for all of its terms, and each
+        power is dropped once its terms are added.  The integers are summed
+        and ``_fold_packed`` reads the digits once.
+
+        The width compounds ``mul``'s bound.  With b = bits(max|y|) and h
+        the ring's headroom (two spare bits included), canonical y^j for
+        j <= g has coefficients of at most g b + (g - 1)(h - 2) bits, so
+        its folds are exact at g b + (g - 1) h bits, and q^e y^g adds
+        bits(max|c|) + h - 2 more.  Weighted and summed, the canonical sum
+        stays below Q/4 with bits(sum |w|) added to the largest term's
+        bound: g b + (g - 1) h, plus bits(max|c|) + h when e != 0.  At
+        g = 1 a term takes one h all the same, for its two spare bits and
+        Q > 8 k m.  With e = 0 and g = 2 this is ``mul``'s width plus
+        bits(sum |w|).
         """
-        top = max(max(map(abs, v)).bit_length() for v in vectors)
-        width, bias = self._digit_layout(2 * top + len(vectors).bit_length())
-        return self._fold_packed(sum(p * p for p in (_pack(v, width, bias) for v in vectors)),
-                                 width)
+        headroom = self._headroom
+        bases, bits = {}, {}
+        top = weight = 0
+        for w, e, y, g in terms:
+            key = id(y), g
+            base = bases.get(key)
+            if base is None:
+                # the bases are held here, so their ids stay theirs for the call
+                base = bases[key] = (y, {})
+            b = bits.get(key[0])
+            if b is None:
+                b = bits[key[0]] = max(map(abs, y)).bit_length()
+            b = g * b + (g - 1 or 1) * headroom
+            entries = self._q_power_entries(e) if e else ((0, 1),)
+            if e:
+                b += max(abs(c) for _, c in entries).bit_length() + headroom
+            top, weight = max(top, b), weight + abs(w)
+            shifts = base[1]
+            for i, c in entries:
+                shifts[i] = shifts.get(i, 0) + w * c
+        # _digit_layout adds the one headroom back
+        width, bias = self._digit_layout(top + weight.bit_length() - headroom)
+        digit, total = 8 * width, 0
+        for (_, g), (y, shifts) in bases.items():
+            packed = _pack(y, width, bias)
+            if g == 2:
+                packed *= packed
+            elif g > 2:
+                packed = _power(packed, g, lambda a, b: self._fold_int(a * b, width), None)
+            for i, c in shifts.items():
+                shifted = packed << digit * i if i else packed
+                total += shifted if c == 1 else c * shifted
+        return self._fold_packed(total, width)
 
     def _digit_layout(self, bits: int):
         """(width, bias) of digits for canonical coefficients of ``bits``
@@ -298,8 +348,16 @@ class ResidueRing:
         0 <= U < Q^(km), where U - H is an integer V with km balanced digits
         |v_i| <= Q/2, congruent to r(Q) modulo R.  Then
         |V - r(Q)| < (3Q/4)(Q^(km) - 1)/(Q - 1), which is below R since
-        Q > 8 k m, so V = r(Q) and its digits are r.
+        Q > 8 k m, so V = r(Q) and its digits are r.  Nothing here bounds
+        c's degree or coefficients, only r's: ``sum_of_powers`` passes sums
+        of unfolded squares and their shifts, of degree up to 3 k m - 3, and
+        its width bounds the canonical sum r.  ``_fold_int`` runs the rounds
+        and returns V.
         """
+        return _digits(self._fold_int(u, width), self.size, width, self._layouts[width][0])
+
+    def _fold_int(self, u: int, width: int) -> int:
+        """V = r(Q), the packed canonical element of ``_fold_packed``'s u."""
         bias, shift, mask, wrap = self._layouts[width]
         u += bias
         hi = u >> shift
@@ -308,7 +366,7 @@ class ResidueRing:
             for offset, weight in wrap:
                 u += weight * (hi << offset)
             hi = u >> shift
-        return _digits(u - bias, self.size, width, bias)
+        return u - bias
 
     def _layout(self, width: int):
         """(bias, shift, mask, wrap) of ``_fold_packed`` at ``width`` bytes a
@@ -366,22 +424,57 @@ class ResidueRing:
                     v[r + self.m * i] += (-1) ** (j - i) * comb(j, i) * c
         return v
 
-    def q_power(self, e: int) -> list:
-        """q^e for any integer e."""
+    def _q_power_entries(self, e: int) -> list:
+        """The (index, coefficient) pairs of the at most k nonzero entries
+        of q^e, e = a m + r with 0 <= r < m.
+
+        q^e = q^r sum_{j<k} C(a, j) x^j, and x^j = sum_i C(j, i) (-1)^(j-i) q^(m i),
+        so the entry at r + m i is C(a, i) sum_{t<k-i} C(a - i, t) (-1)^t
+        = C(a, i) (-1)^(k-1-i) C(a - i - 1, k - 1 - i), by
+        C(a, j) C(j, i) = C(a, i) C(a - i, j - i) and the alternating partial
+        sum of a binomial row; for negative a as well.
+        """
         a, r = divmod(e, self.m)
-        return self.from_x([_binomial(a, j) for j in range(self.k)], r)
+        k = self.k
+        entries = [(r + self.m * i, (-1) ** (k - 1 - i) * _binomial(a, i)
+                    * _binomial(a - i - 1, k - 1 - i)) for i in range(k)]
+        return [(i, c) for i, c in entries if c]
+
+    def q_power(self, e: int) -> list:
+        """q^e for any integer e, from ``_q_power_entries``."""
+        v = [0] * self.size
+        for i, c in self._q_power_entries(e):
+            v[i] = c
+        return v
 
     def from_poly(self, f: LaurentPoly) -> list:
         """The element of a Laurent polynomial with integer coefficients."""
         v = [0] * self.size
         for e, c in f.terms():
-            for i, x in enumerate(self.q_power(e)):
+            for i, x in self._q_power_entries(e):
                 v[i] += c * x
         return v
 
     def to_poly(self, v: list) -> LaurentPoly:
         """The polynomial sum_i v[i] q^i, which may share v's list."""
         return _make(0, v)
+
+    def prefix(self, top: int) -> list:
+        """The table [F(0), F(1), ...] of the prefixes F(i) = u_1 ... u_i,
+        at least up to F(top), kept in the ring and extended on demand.
+
+        The table is a list no method mutates: an extension builds a longer
+        copy, which then replaces it (concurrent fills are idempotent, so
+        need no lock), and the entries a call has read stay the same
+        objects for every later call.
+        """
+        table = self._prefix
+        if len(table) <= top:
+            table = list(table)
+            for j in range(len(table), top + 1):
+                table.append(self.mul(table[-1], self.unit(j)))
+            self._prefix = table
+        return table
 
     def unit(self, j: int) -> list:
         """u_j, the part of 1 - q^j (j >= 1) prime to Phi_m, memoized in
@@ -434,15 +527,24 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     with fewer denominator factorials takes G(0) = F(B) for each one
     missing.
 
-    The terms of valuation v are summed in ``residue_ring(m, k - v)``: the
-    prefixes and suffixes they use are folded there once, and their sum,
-    padded to k m entries, is multiplied once by Phi_m^v in the full ring.
-    That is exact because Phi_m^v (a + (q^m - 1)^(k-v) b) == Phi_m^v a
-    (mod Phi_m^k).  Terms of valuation 0 are summed in the full ring, and
-    the units, the tables and D never leave it.  The whole difference is
-    scaled by D, and by the lcm of the denominators of rhs.  Only a nonzero
-    scaled residue is multiplied by the inverse of that scale; since the
-    residue is unique, the result does not depend on D.
+    The prefixes come from the ring's table (``ResidueRing.prefix``),
+    which every call on the ring shares; the suffixes depend on B and are
+    built per call.  A term's base is the product of its prefixes and
+    suffixes to the powers n_i / g, with g the gcd of its counts, and the
+    term is w q^e base^g.  The terms of valuation v are summed in
+    ``residue_ring(m, k - v)``: the prefixes and suffixes they use are
+    folded there once, and their sum, padded to k m entries, is multiplied
+    once by Phi_m^v in the full ring.  That is exact because
+    Phi_m^v (a + (q^m - 1)^(k-v) b) == Phi_m^v a (mod Phi_m^k).  Terms of
+    valuation 0 are summed in the full ring, and the units and the tables
+    never leave it.  The right side joins them as terms: rhs[j] x^j D is
+    sum_i rhs[j] C(j, i) (-1)^(j-i) q^(m i) G(0)^d, so each group is one
+    ``ResidueRing.sum_of_powers``, which powers a shared base once, as
+    G(0)^d for the right side and for a term that is D alone.  Every weight
+    is scaled by the lcm of the denominators of rhs, so the whole
+    difference is scaled by that and by D.  D is formed only for a nonzero
+    scaled residue, which is multiplied by the inverse of the scale; since
+    the residue is unique, the result does not depend on D.
     """
     m, k = mod.m, mod.k
     ring = residue_ring(m, k)
@@ -469,18 +571,16 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
 
     top = max((i for *_, counts in specs for i, n in counts.items() if n > 0), default=0)
     bottom = max((i for *_, counts in specs for i, n in counts.items() if n < 0), default=0)
-    units = [None] + [ring.unit(j) for j in range(1, max(top, bottom) + 1)]
-    prefix = [ring.one]
-    for j in range(1, top + 1):
-        prefix.append(ring.mul(prefix[-1], units[j]))
+    prefix = ring.prefix(top)
     suffix = [ring.one] * (bottom + 1)
     for j in range(bottom, 0, -1):
-        suffix[j - 1] = ring.mul(suffix[j], units[j])
+        suffix[j - 1] = ring.mul(suffix[j], ring.unit(j))
     depth = max((denominators(counts) for *_, counts in specs), default=0)
-    groups = {}
+    scale = lcm(*(Fraction(r).denominator for r in rhs))
+    groups = {0: []}
     for w, e, valuation, counts in specs:
         counts[0] = denominators(counts) - depth
-        groups.setdefault(valuation, []).append((w, e, counts))
+        groups.setdefault(valuation, []).append((scale * w, e, counts))
 
     total = [0] * ring.size
     for valuation, group in groups.items():
@@ -491,26 +591,31 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
             # _fold reuses its list, and the table entries are shared
             tops = {i: _fold(list(prefix[i]), m, sub._wrap) for i, top in used if top}
             bottoms = {i: _fold(list(suffix[i]), m, sub._wrap) for i, top in used if not top}
-        part = [0] * sub.size
+        powers = []
         for w, e, counts in group:
             g = gcd(*counts.values()) or 1
-            term = sub.q_power(e)
             factors = [sub.power(tops[i] if n > 0 else bottoms[i], abs(n) // g)
                        for i, n in counts.items() if n]
-            if factors:
-                term = sub.mul(term, sub.power(reduce(sub.mul, factors), g))
-            part = [s + w * t for s, t in zip(part, term)]
+            powers.append((w, e, reduce(sub.mul, factors) if factors else sub.one, g))
+        if not valuation:
+            # -scale rhs[j] x^j D, x^j = sum_i C(j, i) (-1)^(j-i) q^(m i), D = G(0)^depth
+            # (G(0) is one when depth is 0)
+            for i in range(len(rhs)):
+                w = -sum(int(scale * r) * comb(j, i) * (-1) ** (j - i)
+                         for j, r in enumerate(rhs[i:], i))
+                if w:
+                    powers.append((w, m * i, suffix[0], depth or 1))
+        if not powers:
+            continue
+        part = sub.sum_of_powers(powers)
         if valuation:
             part = ring.mul(part + [0] * (ring.size - sub.size), ring.power(ring.phi, valuation))
         total = [s + t for s, t in zip(total, part)]
 
-    scaling = ring.power(suffix[0], depth)
-    scale = lcm(*(Fraction(r).denominator for r in rhs))
-    rhs = ring.from_x([int(scale * r) for r in rhs])
-    diff = [scale * s - r for s, r in zip(total, ring.mul(scaling, rhs))]
-    residue = reduce_mod(ring.to_poly(diff), mod)
+    residue = reduce_mod(ring.to_poly(total), mod)
     if residue.is_zero():
         return residue
+    scaling = ring.power(suffix[0], depth)
     return reduce_mod(residue * inverse_mod(ring.to_poly(scaling), mod) / scale, mod)
 
 

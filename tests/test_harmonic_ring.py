@@ -117,20 +117,27 @@ def test_a_wrong_inverse_fails_only_the_cross_route(monkeypatch, residues, which
 
 @pytest.fixture
 def ring_calls(monkeypatch):
-    """Count the ring's multiples by [t]_q and record the sums of squares."""
-    calls = {"mul_q_integer": 0, "sum_of_squares": []}
-    mul_q_integer, sum_of_squares = ResidueRing.mul_q_integer, ResidueRing.sum_of_squares
+    """Count the ring's multiples by [t]_q, record the bases of each sum of
+    powers and the operands of each product."""
+    calls = {"mul_q_integer": 0, "sum_of_powers": [], "mul": []}
+    mul_q_integer, sum_of_powers, mul = (ResidueRing.mul_q_integer, ResidueRing.sum_of_powers,
+                                         ResidueRing.mul)
 
     def counting(ring, a, t):
         calls["mul_q_integer"] += 1
         return mul_q_integer(ring, a, t)
 
-    def recording(ring, vectors):
-        calls["sum_of_squares"].append(len(vectors))
-        return sum_of_squares(ring, vectors)
+    def recording(ring, terms):
+        calls["sum_of_powers"].append([(w, e, g) for w, e, _, g in terms])
+        return sum_of_powers(ring, terms)
+
+    def multiplying(ring, a, b):
+        calls["mul"].append((ring, a, b))
+        return mul(ring, a, b)
 
     monkeypatch.setattr(ResidueRing, "mul_q_integer", counting)
-    monkeypatch.setattr(ResidueRing, "sum_of_squares", recording)
+    monkeypatch.setattr(ResidueRing, "sum_of_powers", recording)
+    monkeypatch.setattr(ResidueRing, "mul", multiplying)
     return calls
 
 
@@ -140,8 +147,18 @@ def test_three_multiples_by_q_integers_a_step(ring_calls, which):
     # the 24 inverses modulo Phi_25^2; sp2 and sp3: S, P and E at each step
     assert check_harmonic_sp(25, which).holds
     assert ring_calls["mul_q_integer"] == 72
-    # the cross route squares the 24 inverses with one fold, and sp1 none
-    assert ring_calls["sum_of_squares"] == ([] if which == "sp1" else [24])
+    # the cross route squares the 24 inverses with one fold, sp3 with +h1^2
+    # in the same call, and sp1 none
+    want = {"sp1": [], "sp2": [[(1, 0, 2)] * 24], "sp3": [[(1, 0, 2)] + [(-1, 0, 2)] * 24]}
+    assert ring_calls["sum_of_powers"] == want[which]
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_no_product_by_one(ring_calls, which):
+    # the cross route's weight is one, and the right side is taken as it is
+    assert check_harmonic_sp(25, which).holds
+    assert ring_calls["mul"]
+    assert not [a for ring, a, b in ring_calls["mul"] if a == ring.one or b == ring.one]
 
 
 def test_reach_beyond_the_workload():

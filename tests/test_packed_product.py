@@ -1,13 +1,17 @@
-"""The packed products: ``laurent._pack``/``_digits`` and ``ResidueRing.mul``.
+"""The packed products: ``laurent._pack``/``_digits``, ``ResidueRing.mul``
+and ``ResidueRing.sum_of_powers``.
 
 ``ResidueRing.mul`` multiplies two elements as single integers and folds
 the packed product modulo (2^(wm) - 1)^k until it has k m balanced digits.
 Its oracle is the product it replaced, kept here: the Kronecker product
 ``_dense_mul`` folded by the list fold ``_fold``.  The operands cover every
 struct digit width (1, 2, 4 and 8 bytes) and wide digits, squares, and
-operands of all +-(2^b - 1), which make the digit bound tight.  The ring
-memo is checked as well: a kernel call leaves every cached unit equal to a
-freshly built one.
+operands of all +-(2^b - 1), which make the digit bound tight.
+``sum_of_powers`` is checked against the sum of w ``mul``(q^e, y^g) term
+by term, with shared bases, negative weights and exponents, and q^e in
+closed form against the binomial series.  The ring memo is checked as
+well: a kernel call leaves every cached unit equal to a freshly built one,
+and the calls on one ring share its prefix table without mutating it.
 """
 
 from fractions import Fraction
@@ -17,7 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 import qapery.cyclotomic
 import qapery.laurent
-from qapery.cyclotomic import Modulus, ResidueRing, binomial_sum_residue, residue_ring
+from qapery.checks import check_corollary
+from qapery.cyclotomic import (Modulus, ResidueRing, _binomial, binomial_sum_residue,
+                               residue_ring)
 from qapery.laurent import LaurentPoly, _dense_mul, _digits, _fold, _pack, _width, _wrap
 
 
@@ -111,11 +117,21 @@ def test_headroom_is_read_off_the_columns_of_q_powers(m, k):
     assert ring._headroom == ring.size.bit_length() + g + 2
 
 
-# -- ResidueRing.sum_of_squares against the folded squares ----------------------
+# -- ResidueRing.sum_of_powers against folded products ---------------------------
+
+
+def folded_powers(ring, terms):
+    """sum w q^e y^g from ``mul``, ``q_power`` and ``power``, term by term."""
+    return [sum(c) for c in zip([0] * ring.size, *(
+        [w * c for c in ring.mul(ring.q_power(e), ring.power(y, g))] for w, e, y, g in terms))]
 
 
 def folded_squares(ring, vectors):
     return [sum(c) for c in zip(*(oracle(ring, v, v) for v in vectors))]
+
+
+def squares(vectors):
+    return [(1, 0, v, 2) for v in vectors]
 
 
 @st.composite
@@ -139,9 +155,10 @@ def square_sums(draw):
 @settings(max_examples=300, deadline=None)
 @given(square_sums())
 def test_sum_of_squares_is_the_sum_of_folded_squares(case):
+    # sum_of_powers at e = 0 and g = 2: the sum of squares of harmonic-sp's cross route
     m, k, vectors = case
     ring = ResidueRing(m, k)
-    assert ring.sum_of_squares(vectors) == folded_squares(ring, vectors)
+    assert ring.sum_of_powers(squares(vectors)) == folded_squares(ring, vectors)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16])
@@ -155,7 +172,72 @@ def test_sum_of_squares_of_extreme_elements(m, k):
         for count in (1, 2, 3, 7, 30, 31):
             for sign in (1, -1):
                 vectors = [[sign * top] * ring.size] * count
-                assert ring.sum_of_squares(vectors) == folded_squares(ring, vectors)
+                assert ring.sum_of_powers(squares(vectors)) == folded_squares(ring, vectors)
+                # the same base as distinct lists is packed once per list
+                copies = [list(v) for v in vectors]
+                assert ring.sum_of_powers(squares(copies)) == folded_squares(ring, vectors)
+
+
+#: exponents of q: negative, zero, below and above k m, and above 10^4
+EXPONENTS = st.one_of(st.integers(-60, 60), st.integers(10_000, 10_100),
+                      st.integers(-10_100, -10_000))
+
+
+@st.composite
+def power_sums(draw):
+    """(m, k, terms): up to 12 (w, e, y, g) terms, g in {1, 2, 3, 6}, weights
+    of either sign, and bases drawn from a pool of at most 4, so several
+    terms share a base (as one list) and some share (y, g)."""
+    m, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    size = m * k
+
+    def element():
+        top = (1 << draw(st.sampled_from([1, 2, 5, 12, 27, 40, 61, 64, 100]))) - 1
+        kind = draw(st.sampled_from(["random", "+top", "-top"]))
+        if kind == "random":
+            return draw(st.lists(st.integers(-top, top), min_size=size, max_size=size))
+        return [top if kind == "+top" else -top] * size
+
+    pool = [element() for _ in range(draw(st.integers(1, 4)))]
+    terms = [(draw(st.integers(-(1 << 20), 1 << 20)), draw(EXPONENTS),
+              draw(st.sampled_from(pool)), draw(st.sampled_from([1, 2, 3, 6])))
+             for _ in range(draw(st.integers(1, 12)))]
+    return m, k, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_sums())
+def test_sum_of_powers_is_the_sum_of_folded_powers(case):
+    m, k, terms = case
+    ring = ResidueRing(m, k)
+    assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 16])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_sum_of_powers_of_extreme_elements(m, k):
+    # equal bases of all +-(2^b - 1), powers up to 6 and the q^e of largest
+    # entries below 10^4 in the ring put the canonical sum near the bound
+    ring = ResidueRing(m, k)
+    e = max(range(0, 10_000, m), key=lambda e: max(abs(c) for c in ring.q_power(e)))
+    for bits in (1, 7, 29, 61):
+        top = (1 << bits) - 1
+        for sign in (1, -1):
+            y = [sign * top] * ring.size
+            for g in (1, 2, 3, 6):
+                for count in (1, 3, 31):
+                    for shift in (0, e, -e - 1):
+                        terms = [(sign, shift, y, g)] * count
+                        assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 5), EXPONENTS)
+def test_q_power_is_the_binomial_series(m, k, e):
+    # q^(a m + r) = q^r sum_{j<k} C(a, j) x^j, x = q^m - 1
+    ring = ResidueRing(m, k)
+    a, r = divmod(e, m)
+    assert ring.q_power(e) == ring.from_x([_binomial(a, j) for j in range(k)], r)
 
 
 # -- one ring per (m, k) ---------------------------------------------------------
@@ -194,6 +276,61 @@ def test_a_kernel_call_mutates_no_cached_unit(m, k):
     for j, unit in ring._units.items():
         assert unit == fresh.unit(j)
     assert ring.one == fresh.one == fresh.q_power(0)
+
+
+@pytest.fixture
+def fresh_rings():
+    """Empty the ring memo before and after a test, so that its rings start
+    with no prefix table."""
+    residue_ring.cache_clear()
+    yield
+    residue_ring.cache_clear()
+
+
+def test_kernel_calls_on_one_ring_share_the_prefix_table(fresh_rings):
+    # every n at m = 3 reads the table of residue_ring(3, 3), which a larger
+    # top extends without replacing the entries read before
+    ring = residue_ring(3, 3)
+    assert check_corollary(3, 2).holds
+    entries = ring.prefix(0)
+    assert len(entries) == 2 * 3 * 2 + 1
+    assert check_corollary(3, 4).holds
+    table = ring.prefix(0)
+    assert len(table) == 2 * 3 * 4 + 1
+    assert all(table[i] is entry for i, entry in enumerate(entries))
+    assert ring.prefix(2 * 3 * 4) is table
+
+
+def test_a_sweep_mutates_no_prefix_entry(fresh_rings):
+    ring = residue_ring(3, 3)
+    seen = {}
+    for n in range(5):
+        assert check_corollary(3, n).holds
+        for entry in ring.prefix(0):
+            seen.setdefault(id(entry), (entry, hash(tuple(entry))))
+    assert all(hash(tuple(entry)) == before for entry, before in seen.values())
+    fresh = ResidueRing(3, 3)
+    assert ring.prefix(0) == fresh.prefix(2 * 3 * 4)
+
+
+def test_a_covered_top_makes_no_prefix_product(monkeypatch, fresh_rings):
+    ring = residue_ring(3, 3)
+    assert check_corollary(3, 4).holds
+    table = ring.prefix(0)
+    products = []
+    mul = ResidueRing.mul
+
+    def recording(ring, a, b):
+        products.append((a, b))
+        return mul(ring, a, b)
+
+    monkeypatch.setattr(ResidueRing, "mul", recording)
+    assert check_corollary(3, 2).holds and check_corollary(3, 4).holds
+    assert products
+    # F(j) = F(j - 1) u_j is not formed again
+    assert not [a for a, b in products
+                if any(a == table[j - 1] and b == ring.unit(j) for j in range(1, len(table)))]
+    assert ring.prefix(0) is table
 
 
 # -- LaurentPoly fast paths -------------------------------------------------------

@@ -16,7 +16,9 @@ instance.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -599,6 +601,25 @@ def test_every_valuation_group_matches_the_built_residue(m, k, data):
     assert not want_broken.is_zero()
 
 
+def denominator_factorials(terms, m, k):
+    """(B, d): the largest index of a denominator factorial (q;q)_i, and
+    the most denominator factorials of one term, with equal factorials
+    cancelled, over the terms of Phi_m-valuation below k (no q-binomial of
+    the checkers here vanishes)."""
+    bottom = depth = 0
+    for _, _, triples in terms:
+        counts = Counter()
+        for t, b, p in triples:
+            counts[t] += p
+            counts[b] -= p
+            counts[t - b] -= p
+        if sum(n * (i // m) for i, n in counts.items()) < k:
+            below = {i: n for i, n in counts.items() if n < 0 and i}
+            bottom = max([bottom, *below])
+            depth = max(depth, -sum(below.values()))
+    return bottom, depth
+
+
 def kernel_products(monkeypatch, terms, rhs, mod):
     """The (m, k) ring, and both operands, of every ring product of one
     kernel call."""
@@ -627,9 +648,11 @@ def test_a_valuation_group_is_multiplied_in_its_ring_and_lifted_once(monkeypatch
         assert valuations and max(valuations) < k
         binomial_sum_residue(terms, rhs, mod)
         products = kernel_products(monkeypatch, terms, rhs, mod)
-        # more terms of valuation v >= 1 add products in their rings alone
-        more = kernel_products(monkeypatch, terms + [(w, e + 1, triples) for w, e, triples in terms
-                                                     if phi_valuation(triples, m)], rhs, mod)
+        # more terms of valuation v >= 1 add products in their rings alone;
+        # they come in +- pairs, so the statement still holds
+        more = kernel_products(monkeypatch, terms + [(s * w, e + 1, triples) for w, e, triples in terms
+                                                     if phi_valuation(triples, m) for s in (1, -1)],
+                               rhs, mod)
         for recorded in (products, more):
             assert {ring for ring, _, _ in recorded} == {(m, k)} | {(m, k - v) for v in valuations}
             assert all(len(a) == len(b) == ring[0] * ring[1] for ring, a, b in recorded)
@@ -644,6 +667,13 @@ def test_a_valuation_group_is_multiplied_in_its_ring_and_lifted_once(monkeypatch
         lifts = [phi_powers.index(b) for r, a, b in products
                  if r == (m, k) and b in phi_powers[1:] and a not in phi_powers]
         assert sorted(lifts) == sorted(valuations)
+        # the statement holds, so D = G(0)^depth is never formed: no full-ring
+        # product multiplies two powers of G(0) = F(B)
+        bottom, depth = denominator_factorials(terms, m, k)
+        assert bottom and depth > 1
+        g0 = reduce(ring.mul, [ring.unit(j) for j in range(1, bottom + 1)])
+        g0_powers = [ring.power(g0, j) for j in range(1, depth + 1)]
+        assert not [a for r, a, b in products if r == (m, k) and a in g0_powers and b in g0_powers]
 
 
 # -- reach: instances whose left side would be large fail when perturbed -------
