@@ -21,16 +21,16 @@ and generalized theorems read lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3)
 and share ``_cube_congruence``; ``_cube_rhs`` reads the coefficients off
 the base modulo (q - 1)^3, all that matters as x divides q^(m^2) - 1, and
 ``_base_residue`` reads that off the base's specs by the kernel at m = 1.
-An instance is refused as a precondition failure before any work when the
-largest q-binomial top index M of its lhs has M*m above
-``reports.RING_SIZE_GUARD``, or when its base spans more exponents than that.
 
 ``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)`` as
 well, with no product of the [i]_q and no Euclid loop: the primary route
 steps the last three elementary symmetric functions of the [i]_q and reads
 the squared sums off them by Newton's identity, and the cross route sums
-the squares of the inverses with one fold.  It is refused when n steps
-over its k n ring coefficients, n k n, exceed the same guard.
+the squares of the inverses with one fold.
+
+Every checker first passes the estimated work of its route, the modulus
+and any powers lambda and mu included, to ``reports.admit``, which refuses
+an instance over the work budget before anything is built.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ from .qcombinatorics import (
     q_integer,
     qbin_pow,
 )
-from .reports import CongruenceReport, PreconditionError, _finish_poly, _guard_size, finish_report
+from .reports import (CongruenceReport, PreconditionError, _finish_poly, admit,
+                      almkvist_zudilin_work, binomial_sum_work, finish_report, harmonic_work,
+                      kernel_work, power_product_work)
 from .sequences import (
     almkvist_zudilin,
     apery,
@@ -71,28 +73,16 @@ def _cube_rhs(m, base, c):
     return rhs
 
 
-def _guard_ring_size(m, top):
-    """Refuse an instance whose top index M times m exceeds the guard."""
-    _guard_size(top * m, "M*m = %d")
-
-
-def _guard_base_size(terms):
-    """Refuse a base whose (e, ((t, b, p), ...)) summand specs span more
-    exponents than the guard; return the span.  q^e prod C(t, b)_q^p runs
-    from q^e to q^(e + sum p b (t - b)), and a vanishing term only widens it.
-
-    No base is built, but the span, which grows as n^2 and with lambda and
-    mu, still bounds n, lambda and mu where the M*m guard is loose: at small
-    m that guard admits n in the thousands, whose lhs the kernel decides
-    only slowly.  Without this guard it admits corollary (2, 1024), which
-    took 71 s (110 s before the kernel summed each valuation class in its
-    own ring; 2 cores, Python 3.11), and (1, 2048), which ran past 150 s;
-    at m = 1 every term has valuation 0, so that figure still holds.
-    """
-    span = (max(e + sum(p * b * (t - b) for t, b, p in triples) for e, triples in terms)
-            - min(e for e, _ in terms))
-    _guard_size(span, "base exponent span %d")
-    return span
+def _cube_work(m, low, top, bottom, depth):
+    """The kernel's work on the summands of a base with factorial indices up
+    to ``top`` and ``bottom`` and ``depth`` denominator factorials a term, at
+    m n in the ring of (m, 3), and on the base itself at m = 1.  Of the
+    m low + 1 terms of the left side, the low + 1 whose k is a multiple of m
+    have valuation 0 and the others valuation 2 (lambda in the lambda-mu
+    family, which drops them for lambda > 2; they are counted all the same,
+    so that no estimate decreases in lambda)."""
+    return (kernel_work(m, 3, m * top, m * bottom, depth, low + 1, (m - 1) * low)
+            + kernel_work(1, 3, top, bottom, depth, low + 1))
 
 
 @lru_cache(maxsize=None)
@@ -127,9 +117,8 @@ def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
     params = {"n": n, "a": a, "b": b}
     if n < 1 or a < 0 or b < 0:
         raise PreconditionError("requires n >= 1 and a, b >= 0")
-    _guard_ring_size(n, a * n)
+    admit(_cube_work(n, 0, a, max(b, a - b), 2), "ljunggren")
     base = [(0, ((a, b, 1),))]
-    _guard_base_size(base)
     c = Fraction((a - b) * b * binom(a, b) * (n * n - 1), 24)
     return _cube_congruence("ljunggren", params, n, [(0, ((a * n, b * n, 1),))], base, c, started)
 
@@ -148,7 +137,7 @@ def check_wolstenholme_q(n: int) -> CongruenceReport:
     params = {"n": n}
     if n < 1:
         raise PreconditionError("requires n >= 1")
-    _guard_ring_size(n, 2 * n)
+    admit(2 * _cube_work(n, 0, 2, 1, 2), "wolstenholme-q")
     mod = Modulus(n, 3)
     lhs = [(1, 0, ((2 * n, n, 1),))]
     forms = [_cube_rhs(n, q_integer(2), Fraction(n * n - 1, 12)),
@@ -214,7 +203,7 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     for sp3, +(sum h_i)^2 joins the -h_i^2 in the same sum.  The cross
     route's weight is one, so its right side takes no product.  Each residue is
     reduced once, over one common denominator, so it is the canonical one.
-    An instance with n k n above ``RING_SIZE_GUARD`` is refused first.
+    The work, n^3 list steps and products, is admitted first.
     """
     started = time.perf_counter()
     params = {"n": n, "which": which}
@@ -223,7 +212,7 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     if n < 2:
         raise PreconditionError("requires n >= 2")
     k = 2 if which == "sp1" else 1
-    _guard_size(n * k * n, "n*k*n = %d")
+    admit(harmonic_work(n, k), "harmonic-sp")
     mod = Modulus(n, k)
     ring = residue_ring(n, k)
     rhs = _harmonic_rhs(n, which)
@@ -275,7 +264,7 @@ def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
         raise PreconditionError("requires 0 < j < m")
     if n < 0 or k < 0:
         raise PreconditionError("requires n, k >= 0")
-    _guard_ring_size(m, m * n)
+    admit(2 * kernel_work(m, 2, m * n, m * n, 2, 0, 2), "qbin-prop")
     mod = Modulus(m, 2)
     # the right side's weight -(-1)^(j-1) C(n-1, k) and exponent, an integer
     weight, e = (-1) ** j * binom(n - 1, k), (j - 1) * (2 * m - j) // 2
@@ -300,9 +289,8 @@ def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
     params = {"m": m, "n1": n[0], "n2": n[1], "n3": n[2], "n4": n[3], "alpha": alpha.name}
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
-    _guard_ring_size(m, m * max(n[0] + n[1], n[2] + n[3]))
+    admit(_cube_work(m, min(n[0], n[2]), max(n[0] + n[1], n[2] + n[3]), max(n), 6), "main")
     base = apery_q_multivariate_terms(n, alpha)
-    _guard_base_size(base)
     terms = apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)
     c = Fraction(m * m - 1, 12) * correction_R_multivariate(n)
     return _cube_congruence("main", params, m, terms, base, c, started)
@@ -319,10 +307,9 @@ def check_corollary(m: int, n: int) -> CongruenceReport:
     params = {"m": m, "n": n}
     if m < 1 or n < 0:
         raise PreconditionError("requires m >= 1 and n >= 0")
-    _guard_ring_size(m, 2 * m * n)
+    admit(_cube_work(m, n, 2 * n, n, 6), "corollary")
     # the summands of apery_q_krz_binform(n) and of apery_q_krz_binform(m * n)
     base = apery_q_lambda_mu_terms(n, 2, 2, "nksq")
-    _guard_base_size(base)
     terms = apery_q_lambda_mu_terms(m * n, 2, 2, "nksq")
     c = Fraction(m * m - 1, 12) * n * n * apery(n)
     return _cube_congruence("corollary", params, m, terms, base, c, started)
@@ -340,9 +327,11 @@ def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") ->
         raise PreconditionError("requires m >= 1 and n >= 0")
     if lam < 2 or mu < 0:
         raise PreconditionError("requires lambda >= 2 and mu >= 0")
-    _guard_ring_size(m, 2 * m * n)
+    # lambda + mu + max is the depth; with both powers over 2 the terms also power
+    # bases of their own ((3, 2, 2000, 2000) took 3.4 s, (3, 2, 4000, 4000) 8.4 s)
+    depth = lam + mu + max(lam, mu) + 3 * max(min(lam, mu) - 2, 0)
+    admit(_cube_work(m, n, (2 if mu else 1) * n, n, depth), "generalized")
     base = apery_q_lambda_mu_terms(n, lam, mu, alpha)
-    _guard_base_size(base)
     terms = apery_q_lambda_mu_terms(m * n, lam, mu, alpha)
     c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
     return _cube_congruence("generalized", params, m, terms, base, c, started)
@@ -365,9 +354,8 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     params = {"m": m, "n1": n[0], "n2": n[1], "n3": n[2], "n4": n[3], "alpha": alpha.name}
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
-    _guard_ring_size(m, m * max(n[0] + n[1], n[2] + n[3]))
+    admit(_cube_work(m, min(n[0], n[2]), max(n[0] + n[1], n[2] + n[3]), max(n), 6), "s1s2")
     base = apery_q_multivariate_terms(n, alpha)
-    _guard_base_size(base)
     mod = Modulus(m, 3)
     terms = [(1, e, triples) for e, triples
              in apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)]
@@ -393,11 +381,14 @@ def check_harmonic_identity_classical(n: int) -> CongruenceReport:
     """Exact rational identity
 
         sum_{k=1}^n C(n,k)^2 C(n+k,k)^2 (1 + 2k H_{n+k} + 2k H_{n-k} - 4k H_k) = 0.
+
+    A term costs about three of A(n)'s (n = 1000 took 0.18 s, 2000 1.2 s).
     """
     started = time.perf_counter()
     params = {"n": n}
     if n < 1:
         raise PreconditionError("requires n >= 1")
+    admit(3 * binomial_sum_work(n + 1, 2 * n), "harmonic-classical")
     harmonic = [Fraction(0)]
     for i in range(1, 2 * n + 1):
         harmonic.append(harmonic[-1] + Fraction(1, i))
@@ -424,15 +415,15 @@ def check_zheng_identity(n: int) -> CongruenceReport:
     cofactors C_i = L/[i]_q, L H_q(j) is the prefix sum S_j of the C_i and
     L q H_{1/q}(j) the prefix sum T_j of the q^i C_i.  Since L(0) = 1, the
     lowest coefficient of the total is that of the rational function, and
-    its value at q = 1 is the total's divided by L(1) = (2n)!.  An instance
-    whose L, of degree sum_{i<=2n} (i - 1) = n (2n - 1), has degree above
-    ``RING_SIZE_GUARD`` is refused first.
+    its value at q = 1 is the total's divided by L(1) = (2n)!.  L has degree
+    n (2n - 1) and coefficients of about 2n bits(2n) bits, so the work of
+    the products grows as n^(11/2); it is admitted first.
     """
     started = time.perf_counter()
     params = {"n": n}
     if n < 1:
         raise PreconditionError("requires n >= 1")
-    _guard_size(n * (2 * n - 1), "degree %d of prod [i]_q")
+    admit(power_product_work(n), "zheng-identity")
     _, product, cofactors = _q_integer_cofactors(2 * n + 1)
     s = [LaurentPoly.zero()]
     t = [LaurentPoly.zero()]
@@ -462,8 +453,8 @@ def check_classical_supercongruences(p: int, n: int, family: str,
         apery (p >= 5), lambda-mu (p >= 5, given lambda >= 2 and mu >= 0),
         and almkvist-zudilin (p >= 3).
 
-    Only lambda-mu takes lambda and mu.  An instance with p n above
-    ``RING_SIZE_GUARD`` is refused before p is tested for primality.
+    Only lambda-mu takes lambda and mu.  The work of the two integer sums,
+    lambda and mu included, is admitted before p is tested for primality.
     """
     started = time.perf_counter()
     params = {"p": p, "n": n, "family": family}
@@ -473,7 +464,14 @@ def check_classical_supercongruences(p: int, n: int, family: str,
         raise PreconditionError("the %s family takes no lambda or mu" % family)
     if n < 1:
         raise PreconditionError("requires n >= 1")
-    _guard_size(p * n, "p*n = %d")
+    sizes = (max(p * n, 0), n)
+    if family == "almkvist-zudilin":
+        work = sum(almkvist_zudilin_work(i) for i in sizes)
+    else:
+        # A(N) sums C(N, k)^2 C(N + k, k)^2, a power of about 6 N bits
+        powers = 6 if family == "apery" else max(lam or 0, 0) + 2 * max(mu or 0, 0)
+        work = sum(binomial_sum_work(i + 1, 2 * i, powers * i) for i in sizes)
+    admit(work, "classical-sc")
     if not _is_prime(p):
         raise PreconditionError("p must be prime")
     if family == "apery":

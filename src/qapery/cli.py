@@ -10,6 +10,7 @@ output apart from the elapsed-time fields.
 from __future__ import annotations
 
 import argparse
+import decimal
 import io
 import itertools
 import json
@@ -24,7 +25,8 @@ from .checks import CHECKS, run_named_check
 from .cyclotomic import cyclotomic
 from .laurent import LaurentPoly
 from .qcombinatorics import qbin
-from .reports import PreconditionError
+from .reports import (PreconditionError, admit, almkvist_zudilin_work, binomial_sum_work,
+                      modulus_work, power_product_work, qbin_work)
 from .sequences import (
     almkvist_zudilin,
     apery,
@@ -209,15 +211,18 @@ def _qbinom(n, k):
     return qbin(n, k)
 
 
-#: target -> (number of integer arguments, function of those arguments)
+#: target -> (number of integer arguments, function of those arguments, the
+#: estimated work of that function on nonnegative arguments)
 _COMPUTE = {
-    "apery": (1, apery),
-    "apery-q": (1, apery_q_krz_binform),
-    "zheng": (1, apery_q_zheng),
-    "az": (1, almkvist_zudilin),
-    "qbinom": (2, _qbinom),
-    "cyclotomic": (1, cyclotomic),
-    "multivariate": (4, lambda *n: apery_multivariate(n)),
+    "apery": (1, apery, lambda n: binomial_sum_work(n + 1, 2 * n, 6 * n)),
+    "apery-q": (1, apery_q_krz_binform, lambda n: power_product_work(n, sequence=True)),
+    "zheng": (1, apery_q_zheng, lambda n: power_product_work(n, sequence=True)),
+    "az": (1, almkvist_zudilin, almkvist_zudilin_work),
+    "qbinom": (2, _qbinom, qbin_work),
+    "cyclotomic": (1, cyclotomic, modulus_work),
+    # four binomials a term, twice the two of an apery term
+    "multivariate": (4, lambda *n: apery_multivariate(n), lambda *n: 2 * binomial_sum_work(
+        min(n[0], n[2]) + 1, max(n[0] + n[1], n[2] + n[3]))),
 }
 
 
@@ -338,14 +343,19 @@ def _collect_params(ns, spec, ranged):
 
 
 def _cmd_compute(ns) -> int:
-    arity, fn = _COMPUTE[ns.target]
+    arity, fn, work = _COMPUTE[ns.target]
     if len(ns.args) != arity:
         raise UsageError("target %r expects %d integer argument(s)" % (ns.target, arity))
     _check_output(ns.output)
     try:
+        # a negative argument is the target's own error, after an estimate at 0
+        admit(work(*(max(a, 0) for a in ns.args)), "compute " + ns.target)
         value = fn(*ns.args)
     except ValueError as exc:
         raise UsageError("bad arguments for %s: %s" % (ns.target, exc))
+    if not isinstance(value, LaurentPoly):
+        # str() of an int refuses more than sys.get_int_max_str_digits() digits
+        value = decimal.Decimal(value)
     if ns.as_json:
         payload = {
             "target": ns.target,

@@ -31,7 +31,8 @@ from operator import sub
 
 from .cyclotomic import Modulus, cyclotomic, reduce_mod
 from .laurent import LaurentPoly, _integers, _make, exact_div, q_power
-from .reports import CongruenceReport, PreconditionError, _finish_poly, _guard_size
+from .reports import (CongruenceReport, PreconditionError, _finish_poly, admit, chu_work,
+                      modulus_work, qbin_work)
 
 
 def binom(n: int, k: int) -> int:
@@ -195,8 +196,8 @@ def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:
 
         C(a*n + b, r*n + s)_q == C(a, r) * C(b, s)_q   (mod Phi_n)
 
-    for nonnegative a, b, r, s with b, s < n.  The left side is built in full;
-    its degree (rn+s)(an+b-rn-s) is guarded first.
+    for nonnegative a, b, r, s with b, s < n.  The left side is built in full,
+    once the work of its row recurrence and of Phi_n is admitted.
     """
     started = time.perf_counter()
     params = {"n": n, "a": a, "b": b, "r": r, "s": s}
@@ -204,7 +205,7 @@ def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:
         raise PreconditionError("q-Lucas requires n >= 1")
     if min(a, b, r, s) < 0 or b >= n or s >= n:
         raise PreconditionError("q-Lucas requires 0 <= b, s < n and a, r >= 0")
-    _guard_size((r * n + s) * (a * n + b - r * n - s), "degree %d of C(an+b, rn+s)_q")
+    admit(qbin_work(a * n + b, r * n + s) + modulus_work(n), "lucas")
     mod = Modulus(n, 1)
     lhs = qbin(a * n + b, r * n + s)
     rhs = binom(a, r) * qbin(b, s)
@@ -251,9 +252,9 @@ def check_q_chu_vandermonde(a: int, b: int, n: int) -> CongruenceReport:
         C(a*n, b*n)_q == sum over c_1 + ... + c_a = b*n of
             q^(n * sum (i-1) c_i - sum_{i<j} c_i c_j) * prod C(n, c_i)_q
 
-    An instance is refused first when the degree b n (a n - b n) of the
-    left side, or the number of q-binomial factors over all compositions,
-    a times their number, exceeds ``RING_SIZE_GUARD``.
+    The work is admitted first: the left side's row recurrence, and a
+    product for each of the a q-binomial factors of every composition, whose
+    cost grows with the degree b n (a n - b n) and with n.
     """
     started = time.perf_counter()
     params = {"a": a, "b": b, "n": n}
@@ -261,8 +262,9 @@ def check_q_chu_vandermonde(a: int, b: int, n: int) -> CongruenceReport:
         raise PreconditionError("convolution check requires a >= 2, b >= 0, n >= 1")
     if b * n > a * n:
         raise PreconditionError("convolution check requires b*n <= a*n")
-    _guard_size(b * n * (a * n - b * n), "degree %d of C(an, bn)_q")
-    _guard_size(a * _composition_count(b * n, a, n), "%d q-binomial factors over the compositions")
+    work = qbin_work(a * n, b * n)  # admitted first, as it bounds the count's steps
+    admit(work, "chu-vandermonde")
+    admit(work + chu_work(a, b, n, _composition_count(b * n, a, n)), "chu-vandermonde")
     total = LaurentPoly.zero()
     for comp in _compositions(b * n, a, n):
         # sum_{i<j} c_i c_j = ((sum c_i)^2 - sum c_i^2) / 2

@@ -1,15 +1,33 @@
-"""Result records shared by all theorem checkers."""
+"""Result records shared by all theorem checkers, and the one admission policy.
+
+Every checker and ``compute`` target estimates, from its parameters alone, the
+work of its route in integer units and calls ``admit`` before it builds any
+polynomial, ring, modulus or memo entry.  ``admit`` refuses an estimate over
+``WORK_BUDGET`` with a PreconditionError: exit 2 from ``verify`` and
+``compute``, a skipped instance in a sweep.  The constants were fitted to CPU
+times of fresh processes (2 cores, Python 3.11.7), where a unit is about 1 ns.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional
 
-
-#: The one size guard of the checkers (``_guard_size``).
-RING_SIZE_GUARD = 1 << 15
+#: The work budget of one instance, about 8 s of CPU time.
+WORK_BUDGET = 8 * 10 ** 9
+# Units per step, each fitted to the CPU times in its comment.
+PRODUCT = 2  # per b^1.5 bits(b) / 1024 of a b-bit product: corollary (16, 64) 3.5 s
+DIGIT = 1000  # per digit a ring product packs: corollary (256, 4) 10.5 s
+MODULUS = 15  # per (k m)^2, at the worst m: Phi_30030 11.4 s, but Phi_9240 0.12 s
+QBIN, QBIN_BITS = 36, 400  # per row step, again per QBIN_BITS bits: qbin(600, 300) 2.1 s
+CHU = 2000  # per factor of a composition: chu-vandermonde (1148, 1, 1) 2.7 s
+HARMONIC = 14  # per n^3, twice for sp2 and sp3: harmonic-sp n = 512 2.2 s, 4.3 s (sp2)
+ZHENG, POLY_SEQUENCE = 18, 1  # per n^5.5: zheng-identity n = 25 0.83 s, apery-q n = 60 5.0 s
+BINOMIAL_SUM = 1  # per 64 N^2 of a term of two binomials to N: apery(3000) 1.6 s
+AZ = 1  # per (N bits(N))^2 / 1024 of a term of Z(N): almkvist-zudilin(3000) 1.0 s
 
 
 class PreconditionError(ValueError):
@@ -19,12 +37,70 @@ class PreconditionError(ValueError):
     """
 
 
-def _guard_size(size, what):
-    """Refuse an instance, before any work, whose size (``what % size``
-    describes it) exceeds ``RING_SIZE_GUARD``."""
-    if size > RING_SIZE_GUARD:
-        raise PreconditionError("instance too large: %s exceeds the size guard %d"
-                                % (what % size, RING_SIZE_GUARD))
+def admit(work: int, what: str):
+    """Refuse, before any work, an instance whose estimated work is over budget."""
+    if work > WORK_BUDGET:
+        raise PreconditionError("instance too large: %s needs an estimated %d work units, "
+                                "over the work budget of %d" % (what, work, WORK_BUDGET))
+
+
+def _product_work(bits: int) -> int:
+    return PRODUCT * bits * isqrt(bits) * bits.bit_length() >> 10
+
+
+def modulus_work(m: int, k: int = 1) -> int:
+    """Phi_m^k and a remainder by it: (k m)^2 bounds the exact division that
+    builds Phi_m, dearest for m with many odd primes, such as 30030."""
+    return MODULUS * (k * m) ** 2
+
+
+def kernel_work(m: int, k: int, top: int, bottom: int, depth: int, full: int, reduced=0) -> int:
+    """``binomial_sum_residue`` in ``ResidueRing(m, k)`` on ``full`` terms, and
+    ``reduced`` ones summed in the ring of (m, 1), with factorial indices up to
+    ``top``, denominator indices up to ``bottom`` and ``depth`` denominator
+    factorials a term.  The tables take top + bottom products of k m digits of
+    about top bits(top) / m + 2 h bits, h = bits(k m) + 6; a term times
+    D = F(bottom)^depth, a product of factorials of total index depth bottom,
+    takes a few products of digits of depth (bottom bits(top) / m + 2 h) bits."""
+    bits, h, table = top.bit_length(), (k * m).bit_length() + 6, top + bottom
+    term = depth * (bottom * bits + 2 * m * h)
+    products = (table * _product_work(k * (top * bits + 2 * m * h))
+                + 3 * full * _product_work(k * term) + 3 * reduced * _product_work(term))
+    return products + DIGIT * m * (k * table + 3 * k * full + 3 * reduced) + modulus_work(m, k)
+
+
+def harmonic_work(n: int, k: int) -> int:
+    """harmonic-sp modulo Phi_n^k: n^3 list steps, and squares for k = 1."""
+    return HARMONIC * n ** 3 * (3 - k) + modulus_work(n, k)
+
+
+def power_product_work(n: int, sequence: bool = False) -> int:
+    """The polynomial products of zheng-identity, or of the sequence A_q(n)."""
+    return (POLY_SEQUENCE if sequence else ZHENG) * n ** 5 * isqrt(n)
+
+
+def chu_work(a: int, b: int, n: int, compositions: int) -> int:
+    """The a factors of each composition of chu-vandermonde, each a product of
+    about d n / 2 bits for the degree d = b n (a n - b n): (2, 1, 80) took
+    0.41 s and (2, 1, 166) 33 s."""
+    return a * compositions * (CHU + _product_work(b * n * (a * n - b * n) * n // 2))
+
+
+def qbin_work(n: int, k: int) -> int:
+    """C(n, k)_q by min(k, n - k) row steps over up to its degree coefficients."""
+    low = max(min(k, n - k), 0)
+    return QBIN * low * low * (n - low) * (QBIN_BITS + n) // QBIN_BITS
+
+
+def almkvist_zudilin_work(n: int) -> int:
+    return AZ * (n // 3 + 1) * (n * n.bit_length()) ** 2 >> 10
+
+
+def binomial_sum_work(terms: int, top: int, bits: int = 0) -> int:
+    """``terms`` products of two binomials with tops up to ``top``, raised to
+    powers of up to ``bits`` bits, each a quarter of a product (classical-sc
+    (5, 1) with lambda = 10^6 and 3 10^6 took 0.64 s and 3.9 s)."""
+    return terms * ((BINOMIAL_SUM * top * top >> 6) + (_product_work(bits) >> 2))
 
 
 @dataclass

@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -82,6 +83,28 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, value", [
+        (("apery", "450"), lambda: cli.apery(450)),
+        (("az", "700"), lambda: cli.almkvist_zudilin(700)),
+        (("multivariate", "500", "500", "500", "500"),
+         lambda: cli.apery_multivariate((500, 500, 500, 500))),
+    ], ids=["apery", "az", "multivariate"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["plain", "json"])
+    def test_integers_past_the_str_digit_limit_are_printed_exactly(self, capsys, argv, value,
+                                                                    as_json):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = str(value())
+            assert len(digits.lstrip("-")) > 640
+            sys.set_int_max_str_digits(640)
+            code, out, err = run_cli(capsys, "compute", *argv, *(["--json"] if as_json else []))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0 and err == ""
+        want = digits if as_json else digits + "\n"
+        assert (json.loads(out)["value"] if as_json else out) == want
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "value.txt"

@@ -18,7 +18,6 @@ from qapery.cli import main
 from qapery.cyclotomic import Modulus, NotInvertibleError, ResidueRing, inverse_mod, reduce_mod
 from qapery.laurent import LaurentPoly, q_power
 from qapery.qcombinatorics import q_integer
-from qapery.reports import RING_SIZE_GUARD, PreconditionError
 
 WHICH = ("sp1", "sp2", "sp3")
 
@@ -166,36 +165,19 @@ def test_reach_beyond_the_workload():
         assert check_harmonic_sp(60, which).holds
 
 
-# The first n that n k n > RING_SIZE_GUARD refuses: k = 2 for sp1, 1 otherwise.
-FIRST_REFUSED = {"sp1": 129, "sp2": 182, "sp3": 182}
-
-
 @pytest.fixture
 def nothing_runs(monkeypatch):
     def unreachable(*args):
-        raise AssertionError("an oversized instance got past the size guard")
+        raise AssertionError("an instance over the work budget got past it")
 
     for name in ("Modulus", "residue_ring", "_harmonic_rhs"):
         monkeypatch.setattr(checks, name, unreachable)
 
 
-@pytest.mark.parametrize("which", WHICH)
-def test_guard_refuses_the_first_oversized_n(nothing_runs, which):
-    n = FIRST_REFUSED[which]
-    k = 2 if which == "sp1" else 1
-    assert n * k * n > RING_SIZE_GUARD >= (n - 1) * k * (n - 1)
-    with pytest.raises(PreconditionError, match="size guard"):
-        check_harmonic_sp(n, which)
-
-
 def test_oversized_verify_is_a_usage_error(nothing_runs, capsys):
-    code = main(["verify", "harmonic-sp", "--n", "129", "--which", "sp1"])
+    code = main(["verify", "harmonic-sp", "--n", "5000", "--which", "sp1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and "size guard" in err
-    # the refusal names the bound harmonic-sp checks, n k n = 129 * 2 * 129
-    assert "instance too large: n*k*n = 33282 exceeds the size guard" in err
-
-
-def test_guard_admits_the_last_n():
-    assert check_harmonic_sp(FIRST_REFUSED["sp1"] - 1, "sp1").holds
+    assert err.startswith("error:") and "work budget" in err
+    # the refusal names the route and its estimate, 14 n^3 + 15 (2 n)^2 at n = 5000
+    assert "instance too large: harmonic-sp needs an estimated 1751500000000 work" in err

@@ -11,7 +11,7 @@ one), which makes every residue nonzero.  The kernel's parts, and the bases
 it reads at m = 1, are compared with ``LaurentPoly`` arithmetic under
 hypothesis, and so is each valuation group, whose ring products are
 recorded as well; with every builder made to raise, no checker builds a
-q-binomial; and the size guards are tested without running an oversized
+q-binomial; and the work budget is tested without running an oversized
 instance.
 """
 
@@ -27,8 +27,6 @@ import qapery.cyclotomic
 from qapery import checks, qcombinatorics, sequences
 from qapery.checks import (
     _cube_rhs,
-    _guard_base_size,
-    _guard_ring_size,
     check_corollary,
     check_generalized_theorem,
     check_ljunggren_q,
@@ -48,8 +46,8 @@ from qapery.cyclotomic import (
     reduce_mod,
 )
 from qapery.laurent import LaurentPoly, divrem, exact_div, q_power
-from qapery.qcombinatorics import binom, check_q_lucas, q_integer, qbin
-from qapery.reports import RING_SIZE_GUARD, PreconditionError
+from qapery.qcombinatorics import binom, q_integer, qbin
+from qapery.reports import PreconditionError
 from qapery.sequences import (
     apery_q_krz_binform,
     apery_q_lambda_mu,
@@ -723,7 +721,7 @@ def test_main_reach_can_fail(monkeypatch):
     assert report.first_residue_coeff not in (None, 0)
 
 
-# -- the per-instance size guard -------------------------------------------------
+# -- the work budget -------------------------------------------------------------
 
 OVERSIZED = [
     ("corollary", {"m": 1000, "n": 1000}),
@@ -732,24 +730,25 @@ OVERSIZED = [
     ("ljunggren", {"n": 1000, "a": 1000, "b": 1}),
     ("wolstenholme-q", {"n": 3000}),
     ("s1s2", {"m": 40, "n1": 40, "n2": 40, "n3": 40, "n4": 40, "alpha": "ksq"}),
-    ("qbin-prop", {"m": 50, "n": 50, "k": 25, "j": 1}),
+    ("qbin-prop", {"m": 100, "n": 50, "k": 25, "j": 1}),
     ("lucas", {"n": 100, "a": 50, "b": 3, "r": 25, "s": 1}),
 ]
 
 
 @pytest.fixture
 def nothing_runs(monkeypatch):
-    """Make the kernel and every builder raise if an instance gets past the guard."""
-    raising = unreachable("an oversized instance got past the size guard")
-    for name in ("binomial_sum_residue", "apery_q_multivariate_terms", "apery_q_lambda_mu_terms"):
+    """Make the kernel and every builder raise if an instance gets past the budget."""
+    raising = unreachable("an instance over the work budget got past it")
+    for name in ("binomial_sum_residue", "apery_q_multivariate_terms", "apery_q_lambda_mu_terms",
+                 "residue_ring", "Modulus"):
         monkeypatch.setattr(checks, name, raising)
-    for module, name in BUILDERS:
+    for module, name in BUILDERS + [(qcombinatorics, "Modulus")]:
         monkeypatch.setattr(module, name, raising)
 
 
 @pytest.mark.parametrize("name, params", OVERSIZED, ids=[c[0] for c in OVERSIZED])
 def test_oversized_instance_is_refused(nothing_runs, name, params):
-    with pytest.raises(PreconditionError, match="size guard"):
+    with pytest.raises(PreconditionError, match="work budget"):
         checks.run_named_check(name, params)
 
 
@@ -757,7 +756,7 @@ def test_oversized_verify_is_a_usage_error(nothing_runs, capsys):
     code = main(["verify", "corollary", "--m", "1000", "--n", "1000"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and "size guard" in err
+    assert err.startswith("error:") and "work budget" in err
 
 
 @pytest.mark.parametrize("name, params", OVERSIZED[4:], ids=[c[0] for c in OVERSIZED[4:]])
@@ -768,7 +767,7 @@ def test_oversized_verify_of_a_guarded_full_route_checker_exits_2(nothing_runs, 
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and "size guard" in err
+    assert err.startswith("error:") and "work budget" in err
 
 
 def test_oversized_sweep_instances_are_skipped(nothing_runs):
@@ -777,35 +776,8 @@ def test_oversized_sweep_instances_are_skipped(nothing_runs):
     assert (summary["total"], summary["skipped"]) == (0, 2)
 
 
-# (n, a, b, r, s): C(2a + b, 2r + s)_q has degree 9 * 3641 = RING_SIZE_GUARD + 1,
-# the first degree refused, and 8 * 4096 = RING_SIZE_GUARD, the last admitted
-LUCAS_FIRST_REFUSED = (2, 1825, 0, 4, 1)
-LUCAS_LAST_ADMITTED = (2, 2052, 0, 4, 0)
-
-
-def test_lucas_guard_refuses_the_first_oversized_degree(nothing_runs):
-    n, a, b, r, s = LUCAS_FIRST_REFUSED
-    assert (r * n + s) * (a * n + b - r * n - s) == RING_SIZE_GUARD + 1
-    with pytest.raises(PreconditionError, match="size guard"):
-        check_q_lucas(*LUCAS_FIRST_REFUSED)
-
-
-def test_lucas_guard_admits_the_last_degree():
-    n, a, b, r, s = LUCAS_LAST_ADMITTED
-    assert (r * n + s) * (a * n + b - r * n - s) == RING_SIZE_GUARD
-    assert check_q_lucas(*LUCAS_LAST_ADMITTED).holds
-
-
-def test_guard_admits_the_stated_reach():
-    _guard_ring_size(16, 2 * 16 * 32)         # corollary --m 16 --n 32
-    _guard_ring_size(10, 10 * 40)             # main --m 10 --n1..n4 20
-    with pytest.raises(PreconditionError):
-        _guard_ring_size(1, RING_SIZE_GUARD + 1)
-
-
-# Instances whose lhs passes the M*m guard but whose base spans more
-# exponents than the guard: A_q(5000) has degree 5*10^7, and qbin(3, 1)^100000
-# degree 200,000.
+# Instances whose estimate is dominated by the base read at m = 1: A_q(5000)
+# at m = 1, and a base with q-binomials to the power lambda = 100000.
 OVERSIZED_BASE = [
     ["corollary", "--m", "1", "--n", "5000"],
     ["generalized", "--m", "2", "--n", "3", "--lambda", "100000", "--mu", "0"],
@@ -814,8 +786,8 @@ OVERSIZED_BASE = [
 
 @pytest.fixture
 def no_base_is_built(monkeypatch):
-    """Make the kernel and every builder raise if an instance gets past the guard."""
-    raising = unreachable("an oversized base got past the size guard")
+    """Make the kernel and every builder raise if an instance gets past the budget."""
+    raising = unreachable("an oversized base got past the work budget")
     monkeypatch.setattr(checks, "binomial_sum_residue", raising)
     for module, name in BUILDERS:
         monkeypatch.setattr(module, name, raising)
@@ -826,7 +798,7 @@ def test_oversized_base_verify_is_a_usage_error(no_base_is_built, capsys, argv):
     code = main(["verify"] + argv)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error:") and "base exponent span" in err
+    assert err.startswith("error:") and "work budget" in err
 
 
 def test_oversized_base_sweep_instances_are_skipped(no_base_is_built):
@@ -841,16 +813,30 @@ def test_oversized_base_sweep_instances_are_skipped(no_base_is_built):
         assert (summary["total"], summary["skipped"]) == (0, 1)
 
 
-def test_base_guard_admits_the_stated_reach():
-    # the corollary's base A_q(n) has degree 2 n^2
-    assert _guard_base_size(apery_q_lambda_mu_terms(32, 2, 2, "nksq")) == 2048  # --m 16 --n 32
-    assert _guard_base_size(apery_q_lambda_mu_terms(64, 2, 2, "nksq")) == 8192  # --m 16 --n 64
-    with pytest.raises(PreconditionError, match="size guard"):
-        _guard_base_size([(0, ((RING_SIZE_GUARD + 2, 1, 1),))])  # degree guard + 1
+@pytest.fixture
+def reached(monkeypatch):
+    """Make the kernel raise ``Reached``: an instance got past the budget."""
+    class Reached(Exception):
+        pass
+
+    def raising(*args):
+        raise Reached()
+    monkeypatch.setattr(checks, "binomial_sum_residue", raising)
+    monkeypatch.setattr(checks, "_base_residue", raising)
+    return Reached
 
 
-@pytest.mark.parametrize("n, lam, mu, alpha", [(0, 2, 2, "nksq"), (4, 3, 1, "ksq"),
-                                               (5, 2, 0, "kk2n"), (3, 4, 2, "nksq")])
-def test_base_span_is_the_built_span(n, lam, mu, alpha):
-    f = apery_q_lambda_mu(n, lam, mu, alpha)
-    assert _guard_base_size(apery_q_lambda_mu_terms(n, lam, mu, alpha)) == f.degree() - f.min_degree()
+def test_guard_admits_the_stated_reach(reached):
+    # m n = 1024 at m = 16 and 8, and the four-index sum at m = 16, n_i = 32
+    for check, args in ((check_corollary, (16, 64)), (check_corollary, (8, 128)),
+                        (check_main_theorem, (16, (32, 32, 32, 32))),
+                        (check_generalized_theorem, (3, 2, 10 ** 4, 0))):
+        with pytest.raises(reached):
+            check(*args)
+
+
+def test_base_guard_admits_the_stated_reach(reached):
+    # the base-span guard refused these, whose left sides are decided in seconds
+    for m, n in ((2, 256), (1, 512)):
+        with pytest.raises(reached):
+            check_corollary(m, n)
