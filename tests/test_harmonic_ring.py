@@ -18,6 +18,7 @@ from qapery.cli import main
 from qapery.cyclotomic import Modulus, NotInvertibleError, ResidueRing, inverse_mod, reduce_mod
 from qapery.laurent import LaurentPoly, q_power
 from qapery.qcombinatorics import q_integer
+from qapery.reports import WORK_BUDGET, PreconditionError, harmonic_work
 
 WHICH = ("sp1", "sp2", "sp3")
 
@@ -165,6 +166,11 @@ def test_reach_beyond_the_workload():
         assert check_harmonic_sp(60, which).holds
 
 
+# The first n whose estimate harmonic_work(n, k) is over the work budget:
+# k = 2 for sp1, 1 otherwise.
+FIRST_REFUSED = {"sp1": 829, "sp2": 659, "sp3": 659}
+
+
 @pytest.fixture
 def nothing_runs(monkeypatch):
     def unreachable(*args):
@@ -181,3 +187,25 @@ def test_oversized_verify_is_a_usage_error(nothing_runs, capsys):
     assert err.startswith("error:") and "work budget" in err
     # the refusal names the route and its estimate, 14 n^3 + 15 (2 n)^2 at n = 5000
     assert "instance too large: harmonic-sp needs an estimated 1751500000000 work" in err
+
+
+@pytest.mark.parametrize("which", WHICH)
+def test_guard_refuses_the_first_oversized_n(nothing_runs, which):
+    n = FIRST_REFUSED[which]
+    k = 2 if which == "sp1" else 1
+    assert harmonic_work(n, k) > WORK_BUDGET >= harmonic_work(n - 1, k)
+    with pytest.raises(PreconditionError, match="work budget"):
+        check_harmonic_sp(n, which)
+
+
+class Admitted(Exception):
+    """The route built its modulus: the instance got past the budget."""
+
+
+def test_guard_admits_the_last_n(monkeypatch):
+    # the last admitted n is about 8 s of work, so it stops at its first build
+    def admitted(*args):
+        raise Admitted()
+    monkeypatch.setattr(checks, "Modulus", admitted)
+    with pytest.raises(Admitted):
+        check_harmonic_sp(FIRST_REFUSED["sp1"] - 1, "sp1")

@@ -46,8 +46,8 @@ from qapery.cyclotomic import (
     reduce_mod,
 )
 from qapery.laurent import LaurentPoly, divrem, exact_div, q_power
-from qapery.qcombinatorics import binom, q_integer, qbin
-from qapery.reports import PreconditionError
+from qapery.qcombinatorics import binom, check_q_lucas, q_integer, qbin
+from qapery.reports import WORK_BUDGET, PreconditionError, modulus_work, qbin_work
 from qapery.sequences import (
     apery_q_krz_binform,
     apery_q_lambda_mu,
@@ -774,6 +774,34 @@ def test_oversized_sweep_instances_are_skipped(nothing_runs):
     spec = SweepSpec("corollary", ranges={"m": (1000, 1000, 1), "n": (999, 1000, 1)}, jobs=1)
     summary = run_sweep(spec)["summary"]
     assert (summary["total"], summary["skipped"]) == (0, 2)
+
+
+# (n, a, b, r, s): the first a whose estimate for C(2 a, 9)_q and Phi_2 is
+# over the work budget, and the one before it, the last admitted
+LUCAS_FIRST_REFUSED = (2, 16467, 0, 4, 1)
+LUCAS_LAST_ADMITTED = (2, 16466, 0, 4, 1)
+
+
+def lucas_work(n, a, b, r, s):
+    return qbin_work(a * n + b, r * n + s) + modulus_work(n)
+
+
+def test_lucas_guard_refuses_the_first_oversized_degree(nothing_runs):
+    assert lucas_work(*LUCAS_LAST_ADMITTED) <= WORK_BUDGET < lucas_work(*LUCAS_FIRST_REFUSED)
+    with pytest.raises(PreconditionError, match="work budget"):
+        check_q_lucas(*LUCAS_FIRST_REFUSED)
+
+
+def test_lucas_guard_admits_the_last_degree(monkeypatch):
+    # the last admitted instance is about 8 s of work, so it stops at its first build
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted()
+    monkeypatch.setattr(qcombinatorics, "Modulus", admitted)
+    with pytest.raises(Admitted):
+        check_q_lucas(*LUCAS_LAST_ADMITTED)
 
 
 # Instances whose estimate is dominated by the base read at m = 1: A_q(5000)
