@@ -54,6 +54,7 @@ from .reports import (CongruenceReport, PreconditionError, _finish_poly, admit,
                       almkvist_zudilin_work, binomial_sum_work, finish_report, harmonic_work,
                       kernel_work, power_product_work)
 from .sequences import (
+    _multivariate_terms,
     almkvist_zudilin,
     apery,
     apery_lambda_mu,
@@ -360,11 +361,7 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     terms = [(1, e, triples) for e, triples
              in apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)]
 
-    c_weights = [
-        binom(n[0], k) * binom(n[2], k)
-        * binom(n[0] + n[1] - k, n[0]) * binom(n[2] + n[3] - k, n[2])
-        for k in range(min(n[0], n[2]) + 1)
-    ]
+    c_weights = list(_multivariate_terms(n))
     half = Fraction(n[0] * n[1] + n[2] * n[3], 2)
     r1 = sum((half - k * k) * c for k, c in enumerate(c_weights))
     k2sum = sum(k * k * c for k, c in enumerate(c_weights))

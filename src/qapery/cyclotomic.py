@@ -1,7 +1,12 @@
 """Cyclotomic polynomials and congruence arithmetic modulo their powers.
 
-Phi_m(q) is computed by exact division, Phi_m = (q^m - 1) / prod Phi_d over
-proper divisors d, and memoized in one module dict.  A Laurent polynomial f
+Phi_m(q) is the Moebius product prod_{d | m} (1 - q^d)^mu(m/d), taken as a
+power series cut at its degree phi(m), with one pass per square-free
+divisor, and memoized in one module dict; Psi_m = (q^m - 1) / Phi_m is the
+same product with mu negated.  A pass is one of the two list steps,
+``laurent._times_one_minus`` and ``laurent._over_one_minus``, which the
+q-binomial row recurrence and ``ResidueRing.mul_q_integer`` also run, so no
+polynomial product or division is formed.  A Laurent polynomial f
 has one canonical residue modulo Phi_m(q)^k: the unique ordinary r == f with
 deg r below the modulus degree.  It exists because gcd(q, Phi_m) = 1 for
 every m, so q is invertible modulo Phi_m^k; congruence is the vanishing of
@@ -39,12 +44,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import sub
 
-from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _lower_terms, _make, _pack,
-                      _power, _residue, _width, _wrap, exact_div, q_power)
+from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _lower_terms, _make,
+                      _over_one_minus, _pack, _power, _residue, _times_one_minus, _width, _wrap,
+                      q_power)
 
 
 class NotInvertibleError(ValueError):
@@ -75,9 +79,32 @@ def euler_phi(m: int) -> int:
     return n
 
 
-def _divisors(m: int) -> list:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
+def _mobius_product(m: int, inverse: bool = False) -> list:
+    """The coefficients of Phi_m, or of Psi_m = (q^m - 1) / Phi_m when
+    ``inverse`` is set, from q^0 up to the degree, top.
+
+    Phi_m = prod_{d | m} (1 - q^d)^mu(m/d) for m > 1 (Arnold and Monagan,
+    "Calculating cyclotomic polynomials", Math. Comp. 2011), and Phi_1 = q - 1
+    is the negated product.  So Psi_m = -(1 - q^m) / Phi_m, of degree below
+    m, is minus the product with every mu negated, whose factor
+    (1 - q^m)^-1 is 1 below q^m; Psi_1 = 1.  The product is a power series
+    cut at q^top, one pass per square-free m / d with d <= top: a multiply
+    by 1 - q^d is ``laurent._times_one_minus`` cut back to top + 1 entries,
+    a division ``laurent._over_one_minus`` on the list padded by d zeros.
+    """
+    top = m - euler_phi(m) if inverse else euler_phi(m)
+    g = [1 if (m == 1) == inverse else -1] + [0] * top
+    # (d, e) for every d | m with m / d square-free, e = mu(m/d), negated for Psi_m
+    mobius = [(m, -1 if inverse else 1)]
+    for p in _factorize(m):
+        mobius += [(d // p, -e) for d, e in mobius]
+    for d, e in mobius:
+        if d <= top and e > 0:
+            g = _times_one_minus(g, d)[:top + 1]
+        elif d <= top:
+            g += [0] * d
+            _over_one_minus(g, d)
+    return g
 
 
 _CYCLOTOMIC = {}
@@ -88,15 +115,7 @@ def cyclotomic(m: int) -> LaurentPoly:
     a fill is idempotent, so concurrent calls need no lock."""
     if m < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    cached = _CYCLOTOMIC.get(m)
-    if cached is not None:
-        return cached
-    product = LaurentPoly.one()
-    for d in _divisors(m):
-        if d < m:
-            product = product * cyclotomic(d)
-    _CYCLOTOMIC[m] = exact_div(q_power(m) - 1, product)
-    return _CYCLOTOMIC[m]
+    return _CYCLOTOMIC.get(m) or _CYCLOTOMIC.setdefault(m, _make(0, _mobius_product(m)))
 
 
 def cyclotomic_at_one(m: int) -> int:
@@ -246,7 +265,7 @@ class ResidueRing:
     @cached_property
     def _psi(self) -> list:
         # Psi_m = (q^m - 1) / Phi_m, the product of Phi_d over d | m, d < m
-        return self.from_poly(exact_div(q_power(self.m) - 1, cyclotomic(self.m)))
+        return self.from_poly(_make(0, _mobius_product(self.m, inverse=True)))
 
     def mul(self, a: list, b: list) -> list:
         """The product of two elements, as one integer product.
@@ -381,10 +400,8 @@ class ResidueRing:
         a (1 - q^t), a running sum divides it exactly by 1 - q (the sum of
         all its coefficients is zero, so the top entry is dropped), and the
         result is folded."""
-        g = a + [0] * t
-        g[t:] = map(sub, g[t:], a)
-        g = list(accumulate(g))
-        del g[-1]
+        g = _times_one_minus(a, t)
+        _over_one_minus(g, 1)
         return _fold(g, self.m, self._wrap)
 
     def q_integer_inverse(self, i: int):
@@ -598,13 +615,10 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
                        for i, n in counts.items() if n]
             powers.append((w, e, reduce(sub.mul, factors) if factors else sub.one, g))
         if not valuation:
-            # -scale rhs[j] x^j D, x^j = sum_i C(j, i) (-1)^(j-i) q^(m i), D = G(0)^depth
+            # -scale sum_j rhs[j] x^j D = sum_i w_i q^(m i) D, D = G(0)^depth
             # (G(0) is one when depth is 0)
-            for i in range(len(rhs)):
-                w = -sum(int(scale * r) * comb(j, i) * (-1) ** (j - i)
-                         for j, r in enumerate(rhs[i:], i))
-                if w:
-                    powers.append((w, m * i, suffix[0], depth or 1))
+            right = ring.from_x([-int(scale * r) for r in rhs])
+            powers += [(w, e, suffix[0], depth or 1) for e, w in enumerate(right) if w]
         if not powers:
             continue
         part = sub.sum_of_powers(powers)

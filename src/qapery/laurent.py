@@ -34,7 +34,11 @@ time.  XORing the top bit of every digit (the bias) turns those into
 c + 2^(w-1), which a plain ``int.from_bytes`` reads with no carries, and
 subtracting the bias leaves sum c_i 2^(w i).  A product by a
 one-coefficient polynomial scales and shifts; ``_power`` is the one
-squaring loop, for polynomials and residue-ring elements alike.
+squaring loop, for polynomials and residue-ring elements alike.  A
+coefficient list is multiplied by 1 - q^a and divided by 1 - q^i without a
+product by ``_times_one_minus`` and ``_over_one_minus``, the steps of the
+q-binomial row recurrence, of Phi_m and Psi_m and of
+``cyclotomic.ResidueRing.mul_q_integer``.
 
 All arithmetic is exact.  Division lives in ``divrem``/``exact_div`` and
 requires ordinary polynomials (no negative exponents); use
@@ -54,6 +58,7 @@ from __future__ import annotations
 import operator
 import struct
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
 
 
@@ -422,6 +427,27 @@ def _dense_mul(a: list, b: list) -> list:
     packed_a = _pack(a, width)
     packed_b = packed_a if a is b else _pack(b, width)
     return _digits(packed_a * packed_b, len(a) + len(b) - 1, width)
+
+
+def _times_one_minus(g: list, a: int) -> list:
+    """g (1 - q^a) for a >= 1, by one shift-subtract, as a new list a
+    entries longer."""
+    h = g + [0] * a
+    h[a:] = map(operator.sub, h[a:], g)
+    return h
+
+
+def _over_one_minus(g: list, i: int):
+    """g / (1 - q^i) for i >= 1, in place: the running sum h[j] = g[j] + h[j - i]
+    over each residue class mod i, less its top i entries.  Those are zero
+    when the division is exact; when g was padded by i zeros, what is left
+    is the power series quotient of the unpadded g, cut at its length."""
+    if i == 1:
+        g[:] = accumulate(g)
+    else:
+        for r in range(i):
+            g[r::i] = accumulate(g[r::i])
+    del g[-i:]
 
 
 def _wrap(m: int, k: int) -> list:

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import accumulate
-from operator import sub
 
 from .cyclotomic import Modulus, cyclotomic, reduce_mod
-from .laurent import LaurentPoly, _integers, _make, exact_div, q_power
+from .laurent import (LaurentPoly, _integers, _make, _over_one_minus, _times_one_minus,
+                      exact_div, q_power)
 from .reports import (CongruenceReport, PreconditionError, _finish_poly, admit, chu_work,
                       modulus_work, qbin_work)
 
@@ -89,14 +88,8 @@ def _qbin_row(n: int, k: int) -> LaurentPoly:
             start, g = i, _integers(cached)
             break
     for i in range(start + 1, k + 1):
-        a = d + i
-        f, g = g, g + [0] * a
-        g[a:] = map(sub, g[a:], f)
-        # g / (1 - q^i) = h with h[j] = g[j] + h[j - i]; the division is
-        # exact, so the top i entries of h are zero and are dropped
-        for r in range(i):
-            g[r::i] = accumulate(g[r::i])
-        del g[-i:]
+        g = _times_one_minus(g, d + i)
+        _over_one_minus(g, i)
     return _make(0, g)
 
 

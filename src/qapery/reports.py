@@ -21,7 +21,7 @@ WORK_BUDGET = 8 * 10 ** 9
 # Units per step, each fitted to the CPU times in its comment.
 PRODUCT = 2  # per b^1.5 bits(b) / 1024 of a b-bit product: corollary (16, 64) 3.5 s
 DIGIT = 1000  # per digit a ring product packs: corollary (256, 4) 10.5 s
-MODULUS = 15  # per (k m)^2, at the worst m: Phi_30030 11.4 s, but Phi_9240 0.12 s
+MODULUS = 15  # per (k m)^2, at the worst m: a remainder by Phi_15015 4.6 s, by Phi_9240 0.25 s
 QBIN, QBIN_BITS = 36, 400  # per row step, again per QBIN_BITS bits: qbin(600, 300) 2.1 s
 CHU = 2000  # per factor of a composition: chu-vandermonde (1148, 1, 1) 2.7 s
 HARMONIC = 14  # per n^3, twice for sp2 and sp3: harmonic-sp n = 512 2.2 s, 4.3 s (sp2)
@@ -49,8 +49,9 @@ def _product_work(bits: int) -> int:
 
 
 def modulus_work(m: int, k: int = 1) -> int:
-    """Phi_m^k and a remainder by it: (k m)^2 bounds the exact division that
-    builds Phi_m, dearest for m with many odd primes, such as 30030."""
+    """Phi_m^k and a remainder by it: (k m)^2 bounds the division of k m folded
+    integers by the nonzero terms of Phi_m^k, dearest for m with many odd
+    primes, such as 15015; Phi_m itself is built in about linear time."""
     return MODULUS * (k * m) ** 2
 
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .laurent import LaurentPoly, q_power
-from .qcombinatorics import binom, qbin_pow
+from .qcombinatorics import qbin_pow
 
 #: Truncated series expansions beyond this total degree are refused.
 DIAGONAL_DEGREE_GUARD = 16
@@ -64,11 +64,11 @@ class AlphaExponent:
                     "alpha %r violates alpha(0, k) = k^2 at k=%d" % (self.name, k)
                 )
         for n in _homogeneity_samples(dims):
+            scaled = [tuple(m * ni for ni in n) for m in range(1, 7)]
             for k in range(0, 7):
                 base = self.fn(n, k)
-                for m in range(1, 7):
-                    scaled = tuple(m * ni for ni in n)
-                    if self.fn(scaled, m * k) != m * m * base:
+                for m, mn in enumerate(scaled, 1):
+                    if self.fn(mn, m * k) != m * m * base:
                         raise ValueError(
                             "alpha %r violates quadratic homogeneity at n=%r, k=%d, m=%d"
                             % (self.name, n, k, m)
@@ -129,16 +129,23 @@ def _check_tuple4(n):
     return n
 
 
+def _multivariate_terms(n):
+    """The nonzero terms t_k = C(n1,k) C(n3,k) C(n1+n2-k,n1) C(n3+n4-k,n3),
+    k = 0, 1, ..., of A(n1,n2,n3,n4), each from the one before by
+    t_(k+1) = t_k (n1-k)(n3-k)(n2-k)(n4-k) / ((k+1)^2 (n1+n2-k)(n3+n4-k)),
+    an exact division, up to the first zero numerator."""
+    n1, n2, n3, n4 = n
+    t = math.comb(n1 + n2, n1) * math.comb(n3 + n4, n3)
+    # the numerator first vanishes at k = min(n)
+    for k in range(min(n)):
+        yield t
+        t = t * math.prod(ni - k for ni in n) // ((k + 1) ** 2 * (n1 + n2 - k) * (n3 + n4 - k))
+    yield t
+
+
 def apery_multivariate(n) -> int:
     """A(n1,n2,n3,n4) = sum_k C(n1,k) C(n3,k) C(n1+n2-k,n1) C(n3+n4-k,n3)."""
-    n1, n2, n3, n4 = _check_tuple4(n)
-    total = 0
-    for k in range(0, min(n1, n3) + 1):
-        total += (
-            binom(n1, k) * binom(n3, k)
-            * binom(n1 + n2 - k, n1) * binom(n3 + n4 - k, n3)
-        )
-    return total
+    return sum(_multivariate_terms(_check_tuple4(n)))
 
 
 def apery_lambda_mu(n: int, lam: int, mu: int) -> int:

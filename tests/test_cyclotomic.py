@@ -34,13 +34,21 @@ class TestCyclotomic:
         assert cyclotomic(2) == q + 1
         assert cyclotomic(6) == P({0: 1, 1: -1, 2: 1})
 
-    def test_product_formula_up_to_60(self):
-        for m in range(1, 61):
+    def test_product_formula_up_to_400(self):
+        for m in [*range(1, 401), 2310, 4620, 9240]:
             product = LaurentPoly.one()
             for d in range(1, m + 1):
                 if m % d == 0:
                     product = product * cyclotomic(d)
             assert product == q_power(m) - 1, m
+
+    @pytest.mark.parametrize("m", [15015, 30030, 30011])
+    def test_large_m_degree_value_at_one_and_palindromy(self, m):
+        f = cyclotomic(m)
+        coeffs = [f.coefficient(e) for e in range(f.degree() + 1)]
+        assert f.degree() == euler_phi(m)
+        assert sum(coeffs) == cyclotomic_at_one(m)
+        assert coeffs == coeffs[::-1]
 
     def test_monic_integer_degree_phi(self):
         for m in range(1, 61):

@@ -1,13 +1,15 @@
 """Every module in the package uses every name it imports, every
 module-level private name is referenced somewhere in the package, only
-``laurent.py`` reads the fields of a ``LaurentPoly``, and no re-export hides
-a submodule.
+``laurent.py`` reads the fields of a ``LaurentPoly``, no re-export hides
+a submodule, and importing the package fills no memo.
 
 Re-exports in ``__init__.py`` and ``from __future__`` imports are exempt.
 """
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -114,3 +116,20 @@ SUBMODULES = [p.stem for p in MODULES if p.stem != "__main__"]
 def test_package_attribute_is_the_submodule(name):
     importlib.import_module("qapery." + name)
     assert getattr(qapery, name) is sys.modules["qapery." + name]
+
+
+def test_import_builds_nothing():
+    """A fresh ``import qapery.checks`` leaves every memo empty, so that no
+    construction moves into import, which every process pays."""
+    probe = (
+        "from qapery import checks, cyclotomic, qcombinatorics, sequences\n"
+        "tables = [cyclotomic._CYCLOTOMIC, qcombinatorics._QBIN_CACHE,\n"
+        "          qcombinatorics._QBIN_POW_CACHE, qcombinatorics._PASCAL_CACHE]\n"
+        "memos = [cyclotomic.residue_ring, cyclotomic._modulus_parts, checks._base_residue,\n"
+        "         sequences.apery_q_krz_binform]\n"
+        "print([len(t) for t in tables], [f.cache_info().currsize for f in memos])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == "[0, 0, 0, 0] [0, 0, 0, 0]".split()

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qapery.laurent import (
     LaurentPoly,
+    _over_one_minus,
+    _times_one_minus,
     divrem,
     exact_div,
     ext_gcd,
@@ -222,3 +225,28 @@ class TestRendering:
         d = f.to_json_dict()
         assert d == {"-2": "3/7", "0": "1", "5": "-4"}
         assert LaurentPoly.from_json_dict(d) == f
+
+
+def _poly(coeffs):
+    return LaurentPoly(dict(enumerate(coeffs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=12), st.integers(1, 8),
+       st.integers(1, 8))
+def test_one_minus_steps_match_products_and_exact_division(coeffs, a, i):
+    kept = list(coeffs)
+    product = _times_one_minus(coeffs, a)
+    assert coeffs == kept and len(product) == len(coeffs) + a
+    assert _poly(product) == _poly(coeffs) * (1 - q_power(a))
+    # an exact quotient by 1 - q^i of the product times 1 - q^i
+    multiple = _poly(product) * (1 - q_power(i))
+    g = [multiple.coefficient(e) for e in range(len(product) + i)]
+    _over_one_minus(g, i)
+    assert _poly(g) == exact_div(multiple, 1 - q_power(i)) == _poly(product)
+    assert len(g) == len(product)
+    # on a list padded by i zeros, the series quotient below q^len(coeffs)
+    g = coeffs + [0] * i
+    _over_one_minus(g, i)
+    series = _poly(coeffs) * LaurentPoly({i * j: 1 for j in range(len(coeffs) // i + 1)})
+    assert g == [series.coefficient(e) for e in range(len(coeffs))]

@@ -18,6 +18,10 @@ def _plus_one(fn):
     return lambda *args: fn(*args) + 1
 
 
+def _plus_one_each(fn):
+    return lambda *args: (t + 1 for t in fn(*args))
+
+
 def _plus_argument(fn):
     # a constant offset cancels between F(p n) and F(n); an offset of x does not
     return lambda x: fn(x) + x
@@ -41,7 +45,8 @@ CASES = [
      checks, "correction_R_multivariate", _plus_one),
     ("generalized", {"m": 3, "n": 2, "lambda": 3, "mu": 1},
      checks, "correction_R_lambda_mu", _plus_one),
-    ("s1s2", {"m": 2, "n1": 1, "n2": 1, "n3": 1, "n4": 1}, checks, "binom", _plus_one),
+    ("s1s2", {"m": 2, "n1": 1, "n2": 1, "n3": 1, "n4": 1},
+     checks, "_multivariate_terms", _plus_one_each),
     ("lucas", {"n": 3, "a": 2, "b": 1, "r": 1, "s": 1}, qcombinatorics, "binom", _plus_one),
     ("chu-vandermonde", {"a": 3, "b": 1, "n": 2},
      qcombinatorics, "q_power", _shift_first_exponent),

@@ -373,15 +373,25 @@ def test_ring_unit_is_one_minus_q_power_without_phi(mk, j):
 
 
 def test_phi_and_psi_are_built_on_first_use(monkeypatch):
+    # Phi_m and Psi_m are each one Moebius product, (m, False) and (m, True)
     built = []
-    monkeypatch.setattr(qapery.cyclotomic, "cyclotomic", lambda m: built.append(m) or cyclotomic(m))
+    product = qapery.cyclotomic._mobius_product
+    monkeypatch.setattr(qapery.cyclotomic, "_CYCLOTOMIC", {})
+    monkeypatch.setattr(qapery.cyclotomic, "_mobius_product",
+                        lambda m, inverse=False: built.append((m, inverse)) or product(m, inverse))
     ring = ResidueRing(6, 2)
     ring.mul_q_integer(ring.mul(ring.q_power(7), ring.unit(5)), 4)
     ring.q_integer_inverse(5)
     assert built == []
-    assert ring.unit(12) and ring.phi and built.count(6) == 2
-    count = len(built)
-    assert ring.unit(18) and ring.phi and len(built) == count
+    assert ring.unit(12) and built == [(6, True)]
+    assert ring.phi and built == [(6, True), (6, False)]
+    assert ring.unit(18) and ring.phi and len(built) == 2
+
+
+def test_psi_is_q_m_minus_one_over_phi():
+    for m in range(1, 300):
+        want = exact_div(q_power(m) - 1, cyclotomic(m))
+        assert ResidueRing(m, 2)._psi == ResidueRing(m, 2).from_poly(want), m
 
 
 def built_term(w, e, triples, mod):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qapery.laurent import LaurentPoly, q_power
 from qapery.qcombinatorics import q_pochhammer, qbin
@@ -47,6 +48,15 @@ class TestClassicalSequences:
     def test_multivariate_diagonal(self):
         for n in range(6):
             assert apery_multivariate((n, n, n, n)) == apery(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.integers(0, 40)] * 4))
+    def test_multivariate_term_ratio_matches_four_binomials(self, n):
+        n1, n2, n3, n4 = n
+        want = sum(math.comb(n1, k) * math.comb(n3, k)
+                   * math.comb(n1 + n2 - k, n1) * math.comb(n3 + n4 - k, n3)
+                   for k in range(min(n1, n3) + 1))
+        assert apery_multivariate(n) == want
 
     def test_lambda_mu(self):
         assert apery_lambda_mu(3, 2, 2) == apery(3)
