@@ -18,9 +18,9 @@ of q-binomial powers, and its right side as coefficients of x = q^m - 1.
 it and returns the canonical residue, the one the full-polynomial route
 (kept in the tests as the oracle) gives.  The q-Ljunggren, corollary, main
 and generalized theorems read lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3)
-and share ``_cube_congruence``; ``_cube_rhs`` reads the coefficients off
-the base modulo (q - 1)^3, all that matters as x divides q^(m^2) - 1, and
-``_base_residue`` reads that off the base's specs by the kernel at m = 1.
+and share ``_cube_congruence``.  As x divides q^(m^2) - 1, the right side
+needs only the base's value at q = 1 and its first two moments, which
+``_cube_rhs`` reads off the base's specs in closed form.
 
 ``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)`` as
 well, with no product of the [i]_q and no Euclid loop: the primary route
@@ -37,12 +37,10 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from math import comb, lcm, prod
 
-from .cyclotomic import (Modulus, _binomial, _factorize, binomial_sum_residue, reduce_mod,
-                         residue_ring)
-from .laurent import LaurentPoly, q_power
+from .cyclotomic import Modulus, _factorize, binomial_sum_residue, reduce_mod, residue_ring
+from .laurent import LaurentPoly, _make, _over_one_minus, _times_one_minus, q_power
 from .qcombinatorics import (
     binom,
     check_q_chu_vandermonde,
@@ -67,32 +65,43 @@ from .sequences import (
 
 
 def _cube_rhs(m, base, c):
-    """The x-coefficients, x = q^m - 1, of base(q^(m^2)) - c x^2 modulo x^3:
-    base(q^(m^2)) = sum_e b_e (1 + x)^(m e) reads sum_e b_e C(m e, j) at x^j."""
-    rhs = [sum(b * _binomial(m * e, j) for e, b in base.terms()) for j in range(3)]
-    rhs[2] -= c
-    return rhs
+    """The x-coefficients, x = q^m - 1, of base(q^(m^2)) - c x^2 modulo x^3,
+    for a base of (e, ((t, b, p), ...)) summand specs, each of weight 1.
+
+    base(q^(m^2)) = sum_e b_e (1 + x)^(m e) needs only V = sum b_e and the
+    first two moments, sum e b_e and sum e^2 b_e.  C(t, b)_q has V = C(t, b),
+    mean b (t - b)/2 and variance b (t - b)(t + 1)/12 (Mann and Whitney,
+    1947), and a product adds its factors' means and variances; so with T1
+    the sum of V times twice the mean and T2 that of V (12 variance + 3
+    (twice the mean)^2), the coefficients are V, m T1/2 and
+    m^2 T2/24 - m T1/4 (less c).  A summand with a vanishing q-binomial is
+    skipped, as in the kernel; one that divides by a q-binomial is refused.
+    """
+    total = t1 = t2 = 0
+    for e, triples in base:
+        if any(p < 0 for *_, p in triples):
+            raise ValueError("a base summand divides by a q-binomial")
+        if any(p and not 0 <= b <= t for t, b, p in triples):
+            continue
+        value = prod(comb(t, b) ** p for t, b, p in triples if p)
+        mean2 = 2 * e + sum(p * b * (t - b) for t, b, p in triples)
+        var12 = sum(p * b * (t - b) * (t + 1) for t, b, p in triples)
+        total += value
+        t1 += value * mean2
+        t2 += value * (var12 + 3 * mean2 * mean2)
+    return [total, Fraction(m * t1, 2), Fraction(m * m * t2, 24) - Fraction(m * t1, 4) - c]
 
 
 def _cube_work(m, low, top, bottom, depth):
     """The kernel's work on the summands of a base with factorial indices up
     to ``top`` and ``bottom`` and ``depth`` denominator factorials a term, at
-    m n in the ring of (m, 3), and on the base itself at m = 1.  Of the
-    m low + 1 terms of the left side, the low + 1 whose k is a multiple of m
-    have valuation 0 and the others valuation 2 (lambda in the lambda-mu
-    family, which drops them for lambda > 2; they are counted all the same,
-    so that no estimate decreases in lambda)."""
-    return (kernel_work(m, 3, m * top, m * bottom, depth, low + 1, (m - 1) * low)
-            + kernel_work(1, 3, top, bottom, depth, low + 1))
-
-
-@lru_cache(maxsize=None)
-def _base_residue(terms):
-    """The residue modulo (q - 1)^3 of the base with summand specs
-    ``terms``, a tuple of (e, ((t, b, p), ...)) each of weight 1, memoized
-    on that tuple.  It is the kernel at m = 1, where no q-binomial has a
-    factor Phi_1, so no term is dropped or refused."""
-    return binomial_sum_residue([(1, e, triples) for e, triples in terms], [], Modulus(1, 3))
+    m n in the ring of (m, 3); the base's own right side is read in closed
+    form, at no cost worth counting.  Of the m low + 1 terms of the left
+    side, the low + 1 whose k is a multiple of m have valuation 0 and the
+    others valuation 2 (lambda in the lambda-mu family, which drops them for
+    lambda > 2; they are counted all the same, so that no estimate decreases
+    in lambda)."""
+    return kernel_work(m, 3, m * top, m * bottom, depth, low + 1, (m - 1) * low)
 
 
 def _cube_congruence(name, params, m, terms, base, c, started):
@@ -104,7 +113,7 @@ def _cube_congruence(name, params, m, terms, base, c, started):
     """
     mod = Modulus(m, 3)
     terms = [(1, e, triples) for e, triples in terms]
-    residue = binomial_sum_residue(terms, _cube_rhs(m, _base_residue(tuple(base)), c), mod)
+    residue = binomial_sum_residue(terms, _cube_rhs(m, base, c), mod)
     return _finish_poly(name, params, [residue], mod, started)
 
 
@@ -141,24 +150,20 @@ def check_wolstenholme_q(n: int) -> CongruenceReport:
     admit(2 * _cube_work(n, 0, 2, 1, 2), "wolstenholme-q")
     mod = Modulus(n, 3)
     lhs = [(1, 0, ((2 * n, n, 1),))]
-    forms = [_cube_rhs(n, q_integer(2), Fraction(n * n - 1, 12)),
+    forms = [_cube_rhs(n, [(0, ((2, 1, 1),))], Fraction(n * n - 1, 12)),
              [2, n, Fraction((n - 1) * (5 * n - 1), 12)]]
     residues = [binomial_sum_residue(lhs, rhs, mod) for rhs in forms]
     return _finish_poly("wolstenholme-q", params, residues, mod, started)
 
 
 def _q_integer_cofactors(n):
-    """[i]_q for 0 < i < n, their product D, and the cofactors D/[i]_q."""
-    ints = [q_integer(i) for i in range(1, n)]
-    count = len(ints)
-    prefix = [LaurentPoly.one()]
-    for p in ints:
-        prefix.append(prefix[-1] * p)
-    suffix = [LaurentPoly.one()] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        suffix[i] = ints[i] * suffix[i + 1]
-    cofactors = [prefix[i] * suffix[i + 1] for i in range(count)]
-    return ints, prefix[-1], cofactors
+    """The product D of the [i]_q = (1 - q^i)/(1 - q) for 0 < i < n, and the
+    cofactors D/[i]_q = D (1 - q)/(1 - q^i), each by two list steps."""
+    product = [1]
+    for i in range(1, n):
+        product = _over_one_minus(_times_one_minus(product, i), 1)
+    cofactors = [_make(0, _over_one_minus(_times_one_minus(product, 1), i)) for i in range(1, n)]
+    return _make(0, product), cofactors
 
 
 def _harmonic_rhs(n, which):
@@ -297,23 +302,33 @@ def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
     return _cube_congruence("main", params, m, terms, base, c, started)
 
 
+def _lambda_mu_congruence(name, params, m, n, lam, mu, alpha, started):
+    """Report as ``name`` on the (lambda, mu)-family statement modulo Phi_m^3,
+    A_q(m*n) == A_{q^(m^2)}(n) - (m^2-1)/12 (q^m - 1)^2 R^(lambda,mu)(n)."""
+    if m < 1 or n < 0:
+        raise PreconditionError("requires m >= 1 and n >= 0")
+    if lam < 2 or mu < 0:
+        raise PreconditionError("requires lambda >= 2 and mu >= 0")
+    # lambda + mu + max is the depth; with both powers over 2 the terms also power
+    # bases of their own ((3, 2, 2000, 2000) took 3.4 s, (3, 2, 4000, 4000) 8.4 s)
+    depth = lam + mu + max(lam, mu) + 3 * max(min(lam, mu) - 2, 0)
+    admit(_cube_work(m, n, (2 if mu else 1) * n, n, depth), name)
+    base = apery_q_lambda_mu_terms(n, lam, mu, alpha)
+    terms = apery_q_lambda_mu_terms(m * n, lam, mu, alpha)
+    c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
+    return _cube_congruence(name, params, m, terms, base, c, started)
+
+
 def check_corollary(m: int, n: int) -> CongruenceReport:
     """Single-index specialization of the main congruence, modulo Phi_m^3:
 
         A_q(m*n) == A_{q^(m^2)}(n) - (m^2-1)/12 (q^m - 1)^2 n^2 A(n)
 
-    with A_q(n) the binomial-form q-analog.
+    with A_q(n) the binomial-form q-analog: the generalized statement at
+    (lambda, mu) = (2, 2) with the weight (n - k)^2, where R(n) = n^2 A(n).
     """
     started = time.perf_counter()
-    params = {"m": m, "n": n}
-    if m < 1 or n < 0:
-        raise PreconditionError("requires m >= 1 and n >= 0")
-    admit(_cube_work(m, n, 2 * n, n, 6), "corollary")
-    # the summands of apery_q_krz_binform(n) and of apery_q_krz_binform(m * n)
-    base = apery_q_lambda_mu_terms(n, 2, 2, "nksq")
-    terms = apery_q_lambda_mu_terms(m * n, 2, 2, "nksq")
-    c = Fraction(m * m - 1, 12) * n * n * apery(n)
-    return _cube_congruence("corollary", params, m, terms, base, c, started)
+    return _lambda_mu_congruence("corollary", {"m": m, "n": n}, m, n, 2, 2, "nksq", started)
 
 
 def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") -> CongruenceReport:
@@ -324,18 +339,7 @@ def check_generalized_theorem(m: int, n: int, lam: int, mu: int, alpha="ksq") ->
     started = time.perf_counter()
     alpha = get_alpha(alpha)
     params = {"m": m, "n": n, "lambda": lam, "mu": mu, "alpha": alpha.name}
-    if m < 1 or n < 0:
-        raise PreconditionError("requires m >= 1 and n >= 0")
-    if lam < 2 or mu < 0:
-        raise PreconditionError("requires lambda >= 2 and mu >= 0")
-    # lambda + mu + max is the depth; with both powers over 2 the terms also power
-    # bases of their own ((3, 2, 2000, 2000) took 3.4 s, (3, 2, 4000, 4000) 8.4 s)
-    depth = lam + mu + max(lam, mu) + 3 * max(min(lam, mu) - 2, 0)
-    admit(_cube_work(m, n, (2 if mu else 1) * n, n, depth), "generalized")
-    base = apery_q_lambda_mu_terms(n, lam, mu, alpha)
-    terms = apery_q_lambda_mu_terms(m * n, lam, mu, alpha)
-    c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
-    return _cube_congruence("generalized", params, m, terms, base, c, started)
+    return _lambda_mu_congruence("generalized", params, m, n, lam, mu, alpha, started)
 
 
 def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
@@ -347,7 +351,7 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     -(m^2-1)/12 (q^m - 1)^2 sum_k k^2 C(n; k).  S1 and S2 partition one list
     of the summand specs of A_q(m*n), so the split is exact by construction
     and needs no residue of its own; the parts are reduced by
-    ``binomial_sum_residue`` and the base read by ``_base_residue``, none built.
+    ``binomial_sum_residue`` and the base read by ``_cube_rhs``, none built.
     """
     started = time.perf_counter()
     n = tuple(n)
@@ -367,7 +371,7 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     k2sum = sum(k * k * c for k, c in enumerate(c_weights))
 
     factor = Fraction(m * m - 1, 12)
-    s1_rhs = _cube_rhs(m, _base_residue(tuple(base)), factor * r1)
+    s1_rhs = _cube_rhs(m, base, factor * r1)
     residues = [binomial_sum_residue(terms[::m], s1_rhs, mod),
                 binomial_sum_residue([t for k, t in enumerate(terms) if k % m],
                                      [0, 0, -factor * k2sum], mod)]
@@ -421,7 +425,7 @@ def check_zheng_identity(n: int) -> CongruenceReport:
     if n < 1:
         raise PreconditionError("requires n >= 1")
     admit(power_product_work(n), "zheng-identity")
-    _, product, cofactors = _q_integer_cofactors(2 * n + 1)
+    product, cofactors = _q_integer_cofactors(2 * n + 1)
     s = [LaurentPoly.zero()]
     t = [LaurentPoly.zero()]
     for i, c in enumerate(cofactors, 1):

@@ -173,9 +173,13 @@ def _rows_text(rows, fmt: str) -> str:
 
 def _check_output(output_path):
     """Fail at once, before any work, when ``--output`` cannot be opened for
-    writing; an existing file is left as it is until ``_emit``."""
+    writing; an existing file is left as it is until ``_emit``, and one that
+    this check creates is removed again, so that a refused run leaves none."""
     if output_path:
+        existed = os.path.lexists(output_path)
         _emit("", output_path, mode="a")
+        if not existed:
+            os.remove(output_path)
 
 
 def _emit(text: str, output_path, mode: str = "w"):

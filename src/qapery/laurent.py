@@ -437,17 +437,19 @@ def _times_one_minus(g: list, a: int) -> list:
     return h
 
 
-def _over_one_minus(g: list, i: int):
+def _over_one_minus(g: list, i: int) -> list:
     """g / (1 - q^i) for i >= 1, in place: the running sum h[j] = g[j] + h[j - i]
     over each residue class mod i, less its top i entries.  Those are zero
     when the division is exact; when g was padded by i zeros, what is left
-    is the power series quotient of the unpadded g, cut at its length."""
+    is the power series quotient of the unpadded g, cut at its length.
+    Returns g."""
     if i == 1:
         g[:] = accumulate(g)
     else:
         for r in range(i):
             g[r::i] = accumulate(g[r::i])
     del g[-i:]
+    return g
 
 
 def _wrap(m: int, k: int) -> list:

@@ -116,10 +116,11 @@ ALPHA_KK2N = register_alpha(AlphaExponent(
 # ---------------------------------------------------------------------------
 
 def apery(n: int) -> int:
-    """A(n) = sum over k of C(n,k)^2 C(n+k,k)^2."""
+    """A(n) = sum over k of C(n,k)^2 C(n+k,k)^2, the (2, 2) member of
+    ``apery_lambda_mu``."""
     if n < 0:
         raise ValueError("apery requires n >= 0")
-    return sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
+    return apery_lambda_mu(n, 2, 2)
 
 
 def _check_tuple4(n):

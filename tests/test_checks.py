@@ -174,33 +174,34 @@ class TestS1S2:
 
     def test_each_summand_built_once(self, monkeypatch):
         # S1/S2 are reduced from the specs of A_q(8,8,8,8) and build none of
-        # its 9 summands; the 3 specs of the base A_q(2,2,2,2) are read
-        # modulo (q - 1)^3 in one kernel call, memoized, and none is built
+        # its 9 summands; the 3 specs of the base A_q(2,2,2,2) are read in
+        # closed form by one _cube_rhs call, with no kernel call of their own
         from qapery import sequences
 
-        built, reads = [], []
+        built, reads, moduli = [], [], []
         summand, kernel = sequences._summand, checks.binomial_sum_residue
+        cube_rhs = checks._cube_rhs
 
         def counting(*args):
             built.append(args)
             return summand(*args)
 
         def recording(terms, rhs, mod):
-            if mod == Modulus(1, 3):
-                reads.append(terms)
+            moduli.append(mod)
             return kernel(terms, rhs, mod)
+
+        def reading(m, base, c):
+            reads.append(base)
+            return cube_rhs(m, base, c)
 
         monkeypatch.setattr(sequences, "_summand", counting)
         monkeypatch.setattr(checks, "binomial_sum_residue", recording)
-        checks._base_residue.cache_clear()
-        try:
-            for _ in range(2):
-                assert check_s1_s2_decomposition(4, (2, 2, 2, 2), "ksq").holds
-        finally:
-            checks._base_residue.cache_clear()
+        monkeypatch.setattr(checks, "_cube_rhs", reading)
+        assert check_s1_s2_decomposition(4, (2, 2, 2, 2), "ksq").holds
         specs = sequences.apery_q_multivariate_terms((2, 2, 2, 2), "ksq")
         assert built == []
-        assert reads == [[(1, e, triples) for e, triples in specs]]
+        assert reads == [specs]
+        assert moduli == [Modulus(4, 3)] * 2
 
 
 class TestIdentities:

@@ -278,6 +278,31 @@ def test_unwritable_output_fails_before_any_work(capsys, tmp_path, monkeypatch, 
     assert err.startswith("error: cannot write %s: " % path)
 
 
+# a refused run of each command, past the ``--output`` check: over the work
+# budget, out of the target's domain, and over the instance guard
+REFUSED = [
+    ("verify", "corollary", "--m", "16", "--n", "200"),
+    ("compute", "apery-q", "-3"),
+    ("sweep", "wolstenholme-q", "--n", "1..11"),
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=[a[0] for a in REFUSED])
+@pytest.mark.parametrize("existing", [None, b"kept \x00 bytes\n"], ids=["new", "existing"])
+def test_a_refused_run_leaves_the_output_path_as_it_was(capsys, tmp_path, monkeypatch, argv,
+                                                        existing):
+    monkeypatch.setenv("QCONG_GUARD", "10")
+    path = tmp_path / "out.txt"
+    if existing is not None:
+        path.write_bytes(existing)
+    code, out, err = run_cli(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+
+
 class TestSweepLibrary:
     def test_parallel_equals_serial(self):
         base = dict(

@@ -44,7 +44,6 @@ def builders_raise(monkeypatch):
         monkeypatch.setattr(checks, name, builder)
     for name in ("qbin", "_compositions", "cyclotomic", "Modulus"):
         monkeypatch.setattr(qcombinatorics, name, builder)
-    monkeypatch.setattr(checks, "_base_residue", builder)
     for target, (arity, _, work) in cli._COMPUTE.items():
         monkeypatch.setitem(cli._COMPUTE, target, (arity, builder, work))
 
@@ -64,13 +63,13 @@ def compute(target):
 # before it is the last admitted.
 EDGES = [
     ("corollary-m16", check_corollary, lambda x: (16, x), 78),
-    ("corollary-m2", check_corollary, lambda x: (2, x), 484),
-    ("corollary-m1", check_corollary, lambda x: (1, x), 669),
+    ("corollary-m2", check_corollary, lambda x: (2, x), 512),
+    ("corollary-m1", check_corollary, lambda x: (1, x), 883),
     ("main", check_main_theorem, lambda x: (16, (x, x, x, x)), 78),
     ("s1s2", check_s1_s2_decomposition, lambda x: (16, (x, x, x, x)), 78),
-    ("generalized-lambda", check_generalized_theorem, lambda x: (3, 2, x, 0), 12782),
-    ("generalized-mu", check_generalized_theorem, lambda x: (3, 2, 2, x), 11846),
-    ("generalized-lambda-mu", check_generalized_theorem, lambda x: (3, 2, x, x), 3950),
+    ("generalized-lambda", check_generalized_theorem, lambda x: (3, 2, x, 0), 13505),
+    ("generalized-mu", check_generalized_theorem, lambda x: (3, 2, 2, x), 12540),
+    ("generalized-lambda-mu", check_generalized_theorem, lambda x: (3, 2, x, x), 4182),
     ("ljunggren", check_ljunggren_q, lambda x: (16, x, 1), 193),
     ("ljunggren-modulus", check_ljunggren_q, lambda x: (x, 0, 0), 7510),
     ("wolstenholme-q", check_wolstenholme_q, lambda x: (x,), 532),

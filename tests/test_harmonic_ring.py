@@ -8,7 +8,9 @@ cross residue.  Both residues must be identical to the oracle's, for every
 statement with n = 2..25, as stated and with the right side perturbed.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -39,10 +41,22 @@ def full_route(n, which):
     """The oracle's modulus, scale and left sides, the multiplied-through one
     (the cofactors of D, with D or D^2 as the scale) and the inverse one."""
     mod = Modulus(n, 2 if which == "sp1" else 1)
-    ints, product, cofactors = _q_integer_cofactors(n)
+    product, cofactors = _q_integer_cofactors(n)
     scale = product if which == "sp1" else product ** 2
-    inverses = [inverse_mod(p, mod) for p in ints]
+    inverses = [inverse_mod(q_integer(i), mod) for i in range(1, n)]
     return mod, scale, _harmonic_lhs(which, cofactors), _harmonic_lhs(which, inverses)
+
+
+def test_cofactors_are_the_products_of_the_other_q_integers():
+    # the list steps against LaurentPoly products of the [j]_q, j != i
+    def product_of(polys):
+        return reduce(operator.mul, polys, LaurentPoly.one())
+
+    for n in range(1, 52, 5):
+        ints = [q_integer(i) for i in range(1, n)]
+        product, cofactors = _q_integer_cofactors(n)
+        assert product == product_of(ints), n
+        assert cofactors == [product_of(ints[:i] + ints[i + 1:]) for i in range(n - 1)], n
 
 
 PERTURBATIONS = {

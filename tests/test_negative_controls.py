@@ -40,7 +40,7 @@ def _shift_first_exponent(q_power):
 CASES = [
     # (check, params, module, attribute, perturbation)
     ("ljunggren", {"n": 3, "a": 4, "b": 2}, checks, "binom", _plus_one),
-    ("corollary", {"m": 3, "n": 2}, checks, "apery", _plus_one),
+    ("corollary", {"m": 3, "n": 2}, checks, "correction_R_lambda_mu", _plus_one),
     ("main", {"m": 2, "n1": 1, "n2": 1, "n3": 1, "n4": 1},
      checks, "correction_R_multivariate", _plus_one),
     ("generalized", {"m": 3, "n": 2, "lambda": 3, "mu": 1},
@@ -50,7 +50,7 @@ CASES = [
     ("lucas", {"n": 3, "a": 2, "b": 1, "r": 1, "s": 1}, qcombinatorics, "binom", _plus_one),
     ("chu-vandermonde", {"a": 3, "b": 1, "n": 2},
      qcombinatorics, "q_power", _shift_first_exponent),
-    ("wolstenholme-q", {"n": 3}, checks, "q_integer", _plus_one),
+    ("wolstenholme-q", {"n": 3}, checks, "comb", _plus_one),
     ("qbin-prop", {"m": 3, "n": 2, "k": 1, "j": 1}, checks, "binom", _plus_one),
     # n = 5 would hide sp2: its right side has the factor (n - 5)
     ("harmonic-sp", {"n": 7, "which": "sp1"}, checks, "q_power", _shift_first_exponent),

@@ -7,9 +7,10 @@ base for the Phi_m^3 checkers, and the built statements of
 ``wolstenholme-q``, ``s1s2`` and ``qbin-prop``.  On every acceptance grid
 the two must give identical residues, for the statement as given and
 perturbed (the correction factor c raised by one, or a weight raised by
-one), which makes every residue nonzero.  The kernel's parts, and the bases
-it reads at m = 1, are compared with ``LaurentPoly`` arithmetic under
-hypothesis, and so is each valuation group, whose ring products are
+one), which makes every residue nonzero.  The kernel's parts, and the
+closed-form right sides ``checks._cube_rhs`` reads off a base's specs (also
+against the kernel at m = 1), are compared with ``LaurentPoly`` arithmetic
+under hypothesis, and so is each valuation group, whose ring products are
 recorded as well; with every builder made to raise, no checker builds a
 q-binomial; and the work budget is tested without running an oversized
 instance.
@@ -40,6 +41,7 @@ from qapery.cyclotomic import (
     Modulus,
     NotInvertibleError,
     ResidueRing,
+    _binomial,
     binomial_sum_residue,
     cyclotomic,
     inverse_mod,
@@ -54,6 +56,7 @@ from qapery.sequences import (
     apery_q_lambda_mu_terms,
     apery_q_multivariate,
     apery_q_multivariate_terms,
+    list_alphas,
 )
 
 
@@ -63,6 +66,15 @@ def cube_residue(m, lhs, base, c, mod):
     if c:
         rhs = rhs - c * (q_power(m) - 1) ** 2
     return reduce_mod(lhs - rhs, mod)
+
+
+def substituted_rhs(m, base, c):
+    """The x-coefficients, x = q^m - 1, of base(q^(m^2)) - c x^2 modulo x^3,
+    for a built base: base(q^(m^2)) = sum_e b_e (1 + x)^(m e) reads
+    sum_e b_e C(m e, j) at x^j, C(a, j) a polynomial in a."""
+    rhs = [sum(b * _binomial(m * e, j) for e, b in base.terms()) for j in range(3)]
+    rhs[2] -= c
+    return rhs
 
 
 def x_poly(m, rhs):
@@ -114,29 +126,14 @@ GRIDS = {
     ),
 }
 
-BASE_MOD = Modulus(1, 3)
-
-
-@pytest.fixture
-def fresh_base_memo():
-    """Empty the checkers' base memo before and after a test, so that the
-    test reads every base itself and leaves none that a patched kernel read."""
-    checks._base_residue.cache_clear()
-    yield
-    checks._base_residue.cache_clear()
-
-
 def record_kernel(monkeypatch):
-    """Replace the checkers' kernel by one that records each call but the
-    base reads, which ``checks._base_residue`` makes modulo (q - 1)^3 with no
-    right side, and which its memo would make only on a miss."""
+    """Replace the checkers' kernel by one that records each call."""
     calls = []
     kernel = checks.binomial_sum_residue
 
     def recording(terms, rhs, mod):
         residue = kernel(terms, rhs, mod)
-        if rhs or mod != BASE_MOD:
-            calls.append((terms, rhs, mod, residue))
+        calls.append((terms, rhs, mod, residue))
         return residue
 
     monkeypatch.setattr(checks, "binomial_sum_residue", recording)
@@ -144,7 +141,7 @@ def record_kernel(monkeypatch):
 
 
 def record_cube_rhs(monkeypatch):
-    """Record the (m, base residue, c) each right side of a Phi_m^3 checker is
+    """Record the (m, base specs, c) each right side of a Phi_m^3 checker is
     read from."""
     calls = []
 
@@ -164,6 +161,8 @@ def test_ring_and_full_routes_give_identical_residues(monkeypatch, name):
     raised_nonzero = 0
     for args in instances:
         assert run(*args).holds, args
+        # one kernel call, at the instance's own modulus: the base is read
+        # in closed form, with no kernel call at m = 1
         (terms, rhs, mod, residue), = calls
         (m, read_base, c), = sides
         calls.clear()
@@ -171,11 +170,11 @@ def test_ring_and_full_routes_give_identical_residues(monkeypatch, name):
         assert m == modulus_index(*args)
         assert mod == Modulus(m, 3)
         base = built_base(*args)
-        assert rhs == _cube_rhs(m, base, c), args
+        assert rhs == substituted_rhs(m, base, c), args
         lhs = built_lhs(*args)
         assert residue == cube_residue(m, lhs, base, c, mod), args
         raised_rhs = _cube_rhs(m, read_base, c + 1)
-        assert raised_rhs == _cube_rhs(m, base, c + 1), args
+        assert raised_rhs == substituted_rhs(m, base, c + 1), args
         raised = binomial_sum_residue(terms, raised_rhs, mod)
         assert list(raised.terms()) == list(cube_residue(m, lhs, base, c + 1, mod).terms()), args
         raised_nonzero += not raised.is_zero()
@@ -293,7 +292,7 @@ def make_builders_raise(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
-def test_no_checker_builds_a_q_binomial(monkeypatch, fresh_base_memo, name):
+def test_no_checker_builds_a_q_binomial(monkeypatch, name):
     # neither side of any instance is built, bases included: at m = 1 the
     # corollary's base and left side are both A_q(128), of degree 32,768
     make_builders_raise(monkeypatch)
@@ -304,7 +303,7 @@ def test_no_checker_builds_a_q_binomial(monkeypatch, fresh_base_memo, name):
 
 
 @pytest.mark.parametrize("name", sorted(MOVED))
-def test_moved_checkers_build_no_left_side(monkeypatch, fresh_base_memo, name):
+def test_moved_checkers_build_no_left_side(monkeypatch, name):
     # nor any right side: s1s2 reads its base A_q(n) off the specs
     make_builders_raise(monkeypatch)
     instances, run = MOVED[name][:2]
@@ -324,7 +323,7 @@ KERNEL_DECIDED = [
 
 
 @pytest.mark.parametrize("name, params", KERNEL_DECIDED, ids=[c[0] for c in KERNEL_DECIDED])
-def test_the_kernel_alone_decides(monkeypatch, fresh_base_memo, name, params):
+def test_the_kernel_alone_decides(monkeypatch, name, params):
     assert checks.run_named_check(name, params).holds
     monkeypatch.setattr(checks, "binomial_sum_residue", lambda terms, rhs, mod: q_power(1))
     report = checks.run_named_check(name, params)
@@ -477,33 +476,54 @@ def test_both_routes_refuse_a_term_of_negative_valuation(m, k, data):
         binomial_sum_residue(others + [refused], [], mod)
 
 
-small_base = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9), max_size=3).map(LaurentPoly)
+# bases as the Phi_m^3 checkers pass them: weight-1 specs with exponents of
+# either sign and powers p >= 0, some q-binomials vanishing; and the bases of
+# the lambda-mu and four-index families with every alpha they accept
+spec_bases = st.lists(st.tuples(st.integers(-30, 30),
+                                st.lists(st.tuples(st.integers(0, 12), st.integers(-1, 13),
+                                                   st.integers(0, 5)), max_size=3).map(tuple)),
+                      max_size=4)
+lambda_mu_bases = st.builds(
+    apery_q_lambda_mu_terms, st.integers(0, 5), st.integers(2, 5), st.integers(0, 5),
+    st.sampled_from([a for a in list_alphas() if a.arity in (0, 1)]))
+four_index_bases = st.builds(
+    apery_q_multivariate_terms, st.tuples(*[st.integers(0, 4)] * 4),
+    st.sampled_from([a for a in list_alphas() if a.arity in (0, 4)]))
+bases = st.one_of(spec_bases, lambda_mu_bases, four_index_bases)
+cube_c = st.fractions(min_value=-5, max_value=5, max_denominator=24)
+
+
+def summed_base(specs):
+    return sum((sequences._summand(e, triples) for e, triples in specs), LaurentPoly.zero())
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), small_base, st.fractions(min_value=-5, max_value=5, max_denominator=24))
+@given(st.integers(1, 12), spec_bases, cube_c)
 def test_cube_rhs_is_the_substituted_base(m, base, c):
     mod = Modulus(m, 3)
     rhs = _cube_rhs(m, base, c)
     assert len(rhs) == 3
-    assert reduce_mod(x_poly(m, rhs), mod) == cube_residue(m, LaurentPoly.zero(), base, c, mod) * -1
-
-
-# bases as the Phi_m^3 checkers pass them: weight-1 specs with exponents of
-# either sign and powers p >= 0, some q-binomials vanishing
-base_specs = st.lists(st.tuples(st.integers(-30, 30),
-                                st.lists(st.tuples(st.integers(0, 20), st.integers(-1, 21),
-                                                   st.integers(0, 3)), max_size=3).map(tuple)),
-                      max_size=4).map(tuple)
+    assert reduce_mod(x_poly(m, rhs), mod) == cube_residue(m, LaurentPoly.zero(), summed_base(base),
+                                                           c, mod) * -1
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 12), base_specs, st.fractions(min_value=-5, max_value=5, max_denominator=24))
-def test_base_read_at_m_1_gives_the_built_base_right_side(m, terms, c):
-    built = sum((sequences._summand(e, triples) for e, triples in terms), LaurentPoly.zero())
-    read = checks._base_residue(terms)
-    assert read == reduce_mod(built, BASE_MOD)
-    assert _cube_rhs(m, read, c) == _cube_rhs(m, built, c)
+@given(st.integers(1, 9), bases, cube_c)
+def test_cube_rhs_moments_match_the_kernel_and_the_built_base(m, specs, c):
+    # the kernel reads the base modulo (q - 1)^3, as x divides q^(m^2) - 1,
+    # and so does reduce_mod of the built base
+    kernel_read = binomial_sum_residue([(1, e, triples) for e, triples in specs], [], Modulus(1, 3))
+    assert kernel_read == reduce_mod(summed_base(specs), Modulus(1, 3))
+    rhs = _cube_rhs(m, specs, c)
+    assert all(isinstance(r, (int, Fraction)) for r in rhs)
+    assert rhs == substituted_rhs(m, kernel_read, c)
+
+
+@pytest.mark.parametrize("specs", [[(0, ((4, 2, -1),))], [(3, ((5, 1, 2), (2, 7, -1)))]])
+def test_cube_rhs_refuses_a_base_that_divides(specs):
+    # not even a vanishing q-binomial to a negative power is skipped
+    with pytest.raises(ValueError, match="divides by a q-binomial"):
+        _cube_rhs(2, specs, 0)
 
 
 def test_a_divided_q_integer_matches_inverse_mod():
@@ -690,32 +710,42 @@ def plus_one(fn):
     return lambda *args: fn(*args) + 1
 
 
-def record_base_reads(monkeypatch):
-    """Record the spec tuple of each base the checkers read."""
-    calls = []
-    read = checks._base_residue
-
-    def recording(terms):
-        calls.append(terms)
-        return read(terms)
-
-    monkeypatch.setattr(checks, "_base_residue", recording)
-    return calls
-
-
 @pytest.mark.parametrize("m, n", [(2, 3), (5, 2), (10, 8)])
 def test_corollary_builds_only_the_small_side(monkeypatch, m, n):
-    # the small side A_q(n) is only read off its specs, and nothing is built
+    # the small side A_q(n) is only read off its specs, with no kernel call
+    # of its own, and nothing is built
     make_builders_raise(monkeypatch)
-    reads = record_base_reads(monkeypatch)
+    calls = record_kernel(monkeypatch)
+    sides = record_cube_rhs(monkeypatch)
     assert check_corollary(m, n).holds
-    assert reads == [tuple(apery_q_lambda_mu_terms(n, 2, 2, "nksq"))]
+    assert [base for _, base, _ in sides] == [apery_q_lambda_mu_terms(n, 2, 2, "nksq")]
+    assert [mod for *_, mod, _ in calls] == [Modulus(m, 3)]
+
+
+#: every Phi_m^3 checker at m = 2 and at m = 1
+CUBE_AT_M = [
+    ("ljunggren", lambda m: check_ljunggren_q(m, 4, 2)),
+    ("wolstenholme-q", lambda m: check_wolstenholme_q(m)),
+    ("main", lambda m: check_main_theorem(m, (2, 1, 2, 1), "kn23")),
+    ("s1s2", lambda m: check_s1_s2_decomposition(m, (2, 1, 2, 1), "ksq")),
+    ("corollary", lambda m: check_corollary(m, 3)),
+    ("generalized", lambda m: check_generalized_theorem(m, 3, 3, 1, "kk2n")),
+]
+
+
+@pytest.mark.parametrize("run", [c[1] for c in CUBE_AT_M], ids=[c[0] for c in CUBE_AT_M])
+def test_a_cube_check_calls_the_kernel_at_m_1_only_when_its_m_is_1(monkeypatch, run):
+    calls = record_kernel(monkeypatch)
+    for m in (2, 1):
+        assert run(m).holds
+        assert calls and {mod for *_, mod, _ in calls} == {Modulus(m, 3)}, m
+        calls.clear()
 
 
 def test_corollary_reach_can_fail(monkeypatch):
     # m*n = 80: the full route builds a polynomial of degree 12,800
     assert check_corollary(10, 8).holds
-    monkeypatch.setattr(checks, "apery", plus_one(checks.apery))
+    monkeypatch.setattr(checks, "correction_R_lambda_mu", plus_one(checks.correction_R_lambda_mu))
     report = check_corollary(10, 8)
     assert report.holds is False
     assert report.first_residue_coeff not in (None, 0)
@@ -814,8 +844,8 @@ def test_lucas_guard_admits_the_last_degree(monkeypatch):
         check_q_lucas(*LUCAS_LAST_ADMITTED)
 
 
-# Instances whose estimate is dominated by the base read at m = 1: A_q(5000)
-# at m = 1, and a base with q-binomials to the power lambda = 100000.
+# Instances with a large base: A_q(5000) at m = 1, and a base with
+# q-binomials to the power lambda = 100000.
 OVERSIZED_BASE = [
     ["corollary", "--m", "1", "--n", "5000"],
     ["generalized", "--m", "2", "--n", "3", "--lambda", "100000", "--mu", "0"],
@@ -860,7 +890,6 @@ def reached(monkeypatch):
     def raising(*args):
         raise Reached()
     monkeypatch.setattr(checks, "binomial_sum_residue", raising)
-    monkeypatch.setattr(checks, "_base_residue", raising)
     return Reached
 
 
