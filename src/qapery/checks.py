@@ -92,16 +92,12 @@ def _cube_rhs(m, base, c):
     return [total, Fraction(m * t1, 2), Fraction(m * m * t2, 24) - Fraction(m * t1, 4) - c]
 
 
-def _cube_work(m, low, top, bottom, depth):
-    """The kernel's work on the summands of a base with factorial indices up
-    to ``top`` and ``bottom`` and ``depth`` denominator factorials a term, at
-    m n in the ring of (m, 3); the base's own right side is read in closed
-    form, at no cost worth counting.  Of the m low + 1 terms of the left
-    side, the low + 1 whose k is a multiple of m have valuation 0 and the
-    others valuation 2 (lambda in the lambda-mu family, which drops them for
-    lambda > 2; they are counted all the same, so that no estimate decreases
-    in lambda)."""
-    return kernel_work(m, 3, m * top, m * bottom, depth, low + 1, (m - 1) * low)
+def _cube_work(m, low, top, depth):
+    """The kernel's work on a base of low + 1 summands, each a product of
+    q-binomials with top indices up to ``top`` and ``depth`` factors, powers
+    counted: the m low + 1 terms of the left side, and the base's own low + 1
+    read in closed form, each with an integer lead of about depth top bits."""
+    return kernel_work(m, 3, (m + 1) * low + 2, depth * top)
 
 
 def _cube_congruence(name, params, m, terms, base, c, started):
@@ -127,7 +123,7 @@ def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
     params = {"n": n, "a": a, "b": b}
     if n < 1 or a < 0 or b < 0:
         raise PreconditionError("requires n >= 1 and a, b >= 0")
-    admit(_cube_work(n, 0, a, max(b, a - b), 2), "ljunggren")
+    admit(_cube_work(n, 0, a, 2), "ljunggren")
     base = [(0, ((a, b, 1),))]
     c = Fraction((a - b) * b * binom(a, b) * (n * n - 1), 24)
     return _cube_congruence("ljunggren", params, n, [(0, ((a * n, b * n, 1),))], base, c, started)
@@ -147,7 +143,7 @@ def check_wolstenholme_q(n: int) -> CongruenceReport:
     params = {"n": n}
     if n < 1:
         raise PreconditionError("requires n >= 1")
-    admit(2 * _cube_work(n, 0, 2, 1, 2), "wolstenholme-q")
+    admit(2 * _cube_work(n, 0, 2, 2), "wolstenholme-q")
     mod = Modulus(n, 3)
     lhs = [(1, 0, ((2 * n, n, 1),))]
     forms = [_cube_rhs(n, [(0, ((2, 1, 1),))], Fraction(n * n - 1, 12)),
@@ -205,7 +201,7 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     D^2 sum_{i<j} 1/([i]_q [j]_q) = P E.  The cross-check uses the explicit
     inverses h_i of ``ResidueRing.q_integer_inverse``, since invertibility
     of [i]_q modulo Phi_n is itself part of the claim, and sums their
-    squares with one fold (``ResidueRing.sum_of_powers`` at e = 0, g = 2);
+    squares with one fold (``ResidueRing.sum_of_powers``);
     for sp3, +(sum h_i)^2 joins the -h_i^2 in the same sum.  The cross
     route's weight is one, so its right side takes no product.  Each residue is
     reduced once, over one common denominator, so it is the canonical one.
@@ -247,9 +243,9 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     if which == "sp1":
         num, scale = h1, den
     elif which == "sp2":
-        num, scale = ring.sum_of_powers([(1, 0, h, 2) for h in hs]), den * den
+        num, scale = ring.sum_of_powers([(1, h) for h in hs]), den * den
     else:
-        num = ring.sum_of_powers([(1, 0, h1, 2)] + [(-1, 0, h, 2) for h in hs])
+        num = ring.sum_of_powers([(1, h1)] + [(-1, h) for h in hs])
         scale = 2 * den * den
     cross = _harmonic_residue(ring, mod, num, scale, ring.one, rhs)
     return _finish_poly("harmonic-sp", params, [primary, cross], mod, started)
@@ -270,7 +266,8 @@ def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
         raise PreconditionError("requires 0 < j < m")
     if n < 0 or k < 0:
         raise PreconditionError("requires n, k >= 0")
-    admit(2 * kernel_work(m, 2, m * n, m * n, 2, 0, 2), "qbin-prop")
+    # [j]_q = C(j, 1)_q has the lead P_j Q_1 Q_(j-1) / m^2, read off P_rho for j > 1
+    admit(2 * kernel_work(m, 2, 2, 2 * n + 64, j > 1), "qbin-prop")
     mod = Modulus(m, 2)
     # the right side's weight -(-1)^(j-1) C(n-1, k) and exponent, an integer
     weight, e = (-1) ** j * binom(n - 1, k), (j - 1) * (2 * m - j) // 2
@@ -295,7 +292,7 @@ def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
     params = {"m": m, "n1": n[0], "n2": n[1], "n3": n[2], "n4": n[3], "alpha": alpha.name}
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
-    admit(_cube_work(m, min(n[0], n[2]), max(n[0] + n[1], n[2] + n[3]), max(n), 6), "main")
+    admit(_cube_work(m, min(n[0], n[2]), max(n[0] + n[1], n[2] + n[3]), 6), "main")
     base = apery_q_multivariate_terms(n, alpha)
     terms = apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)
     c = Fraction(m * m - 1, 12) * correction_R_multivariate(n)
@@ -309,10 +306,8 @@ def _lambda_mu_congruence(name, params, m, n, lam, mu, alpha, started):
         raise PreconditionError("requires m >= 1 and n >= 0")
     if lam < 2 or mu < 0:
         raise PreconditionError("requires lambda >= 2 and mu >= 0")
-    # lambda + mu + max is the depth; with both powers over 2 the terms also power
-    # bases of their own ((3, 2, 2000, 2000) took 3.4 s, (3, 2, 4000, 4000) 8.4 s)
-    depth = lam + mu + max(lam, mu) + 3 * max(min(lam, mu) - 2, 0)
-    admit(_cube_work(m, n, (2 if mu else 1) * n, n, depth), name)
+    # C(n, k)^lambda C(n + k, k)^mu has at most (lambda + mu) top bits
+    admit(_cube_work(m, n, (2 if mu else 1) * n, lam + mu), name)
     base = apery_q_lambda_mu_terms(n, lam, mu, alpha)
     terms = apery_q_lambda_mu_terms(m * n, lam, mu, alpha)
     c = Fraction(m * m - 1, 12) * correction_R_lambda_mu(n, lam, mu)
@@ -359,7 +354,7 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
     params = {"m": m, "n1": n[0], "n2": n[1], "n3": n[2], "n4": n[3], "alpha": alpha.name}
     if m < 1 or any(ni < 0 for ni in n):
         raise PreconditionError("requires m >= 1 and nonnegative indices")
-    admit(_cube_work(m, min(n[0], n[2]), max(n[0] + n[1], n[2] + n[3]), max(n), 6), "s1s2")
+    admit(_cube_work(m, min(n[0], n[2]), max(n[0] + n[1], n[2] + n[3]), 6), "s1s2")
     base = apery_q_multivariate_terms(n, alpha)
     mod = Modulus(m, 3)
     terms = [(1, e, triples) for e, triples

@@ -4,51 +4,39 @@ Phi_m(q) is the Moebius product prod_{d | m} (1 - q^d)^mu(m/d), taken as a
 power series cut at its degree phi(m), with one pass per square-free
 divisor, and memoized in one module dict; Psi_m = (q^m - 1) / Phi_m is the
 same product with mu negated.  A pass is one of the two list steps,
-``laurent._times_one_minus`` and ``laurent._over_one_minus``, which the
-q-binomial row recurrence and ``ResidueRing.mul_q_integer`` also run, so no
-polynomial product or division is formed.  A Laurent polynomial f
-has one canonical residue modulo Phi_m(q)^k: the unique ordinary r == f with
-deg r below the modulus degree.  It exists because gcd(q, Phi_m) = 1 for
-every m, so q is invertible modulo Phi_m^k; congruence is the vanishing of
-that residue.  Since Phi_m^k divides (q^m - 1)^k, ``reduce_mod`` first folds
-f's numerator below degree k*m by the sparse relation (q^m - 1)^k = 0 and
-then takes the remainder of the folded integers by the monic integer
-Phi_m^k, whose nonzero terms ``Modulus`` keeps, building no quotient; f's
-denominator is applied once at the end.  The fold is one helper,
-``laurent._fold``, which ``ResidueRing.mul_q_integer`` runs as well, and the
-division loop is ``laurent._divide``, which ``divrem`` shares.
+``laurent._times_one_minus`` and ``laurent._over_one_minus``, so no
+polynomial product or division is formed.  A Laurent polynomial f has one
+canonical residue modulo Phi_m(q)^k: the unique ordinary r == f with deg r
+below k phi(m), as q is invertible modulo Phi_m^k; congruence is its
+vanishing.  ``reduce_mod`` folds f's numerator below q^(km) by
+(q^m - 1)^k = 0 (``laurent._fold``) and takes the remainder of the folded
+integers by the monic Phi_m^k, whose terms ``Modulus`` keeps, building no
+quotient.  ``inverse_mod`` runs its Euclid loop against Phi_m alone and
+lifts the inverse to Phi_m^k by Newton steps.
 
 ``binomial_sum_residue`` finds the residue of a weighted sum of products of
-q-binomial powers, less a polynomial in q^m - 1, without building the sum.
-It works in ``ResidueRing(m, k)``, integer polynomials modulo (q^m - 1)^k,
-a multiple of Phi_m^k, whose elements are k*m integers; the ring folds a
-product as one packed integer, modulo (2^(wm) - 1)^k, and
-``residue_ring`` keeps one ring per (m, k), with its table of prefix
-products, shared by every call on the ring.  A term divisible by Phi_m^v
-matters only modulo Phi_m^(k - v), so the terms of each valuation v >= 1
-are summed in the smaller ring of (m, k - v), and their sum is lifted by
-Phi_m^v once.  Each valuation group, the right side joining the group of
-valuation 0, is one ``ResidueRing.sum_of_powers``: the weighted sum of
-q^e times a power of each term's base, with one fold.  The kernel forms
-its common denominator, and takes an inverse, only for a nonzero residue.
-The same ring multiplies by a q-integer [t]_q without a product, inverts
-[i]_q in closed form and sums the squares of many elements with one fold,
-which is how ``harmonic-sp`` is decided.  ``Modulus`` takes Phi_m^k and
-its division data from one memo per (m, k).
-``inverse_mod`` runs its Euclid loop against Phi_m alone and lifts the
-inverse to Phi_m^k by Newton steps.
+q-binomial powers, less a polynomial in q^m - 1, without building the sum:
+from its image at q = zeta e^L in K[L]/(L^k), K = Q(zeta_m), which vanishes
+exactly when Phi_m^k divides the sum.  By the q-Lucas theorem a q-binomial
+there is L^d times an integer, a binomial in m-th of its indices, times an
+element of K that depends only on its residues modulo m, times a series
+that is rational through L^2 when the residues are 0; so nearly every term
+is summed as integers, in classes of its K part, and the canonical residue
+is read off the image's Phi_m-adic digits only when it is nonzero.
+``harmonic-sp`` is decided in ``ResidueRing(n, k)``, Z[q]/((q^n - 1)^k),
+which multiplies by [t]_q without a product, inverts [i]_q in closed form
+and sums the squares of many elements with one fold.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from math import comb, gcd, lcm
+from functools import lru_cache, reduce
+from math import comb, factorial, gcd, lcm, prod
 
-from .laurent import (LaurentPoly, _bias, _digits, _euclid, _fold, _lower_terms, _make,
-                      _over_one_minus, _pack, _power, _residue, _times_one_minus, _width, _wrap,
-                      q_power)
+from .laurent import (LaurentPoly, _bias, _dense_mul, _digits, _divide, _euclid, _fold,
+                      _from_values, _integers, _lower_terms, _make, _over_one_minus, _pack, _power,
+                      _residue, _times_one_minus, _width, _wrap, q_power)
 
 
 class NotInvertibleError(ValueError):
@@ -224,48 +212,30 @@ def _binomial(a: int, j: int) -> int:
 
 class ResidueRing:
     """Z[q]/((q^m - 1)^k) on lists of k*m integers, the coefficients of
-    q^0 .. q^(km-1).
-
-    Phi_m^k divides (q^m - 1)^k, so ``reduce_mod(to_poly(v), Modulus(m, k))``
-    is the residue of whatever v stands for.  Every element is the canonical
-    representative, the one of degree below k m; ``mul`` finds the product's
-    as one integer (see there), reduced by the sparse relation
-    (q^m - 1)^k = 0, which for k = 3 reads q^(3m) = 3 q^(2m) - 3 q^m + 1.
-    ``sum_of_powers`` adds the packed sum of w q^e y^g over many terms as
-    integers and reduces it once, and both read their digits through one
-    fold, ``_fold_packed``.  Powers of q need no products: with
-    x = q^m - 1, x^k = 0, so q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j,
-    for negative a as well, which has at most k nonzero entries in closed
-    form (``q_power``).  Nor does a multiple by [t]_q (``mul_q_integer``),
-    which ``laurent._fold`` reduces, and the inverse of [i]_q has a closed
-    form modulo Phi_m that Newton steps lift (``q_integer_inverse``).
-
-    ``residue_ring(m, k)`` memoizes one ring per (m, k), and the ring keeps
-    what does not depend on a call: the units u_j, their prefix products
-    F(i) = u_1 ... u_i (``prefix``), Phi_m and Psi_m, built on first use,
-    and the headroom of ``mul``'s digits.  Elements are lists that no
-    method mutates, so they may be shared.
+    q^0 .. q^(km-1), the canonical representatives; Phi_m^k divides
+    (q^m - 1)^k, so ``reduce_mod(to_poly(v), Modulus(m, k))`` is the residue
+    of whatever v stands for.  ``mul`` finds a product as one integer (see
+    there), reduced by the sparse relation (q^m - 1)^k = 0, and
+    ``sum_of_powers`` adds many packed squares as integers; both read their
+    digits through one fold, ``_fold_packed``.  With x = q^m - 1,
+    q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
+    well, in closed form (``q_power``); a multiple by [t]_q takes no product
+    (``mul_q_integer``), and the inverse of [i]_q has a closed form modulo
+    Phi_m that Newton steps lift (``q_integer_inverse``).  ``residue_ring``
+    memoizes one ring per (m, k) with its digit headroom and fold layouts.
+    Elements are lists that no method mutates, so they may be shared.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k, self.size = m, k, m * k
         self._wrap = _wrap(m, k)
         self.one = self.q_power(0)
-        self._units, self._layouts, self._prefix = {}, {}, [self.one]
+        self._layouts = {}
         # q^(a m + r) has the entries of q^(a m), moved up by r; below q^(2km - 1),
         # r = 0 takes every a up to 2k - 1 (2k - 2 when m = 1), so its columns sum largest
         powers = [self.q_power(a * m) for a in range(2 * k - (1 if m > 1 else 2) + 1)]
         g = max(sum(abs(v[m * i]) for v in powers) for i in range(k)).bit_length()
         self._headroom = self.size.bit_length() + g + 2
-
-    @cached_property
-    def phi(self) -> list:
-        return self.from_poly(cyclotomic(self.m))
-
-    @cached_property
-    def _psi(self) -> list:
-        # Psi_m = (q^m - 1) / Phi_m, the product of Phi_d over d | m, d < m
-        return self.from_poly(_make(0, _mobius_product(self.m, inverse=True)))
 
     def mul(self, a: list, b: list) -> list:
         """The product of two elements, as one integer product.
@@ -285,62 +255,27 @@ class ResidueRing:
                                  width)
 
     def sum_of_powers(self, terms) -> list:
-        """sum w q^e y^g over the (w, e, y, g) of ``terms``, integers w and
-        e, elements y and g >= 1, with one fold.
+        """sum w y^2 over the pairs (w, y) of ``terms``, integers w and
+        elements y, with one fold: the sums of squares of ``harmonic-sp``'s
+        cross route.
 
-        Every base is packed once, at one width for the call, and powered
-        as an integer: y^2 is one square, left unfolded, and a higher power
-        runs ``_power`` with ``_fold_int`` after each product, whose result
-        is again a packed canonical element.  q^e is then applied as at
-        most k shifted small multiples of the packed power, one for each of
-        its entries c (``_q_power_entries``), and the weights multiply; a
-        base with one g is powered once for all of its terms, and each
-        power is dropped once its terms are added.  The integers are summed
-        and ``_fold_packed`` reads the digits once.
-
-        The width compounds ``mul``'s bound.  With b = bits(max|y|) and h
-        the ring's headroom (two spare bits included), canonical y^j for
-        j <= g has coefficients of at most g b + (g - 1)(h - 2) bits, so
-        its folds are exact at g b + (g - 1) h bits, and q^e y^g adds
-        bits(max|c|) + h - 2 more.  Weighted and summed, the canonical sum
-        stays below Q/4 with bits(sum |w|) added to the largest term's
-        bound: g b + (g - 1) h, plus bits(max|c|) + h when e != 0.  At
-        g = 1 a term takes one h all the same, for its two spare bits and
-        Q > 8 k m.  With e = 0 and g = 2 this is ``mul``'s width plus
+        Every base is packed once, at one width for the call, and squared as
+        an integer, left unfolded; the weights of a base given more than
+        once, as one list, are added first.  ``_fold_packed`` reads the
+        digits of the sum once.  Each canonical y^2 is below ``mul``'s
+        bound, so the width is ``mul``'s for the widest base plus
         bits(sum |w|).
         """
-        headroom = self._headroom
-        bases, bits = {}, {}
-        top = weight = 0
-        for w, e, y, g in terms:
-            key = id(y), g
-            base = bases.get(key)
-            if base is None:
-                # the bases are held here, so their ids stay theirs for the call
-                base = bases[key] = (y, {})
-            b = bits.get(key[0])
-            if b is None:
-                b = bits[key[0]] = max(map(abs, y)).bit_length()
-            b = g * b + (g - 1 or 1) * headroom
-            entries = self._q_power_entries(e) if e else ((0, 1),)
-            if e:
-                b += max(abs(c) for _, c in entries).bit_length() + headroom
-            top, weight = max(top, b), weight + abs(w)
-            shifts = base[1]
-            for i, c in entries:
-                shifts[i] = shifts.get(i, 0) + w * c
-        # _digit_layout adds the one headroom back
-        width, bias = self._digit_layout(top + weight.bit_length() - headroom)
-        digit, total = 8 * width, 0
-        for (_, g), (y, shifts) in bases.items():
+        weights, bases = {}, {}
+        for w, y in terms:
+            bases[id(y)] = y
+            weights[id(y)] = weights.get(id(y), 0) + w
+        bits = max((max(map(abs, y)).bit_length() for y in bases.values()), default=0)
+        width, bias = self._digit_layout(2 * bits + sum(abs(w) for w, _ in terms).bit_length())
+        total = 0
+        for key, y in bases.items():
             packed = _pack(y, width, bias)
-            if g == 2:
-                packed *= packed
-            elif g > 2:
-                packed = _power(packed, g, lambda a, b: self._fold_int(a * b, width), None)
-            for i, c in shifts.items():
-                shifted = packed << digit * i if i else packed
-                total += shifted if c == 1 else c * shifted
+            total += weights[key] * packed * packed
         return self._fold_packed(total, width)
 
     def _digit_layout(self, bits: int):
@@ -369,9 +304,8 @@ class ResidueRing:
         |V - r(Q)| < (3Q/4)(Q^(km) - 1)/(Q - 1), which is below R since
         Q > 8 k m, so V = r(Q) and its digits are r.  Nothing here bounds
         c's degree or coefficients, only r's: ``sum_of_powers`` passes sums
-        of unfolded squares and their shifts, of degree up to 3 k m - 3, and
-        its width bounds the canonical sum r.  ``_fold_int`` runs the rounds
-        and returns V.
+        of unfolded squares, and its width bounds the canonical sum r.
+        ``_fold_int`` runs the rounds and returns V.
         """
         return _digits(self._fold_int(u, width), self.size, width, self._layouts[width][0])
 
@@ -428,19 +362,6 @@ class ResidueRing:
             v, den, exponent = self.mul(v, w), den * den, 2 * exponent
         return v, den
 
-    def power(self, a: list, e: int) -> list:
-        """a^e for e >= 0."""
-        return _power(a, e, self.mul, self.one)
-
-    def from_x(self, coeffs, r: int = 0) -> list:
-        """q^r sum_j coeffs[j] x^j, for 0 <= r < m and at most k coefficients."""
-        v = [0] * self.size
-        for j, c in enumerate(coeffs):
-            if c:
-                for i in range(j + 1):
-                    v[r + self.m * i] += (-1) ** (j - i) * comb(j, i) * c
-        return v
-
     def _q_power_entries(self, e: int) -> list:
         """The (index, coefficient) pairs of the at most k nonzero entries
         of q^e, e = a m + r with 0 <= r < m.
@@ -476,50 +397,220 @@ class ResidueRing:
         """The polynomial sum_i v[i] q^i, which may share v's list."""
         return _make(0, v)
 
-    def prefix(self, top: int) -> list:
-        """The table [F(0), F(1), ...] of the prefixes F(i) = u_1 ... u_i,
-        at least up to F(top), kept in the ring and extended on demand.
-
-        The table is a list no method mutates: an extension builds a longer
-        copy, which then replaces it (concurrent fills are idempotent, so
-        need no lock), and the entries a call has read stay the same
-        objects for every later call.
-        """
-        table = self._prefix
-        if len(table) <= top:
-            table = list(table)
-            for j in range(len(table), top + 1):
-                table.append(self.mul(table[-1], self.unit(j)))
-            self._prefix = table
-        return table
-
-    def unit(self, j: int) -> list:
-        """u_j, the part of 1 - q^j (j >= 1) prime to Phi_m, memoized in
-        the ring (a fill is idempotent, so concurrent calls need no lock).
-
-        That is 1 - q^j itself when m does not divide j.  For j = a m,
-        1 - q^j = -Phi_m Psi_m [a]_{q^m}, so u_j = -Psi_m [a]_{q^m} with
-        [a]_{q^m} = ((1 + x)^a - 1) / x = sum_{i<k} C(a, i+1) x^i.
-        """
-        v = self._units.get(j)
-        if v is not None:
-            return v
-        a, r = divmod(j, self.m)
-        if r:
-            v = [-c for c in self.q_power(j)]
-            v[0] += 1
-        else:
-            series = self.from_x([comb(a, i + 1) for i in range(self.k)])
-            v = [-c for c in self.mul(self._psi, series)]
-        return self._units.setdefault(j, v)
-
 
 @lru_cache(maxsize=64)
 def residue_ring(m: int, k: int) -> ResidueRing:
-    """The one ``ResidueRing(m, k)`` of a process, so that its units,
-    Phi_m, Psi_m and digit headroom are built once per ring, not once per
-    call; the least recently used of more than 64 rings is dropped."""
+    """The one ``ResidueRing(m, k)`` of a process, so that its digit
+    headroom and fold layouts are built once per ring, not once per call;
+    the least recently used of more than 64 rings is dropped."""
     return ResidueRing(m, k)
+
+
+# -- the Phi_m^k kernel: the image at q = zeta e^L ------------------------------------
+
+
+def _add(a: list, b: list, c=1) -> list:
+    """a + c b, where a may be None for zero."""
+    return [c * y for y in b] if a is None else [x + c * y for x, y in zip(a, b)]
+
+
+class _Field:
+    """K = Q(zeta), zeta a primitive m-th root of unity, as ``binomial_sum_residue``
+    reads it.
+
+    An element a is kept as the list v of m numbers with
+    sum_j v[j] q^j == rad E a~ (mod q^m - 1) for a lift a~ of a to Z[q]:
+    rad is the product of the primes p | m, and E, the idempotent of
+    Q[q]/(q^m - 1) that is 1 modulo Phi_m and 0 modulo every other Phi_d,
+    d | m, has rad E = prod_p (p - sum_{i<p} q^(i m/p)) in Z[q] (``project``).
+    So v is zero exactly when a is, and it carries none of the other Phi_d,
+    which the lifts' products would.  A product is one Kronecker product
+    (``laurent._dense_mul``) folded modulo q^m - 1 and divided by rad
+    (E^2 = E), zeta^e a is a rotation, and nothing is divided by Phi_m
+    until ``coordinates`` reads a in the basis 1, zeta, .., zeta^(phi(m)-1).
+
+    ``_field(m)`` memoizes one field per m, which keeps the leads of the
+    q-binomials (``lead``) that the calls read, up to 2^18 numbers in all.
+    Elements are lists that no method mutates, so they may be shared, and a
+    fill is idempotent, so concurrent calls need no lock.
+    """
+
+    def __init__(self, m: int):
+        self.m, self._primes, self._wrap = m, list(_factorize(m)), _wrap(m, 1)
+        self._rad = prod(self._primes)
+        self.one = self.project([1] + [0] * (m - 1))
+        self._leads = {}
+
+    def project(self, u: list) -> list:
+        """rad E u for a list u of m numbers: a factor p - sum_{i<p} q^(i m/p)
+        takes p u less the sums of u over the classes modulo m/p."""
+        for p in self._primes:
+            h = self.m // p
+            u = [p * x - s for x, s in zip(u, [sum(u[c::h]) for c in range(h)] * p)]
+        return u
+
+    def mul(self, a: list, b: list) -> list:
+        """The product of two elements of integer lists."""
+        return [x // self._rad for x in _fold(_dense_mul(a, b), self.m, self._wrap)]
+
+    def rmul(self, a: list, b: list) -> list:
+        """The product of two elements of lists of rationals, over the
+        product of their common denominators."""
+        da, db = lcm(*[c.denominator for c in a]), lcm(*[c.denominator for c in b])
+        c = _dense_mul([c.numerator * (da // c.denominator) for c in a],
+                       [c.numerator * (db // c.denominator) for c in b])
+        return [Fraction(x, da * db * self._rad) for x in _fold(c, self.m, self._wrap)]
+
+    def shift(self, a: list, e: int) -> list:
+        """zeta^e a."""
+        e %= self.m
+        return a[-e:] + a[:-e] if e else a
+
+    def coordinates(self, a: list) -> list:
+        """The coordinates of a in the basis 1, zeta, .., zeta^(phi(m)-1): the
+        remainder of rad a~ by the monic Phi_m, over rad."""
+        phi = cyclotomic(self.m)
+        v = _divide(list(a), _lower_terms(phi), phi.degree())
+        return [Fraction(c, self._rad) for c in v + [0] * (phi.degree() - len(v))]
+
+    def weighted(self, j: int) -> list:
+        """sum_{s<m} s zeta^(js), which is -m/(1 - zeta^j) for every m-th root
+        of unity zeta^j != 1."""
+        v = [0] * self.m
+        for s in range(1, self.m):
+            v[j * s % self.m] += s
+        return self.project(v)
+
+    def prefix(self, rho: int) -> list:
+        """P_rho, by rho shift-subtracts: P_r = P_(r-1) - zeta^r P_(r-1)."""
+        v = self.one
+        for r in range(1, rho + 1):
+            v = [a - b for a, b in zip(v, self.shift(v, r))]
+        return v
+
+    def suffix(self, rho: int) -> list:
+        """Q_rho = prod_{rho<r<m} (1 - zeta^r), so that P_rho Q_rho = m, the
+        value at 1 of (q^m - 1)/(q - 1).  With s = m - r,
+        1 - zeta^r = -zeta^(-s) (1 - zeta^s), so Q_rho = (-1)^n zeta^(-n(n+1)/2) P_n
+        with n = m - 1 - rho."""
+        n = self.m - 1 - rho
+        v = self.shift(self.prefix(n), -(n * (n + 1) // 2))
+        return [-c for c in v] if n % 2 else v
+
+    def lead(self, signature: tuple):
+        """(v, s): m^s v is the product of the K parts, to the powers p, of
+        the leads of the q-binomials in ``signature``, a tuple of
+        (beta, gamma, p) with b = beta and t - b = gamma modulo m, both
+        nonzero; memoized in the field.
+
+        With rho = beta + gamma modulo m and the carry d = [beta + gamma >= m],
+        the K part is m^(2d) P_rho / (P_beta P_gamma) (see
+        ``binomial_sum_residue``), which P Q = m turns into
+        m^(2d - 2) P_rho Q_beta Q_gamma, and its inverse into
+        m^(-1 - 2d) Q_rho P_beta P_gamma: no inverse is taken.  When d = 0,
+        m^2 divides P_rho Q_beta Q_gamma, as the quotient is the value at
+        zeta of C(rho, beta)_q, a polynomial with integer coefficients.
+        When beta + gamma = m, the lead of C(m n, k)_q with m not dividing k,
+        Q_gamma = (-1)^(beta-1) zeta^(-beta(beta-1)/2) P_(beta-1) and
+        P_(beta-1) Q_beta = m/(1 - zeta^beta) (``weighted``) give the K part
+        and its inverse in closed form.
+        """
+        found = self._leads.get(signature)
+        if found is None:
+            v, s = None, 0
+            for beta, gamma, p in signature:
+                rho, carry = beta + gamma, beta + gamma >= self.m
+                rho -= self.m if carry else 0
+                if carry and not rho:
+                    turn, sign = beta * (beta - 1) // 2, (-1) ** beta
+                    if p > 0:
+                        f = self.shift([sign * c for c in self.weighted(beta)], -turn)
+                    else:
+                        f = [b - a for a, b in zip(self.one, self.shift(self.one, beta))]
+                        f, s = self.shift([sign * c for c in f], turn), s + p
+                elif p > 0:
+                    f = self.mul(self.mul(self.prefix(rho), self.suffix(beta)), self.suffix(gamma))
+                    if not carry:
+                        f = [c // (self.m * self.m) for c in f]
+                else:
+                    f = self.mul(self.mul(self.suffix(rho), self.prefix(beta)), self.prefix(gamma))
+                    s -= (3 if carry else 1) * -p
+                f = _power(f, abs(p), self.mul, None)
+                v = f if v is None else self.mul(v, f)
+            found = v or self.one, s
+            if len(self._leads) * self.m < 1 << 18:
+                self._leads[signature] = found
+        return found
+
+    def factor(self, j: int, n: int):
+        """(f, g): the series to L^(n-1) of (1 - q^j) / L^[m | j] at
+        q = zeta e^L, and the inverse g of its constant term.
+
+        That is (1 - zeta^j) - zeta^j (e^(jL) - 1) when m does not divide j
+        (``weighted`` inverts 1 - zeta^j), and -j (e^(jL) - 1)/(jL) when it
+        does."""
+        if j % self.m:
+            z = self.shift(self.one, j)
+            f = [[a - b for a, b in zip(self.one, z)]]
+            f += [[-Fraction(j ** l, factorial(l)) * c for c in z] for l in range(1, n)]
+            return f, [Fraction(-c, self.m) for c in self.weighted(j)]
+        f = [[-Fraction(j ** (l + 1), factorial(l + 1)) * c for c in self.one] for l in range(n)]
+        return f, [Fraction(-c, j) for c in self.one]
+
+    def series_mul(self, a: list, b: list) -> list:
+        """The product of two series of elements, to the length of a."""
+        return [reduce(_add, [self.rmul(a[i], b[l - i]) for i in range(l + 1)])
+                for l in range(len(a))]
+
+    def series_div(self, a: list, f: list, inverse: list) -> list:
+        """The series g with f g = a, to the length of a, for ``inverse`` the
+        inverse of f's constant term."""
+        g = []
+        for l, c in enumerate(a):
+            for i in range(1, l + 1):
+                c = _add(c, self.rmul(f[i], g[l - i]), -1)
+            g.append(self.rmul(c, inverse))
+        return g
+
+    def residue(self, image: list) -> LaurentPoly:
+        """The canonical residue modulo Phi_m^k, k = len(image), of the f
+        with f(zeta e^L) == sum_i image[i] L^i (mod L^k).
+
+        It is sum_{i<k} a_i Phi_m^i with deg a_i < phi(m), read off by its
+        Phi_m-adic digits: the coordinates of image[0] are a_0's
+        coefficients; then a_0(zeta e^L), whose L^l coefficient is
+        sum_c c^l a_0c zeta^c / l!, is subtracted, and the rest divided by
+        Phi_m(zeta e^L) = L psi(L).  The series psi has
+        psi_0 = zeta Phi_m'(zeta), and m zeta^(m-1) = Phi_m'(zeta) Psi_m(zeta)
+        gives 1/psi_0 = Psi_m(zeta) / m, so no inverse is taken."""
+        m, phi = self.m, cyclotomic(self.m)
+
+        def lifted(values):  # the element of sum_c values[c] q^c
+            return self.project(_fold(values, m, self._wrap))
+
+        psi = [lifted([Fraction(x * c ** j, factorial(j)) for c, x in enumerate(_integers(phi))])
+               for j in range(1, len(image))]
+        inverse = lifted([Fraction(c, m) for c in _mobius_product(m, True)])
+        digits = []
+        while True:
+            a = self.coordinates(image[0])
+            digits.append(a)
+            if len(image) == 1:
+                break
+            rest = [_add(g, lifted([Fraction(c ** l, factorial(l)) * x for c, x in enumerate(a)]), -1)
+                    for l, g in enumerate(image[1:], 1)]
+            image = self.series_div(rest, psi, inverse)
+        residue = LaurentPoly.zero()
+        for a in reversed(digits):
+            residue = residue * phi + _from_values(0, a, 1)
+        return residue
+
+
+@lru_cache(maxsize=16)
+def _field(m: int) -> _Field:
+    """The one ``_Field(m)`` of a process, whose leads every call at m
+    shares; the least recently used of more than 16 is dropped."""
+    return _Field(m)
 
 
 def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
@@ -528,109 +619,159 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
         sum over terms of w q^e prod C(t, b)_q^p  -  sum_j rhs[j] x^j,
 
     x = q^m - 1, each term a (w, e, ((t, b, p), ...)) spec with integers w
-    and p (p = -1 divides by a q-binomial), rhs at most k rationals.  It is
-    computed in ``ResidueRing(m, k)`` without building the sum, and equals
-    ``reduce_mod`` of the built difference.
+    and p (p = -1 divides by a q-binomial), rhs at most k rationals.  The
+    sum is not built: its image at q = zeta e^L in K[L]/(L^k), K = Q(zeta_m)
+    (``_Field``), vanishes exactly when (q - zeta)^k, and so each conjugate
+    and Phi_m^k, divides it.
 
-    Since C(t, b)_q = (q;q)_t / ((q;q)_b (q;q)_(t-b)), a term is
-    q^e prod_i (q;q)_i^(n_i), with equal factorials cancelled.  Writing
-    1 - q^j = Phi_m^[m|j] u_j, (q;q)_i = Phi_m^(floor(i/m)) F(i) with
-    F(i) = u_1 ... u_i, so a term of valuation sum n_i floor(i/m) >= k is
-    0 modulo Phi_m^k and is dropped; one of negative valuation, or with a
-    vanishing q-binomial to a negative power, raises NotInvertibleError.
-    With B the largest denominator index and d the most denominator
-    factorials of a term, every term times D = F(B)^d is q^e Phi_m^valuation
-    times a product of prefixes F(i) and suffixes G(i) = F(B)/F(i); a term
-    with fewer denominator factorials takes G(0) = F(B) for each one
-    missing.
+    1 - q^j there is -j L E(jL), E(x) = (e^x - 1)/x, when m | j, and
+    (1 - zeta^j) times a unit series otherwise.  So with t = m T + rho,
+    b = m B + beta, t - b = m C + gamma and the carry d = [beta + gamma >= m],
+    C(t, b)_q is L^d times the lead
+    (-1)^d C(T, B) (C + 1)^d m^(2d) P_rho / (P_beta P_gamma),
+    P_r = prod_{0<s<=r} (1 - zeta^s), which is C(T, B) C(rho, beta)_zeta
+    when d = 0 (q-Lucas), times a unit series.  A term is then
+    w zeta^e (lead) L^v (series), v = sum p d its Phi_m-valuation; a term
+    with v >= k is dropped, one with v < 0, or with a vanishing q-binomial
+    to a negative power, raises NotInvertibleError, and one with another
+    vanishing q-binomial is skipped.  Only k - v series coefficients are read.
 
-    The prefixes come from the ring's table (``ResidueRing.prefix``),
-    which every call on the ring shares; the suffixes depend on B and are
-    built per call.  A term's base is the product of its prefixes and
-    suffixes to the powers n_i / g, with g the gcd of its counts, and the
-    term is w q^e base^g.  The terms of valuation v are summed in
-    ``residue_ring(m, k - v)``: the prefixes and suffixes they use are
-    folded there once, and their sum, padded to k m entries, is multiplied
-    once by Phi_m^v in the full ring.  That is exact because
-    Phi_m^v (a + (q^m - 1)^(k-v) b) == Phi_m^v a (mod Phi_m^k).  Terms of
-    valuation 0 are summed in the full ring, and the units and the tables
-    never leave it.  The right side joins them as terms: rhs[j] x^j D is
-    sum_i rhs[j] C(j, i) (-1)^(j-i) q^(m i) G(0)^d, so each group is one
-    ``ResidueRing.sum_of_powers``, which powers a shared base once, as
-    G(0)^d for the right side and for a term that is D alone.  Every weight
-    is scaled by the lcm of the denominators of rhs, so the whole
-    difference is scaled by that and by D.  D is formed only for a nonzero
-    scaled residue, which is multiplied by the inverse of the scale; since
-    the residue is unique, the result does not depend on D.
+    The K part of the lead depends on (beta, gamma) alone (``_Field.lead``,
+    1 when either is 0), so the integer parts are summed in classes of that
+    signature and of e modulo m, each multiplied out once.  When
+    beta = gamma = 0 the series is exp(A_1 L + A_2 L^2 + ..) with
+    A_1 = m^2 B C / 2 and A_2 = m^2 B C (m^2 T + 1) / 24, the sums over j of
+    the logarithms of E(jL) and of (1 - zeta^j e^(jL))/(1 - zeta^j), as
+    sum_{0<r<m} 1/(1 - zeta^r) = (m - 1)/2 and
+    sum_{0<r<m} 1/(1 - zeta^r)^2 = -(m - 1)(m - 5)/12 (at m = 1, the
+    Mann-Whitney cumulants of C(T, B)_q); such terms are summed with their
+    exponentials over the denominators i! 24^i of L^i.  Any other term that
+    needs a series coefficient is multiplied out factor by factor
+    (``_add_in_full``).  The right side is rational: x = e^(mL) - 1.  Only a
+    nonzero image is turned into the residue (``_Field.residue``).
     """
     m, k = mod.m, mod.k
-    ring = residue_ring(m, k)
-    specs = []
+    field, d = _field(m), 24
+    # the L^i coefficient of a class is its sum over i! d^i: a term's L^j is read
+    # over j! d^j and weighed by weight[i][j] = i!/j! d^(i-j), i = j + valuation
+    weight = [[factorial(i) // factorial(j) * d ** (i - j) for j in range(i + 1)] for i in range(k)]
+    # the classes are summed times the lcm of the denominators of rhs
+    scale = lcm(*[Fraction(r).denominator for r in rhs])
+    classes, extra, rational = {}, [None] * k, False
     for w, e, triples in terms:
-        if any(p < 0 and not 0 <= b <= t for t, b, p in triples):
-            raise NotInvertibleError("a vanishing q-binomial to a negative power")
-        if any(p and not 0 <= b <= t for t, b, p in triples):
-            continue
-        counts = Counter()
+        valuation, num, den, signature, plain, binomials, vanishes = 0, w, 1, [], True, [], False
         for t, b, p in triples:
-            counts[t] += p
-            counts[b] -= p
-            counts[t - b] -= p
-        valuation = sum(n * (i // m) for i, n in counts.items())
+            if not p:
+                continue
+            if not 0 <= b <= t:
+                if p < 0:
+                    raise NotInvertibleError("a vanishing q-binomial to a negative power")
+                vanishes = True
+                continue
+            big_b, beta = divmod(b, m)
+            big_c, gamma = divmod(t - b, m)
+            factor = comb(t // m, big_b)
+            if beta + gamma >= m:
+                factor *= -1 - big_c
+                valuation += p
+            if p > 0:
+                num *= factor ** p
+            else:
+                den *= factor ** -p
+            if beta and gamma:
+                signature.append((beta, gamma, p))
+            plain = plain and not (beta or gamma)
+            binomials.append((t, b, p))
+        if vanishes:
+            continue
         if valuation < 0:
             raise NotInvertibleError("Phi(%d) divides the denominator of a term" % m)
-        if valuation < k:
-            # (q;q)_0 = 1, so index 0 is left out
-            specs.append((w, e, valuation, {i: n for i, n in counts.items() if n and i}))
-
-    def denominators(counts):
-        return sum(-n for n in counts.values() if n < 0)
-
-    top = max((i for *_, counts in specs for i, n in counts.items() if n > 0), default=0)
-    bottom = max((i for *_, counts in specs for i, n in counts.items() if n < 0), default=0)
-    prefix = ring.prefix(top)
-    suffix = [ring.one] * (bottom + 1)
-    for j in range(bottom, 0, -1):
-        suffix[j - 1] = ring.mul(suffix[j], ring.unit(j))
-    depth = max((denominators(counts) for *_, counts in specs), default=0)
-    scale = lcm(*(Fraction(r).denominator for r in rhs))
-    groups = {0: []}
-    for w, e, valuation, counts in specs:
-        counts[0] = denominators(counts) - depth
-        groups.setdefault(valuation, []).append((scale * w, e, counts))
-
-    total = [0] * ring.size
-    for valuation, group in groups.items():
-        sub, tops, bottoms = ring, prefix, suffix
-        if valuation:
-            sub = residue_ring(m, k - valuation)
-            used = {(i, n > 0) for _, _, counts in group for i, n in counts.items() if n}
-            # _fold reuses its list, and the table entries are shared
-            tops = {i: _fold(list(prefix[i]), m, sub._wrap) for i, top in used if top}
-            bottoms = {i: _fold(list(suffix[i]), m, sub._wrap) for i, top in used if not top}
-        powers = []
-        for w, e, counts in group:
-            g = gcd(*counts.values()) or 1
-            factors = [sub.power(tops[i] if n > 0 else bottoms[i], abs(n) // g)
-                       for i, n in counts.items() if n]
-            powers.append((w, e, reduce(sub.mul, factors) if factors else sub.one, g))
-        if not valuation:
-            # -scale sum_j rhs[j] x^j D = sum_i w_i q^(m i) D, D = G(0)^depth
-            # (G(0) is one when depth is 0)
-            right = ring.from_x([-int(scale * r) for r in rhs])
-            powers += [(w, e, suffix[0], depth or 1) for e, w in enumerate(right) if w]
-        if not powers:
+        order = k - 1 - valuation
+        if order < 0:
             continue
-        part = sub.sum_of_powers(powers)
-        if valuation:
-            part = ring.mul(part + [0] * (ring.size - sub.size), ring.power(ring.phi, valuation))
-        total = [s + t for s, t in zip(total, part)]
+        if order and not (plain and order <= 2):
+            extra = _add_in_full(field, extra, w, e, binomials, valuation)
+            continue
+        series = [1]
+        if order:
+            a1 = a2 = 0
+            for t, b, p in binomials:
+                big_t, big_b = t // m, b // m
+                a1 += p * big_b * (big_t - big_b)
+                a2 += p * big_b * (big_t - big_b) * (m * m * big_t + 1)
+            # A_1 = a1 m^2 / 2 + e and A_2 = a2 m^2 / 24, over d
+            a1, a2 = 12 * m * m * a1 + d * e, m * m * a2
+            series = [1, a1, a1 * a1 + 2 * a2 * d]
+        lead = num * scale
+        if den != 1:
+            lead, rational = Fraction(lead, den), True
+        key = e % m, tuple(signature)
+        sums = classes.get(key)
+        if sums is None:
+            sums = classes[key] = [0] * k
+        for j in range(order + 1):
+            i = valuation + j
+            sums[i] += lead * series[j] * weight[i][j]
+    if any(rhs):
+        # -sum_j rhs[j] x^j, x = e^(mL) - 1; i! times the L^i coefficient of x is m^i, so
+        # that of x^j is power[i] below, an integer, and the sum needs no Fraction
+        sums = classes.setdefault((0, ()), [0] * k)
+        power = [1] + [0] * (k - 1)
+        for r in rhs:
+            for i in range(k):
+                sums[i] -= int(r * scale) * power[i] * d ** i
+            power = [sum(comb(i, j) * power[j] * m ** (i - j) for j in range(i)) for i in range(k)]
+    signatures, totals = {}, {}
+    for (r, signature), sums in classes.items():
+        signatures.setdefault(signature, []).append((r, sums))
+    for signature, members in signatures.items():
+        # sum_r sums[i] zeta^r times the class's K part m^s v, kept by s
+        v, s = field.lead(signature)
+        total = totals.setdefault(s, [None] * k)
+        for i in range(k):
+            u = [0] * m
+            for r, sums in members:
+                u[r] += sums[i]
+            if any(u):
+                y = field.project(u)
+                if signature:
+                    y = (field.rmul if rational else field.mul)(y, v)
+                total[i] = _add(total[i], y)
+    low, combined = min(totals, default=0), [None] * k
+    for s, total in totals.items():
+        for i, y in enumerate(total):
+            if y:
+                combined[i] = _add(combined[i], y, m ** (s - low))
+    if not any(extra) and not any(v and any(v) for v in combined):
+        return LaurentPoly.zero()
+    image = [_add(extra[i], v, Fraction(m) ** low / (weight[i][0] * scale)) if v
+             else extra[i] or [0] * m for i, v in enumerate(combined)]
+    if not any(any(v) for v in image):
+        return LaurentPoly.zero()
+    return field.residue(image)
 
-    residue = reduce_mod(ring.to_poly(total), mod)
-    if residue.is_zero():
-        return residue
-    scaling = ring.power(suffix[0], depth)
-    return reduce_mod(residue * inverse_mod(ring.to_poly(scaling), mod) / scale, mod)
+
+def _add_in_full(field, image, w, e, binomials, valuation):
+    """``image`` plus the series of the term w q^e prod C(t, b)_q^p, of
+    Phi_m-valuation ``valuation``, at q = zeta e^L, read to L^(len(image) - 1):
+    C(t, b)_q = prod_{0<i<=b} (1 - q^(t-b+i))/(1 - q^i) is multiplied and
+    divided factor by factor (``_Field.factor``), and q^e is zeta^e e^(eL)."""
+    n = len(image) - valuation
+    z = field.shift(field.one, e)
+    series = [[Fraction(w * e ** l, factorial(l)) * c for c in z] for l in range(n)]
+    for t, b, p in binomials:
+        tops, bottoms = range(t - b + 1, t + 1), range(1, b + 1)
+        if p < 0:
+            tops, bottoms = bottoms, tops
+        binomial = [field.one] + [[0] * field.m] * (n - 1)
+        for j in tops:
+            binomial = field.series_mul(binomial, field.factor(j, n)[0])
+        for j in bottoms:
+            binomial = field.series_div(binomial, *field.factor(j, n))
+        for _ in range(abs(p)):
+            series = field.series_mul(series, binomial)
+    return image[:valuation] + [v if x is None else _add(x, v)
+                                for x, v in zip(image[valuation:], series)]
 
 
 def integer_coefficient_check(f: LaurentPoly) -> bool:

@@ -19,8 +19,9 @@ from typing import Optional
 #: The work budget of one instance, about 8 s of CPU time.
 WORK_BUDGET = 8 * 10 ** 9
 # Units per step, each fitted to the CPU times in its comment.
-PRODUCT = 2  # per b^1.5 bits(b) / 1024 of a b-bit product: corollary (16, 64) 3.5 s
-DIGIT = 1000  # per digit a ring product packs: corollary (256, 4) 10.5 s
+PRODUCT = 2  # per b^1.5 bits(b) / 1024 of a b-bit product (the chu and classical-sc rows)
+TERM, LEAD = 10 ** 4, 2000  # a kernel term; a lead class per m digits: corollary (1581, 4) 14 s
+TERM_PRODUCTS, TABLE = 10, 40  # corollary (1, 3072) 5.3 s, (2, 3072) 7.1 s; qbin-prop m = 3000 1.5 s
 MODULUS = 15  # per (k m)^2, at the worst m: a remainder by Phi_15015 4.6 s, by Phi_9240 0.25 s
 QBIN, QBIN_BITS = 36, 400  # per row step, again per QBIN_BITS bits: qbin(600, 300) 2.1 s
 CHU = 2000  # per factor of a composition: chu-vandermonde (1148, 1, 1) 2.7 s
@@ -55,19 +56,18 @@ def modulus_work(m: int, k: int = 1) -> int:
     return MODULUS * (k * m) ** 2
 
 
-def kernel_work(m: int, k: int, top: int, bottom: int, depth: int, full: int, reduced=0) -> int:
-    """``binomial_sum_residue`` in ``ResidueRing(m, k)`` on ``full`` terms, and
-    ``reduced`` ones summed in the ring of (m, 1), with factorial indices up to
-    ``top``, denominator indices up to ``bottom`` and ``depth`` denominator
-    factorials a term.  The tables take top + bottom products of k m digits of
-    about top bits(top) / m + 2 h bits, h = bits(k m) + 6; a term times
-    D = F(bottom)^depth, a product of factorials of total index depth bottom,
-    takes a few products of digits of depth (bottom bits(top) / m + 2 h) bits."""
-    bits, h, table = top.bit_length(), (k * m).bit_length() + 6, top + bottom
-    term = depth * (bottom * bits + 2 * m * h)
-    products = (table * _product_work(k * (top * bits + 2 * m * h))
-                + 3 * full * _product_work(k * term) + 3 * reduced * _product_work(term))
-    return products + DIGIT * m * (k * table + 3 * k * full + 3 * reduced) + modulus_work(m, k)
+def kernel_work(m: int, k: int, terms: int, bits: int, table: bool = False) -> int:
+    """``binomial_sum_residue`` at Phi_m^k on ``terms`` terms whose integer
+    leads have up to ``bits`` bits: a few products of such integers a term;
+    at most min(m, terms) lead classes, each a few products of m digits of
+    up to ``bits`` bits at each power of L below k; and with ``table``, a
+    lead read off P_rho, up to m shift-subtracts of m numbers of up to m/4
+    bits each."""
+    work = terms * (TERM + TERM_PRODUCTS * _product_work(bits))
+    work += LEAD * k * m * min(m, terms) * (256 + bits) >> 8
+    if table:
+        work += TABLE * m * m * (m + 256) >> 8
+    return work + modulus_work(m, k)
 
 
 def harmonic_work(n: int, k: int) -> int:
@@ -117,7 +117,9 @@ class CongruenceReport:
     first_residue_coeff: Optional[Fraction] = None
 
     def to_row(self) -> dict:
-        """Flat JSON-ready record (elapsed in integer milliseconds)."""
+        """Flat JSON-ready record (elapsed in integer milliseconds); the first
+        nonzero coefficient of a failing residue is a string, null when the
+        statement holds."""
         return {
             "check": self.check_name,
             "params": dict(self.parameters),
@@ -125,6 +127,7 @@ class CongruenceReport:
             "holds": self.holds,
             "residue_at_one": str(self.residue_at_one),
             "elapsed_ms": int(round(self.elapsed * 1000)),
+            "first_residue_coeff": None if self.holds else str(self.first_residue_coeff),
         }
 
 

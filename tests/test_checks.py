@@ -295,9 +295,10 @@ class TestRegistry:
 
     def test_report_row_shape(self):
         row = run_named_check("wolstenholme-q", {"n": 2}).to_row()
-        assert set(row) == {"check", "params", "modulus", "holds", "residue_at_one", "elapsed_ms"}
+        assert set(row) == {"check", "params", "modulus", "holds", "residue_at_one", "elapsed_ms",
+                            "first_residue_coeff"}
         assert row["holds"] is True
-        assert row["residue_at_one"] == "0"
+        assert row["residue_at_one"] == "0" and row["first_residue_coeff"] is None
         assert isinstance(row["elapsed_ms"], int)
 
 

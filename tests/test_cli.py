@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qapery import cli, qcombinatorics
+from qapery import checks, cli, qcombinatorics
 from qapery.cli import SweepSpec, UsageError, main, run_sweep
 from qapery.qcombinatorics import q_binomial
 
@@ -132,8 +132,23 @@ class TestVerify:
             capsys, "verify", "wolstenholme-q", "--n", "3", "--format", "json")
         assert code == 0
         row = json.loads(out)
-        assert set(row) == {"check", "params", "modulus", "holds", "residue_at_one", "elapsed_ms"}
-        assert row["holds"] is True
+        assert list(row) == ["check", "params", "modulus", "holds", "residue_at_one", "elapsed_ms",
+                             "first_residue_coeff"]
+        assert row["holds"] is True and row["first_residue_coeff"] is None
+
+    def test_json_row_of_a_failing_statement(self, capsys, monkeypatch):
+        # the corollary with its correction raised by one fails, and its row
+        # carries the first nonzero coefficient of the residue as a string
+        correction = checks.correction_R_lambda_mu
+        monkeypatch.setattr(checks, "correction_R_lambda_mu", lambda *a: correction(*a) + 1)
+        report = checks.check_corollary(3, 2)
+        assert not report.holds and report.first_residue_coeff not in (None, 0)
+        code, out, _ = run_cli(capsys, "verify", "corollary", "--m", "3", "--n", "2",
+                               "--format", "json")
+        row = json.loads(out)
+        assert code == 1 and row["holds"] is False
+        assert row["first_residue_coeff"] == str(report.first_residue_coeff)
+        assert row["residue_at_one"] == str(report.residue_at_one)
 
     def test_csv_row(self, capsys):
         code, out, _ = run_cli(
@@ -281,7 +296,7 @@ def test_unwritable_output_fails_before_any_work(capsys, tmp_path, monkeypatch, 
 # a refused run of each command, past the ``--output`` check: over the work
 # budget, out of the target's domain, and over the instance guard
 REFUSED = [
-    ("verify", "corollary", "--m", "16", "--n", "200"),
+    ("verify", "corollary", "--m", "16", "--n", "2000"),
     ("compute", "apery-q", "-3"),
     ("sweep", "wolstenholme-q", "--n", "1..11"),
 ]

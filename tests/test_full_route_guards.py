@@ -62,19 +62,22 @@ def compute(target):
 # (ladder, route, its arguments at rung x, the first rung refused); the rung
 # before it is the last admitted.
 EDGES = [
-    ("corollary-m16", check_corollary, lambda x: (16, x), 78),
-    ("corollary-m2", check_corollary, lambda x: (2, x), 512),
-    ("corollary-m1", check_corollary, lambda x: (1, x), 883),
-    ("main", check_main_theorem, lambda x: (16, (x, x, x, x)), 78),
-    ("s1s2", check_s1_s2_decomposition, lambda x: (16, (x, x, x, x)), 78),
-    ("generalized-lambda", check_generalized_theorem, lambda x: (3, 2, x, 0), 13505),
-    ("generalized-mu", check_generalized_theorem, lambda x: (3, 2, 2, x), 12540),
-    ("generalized-lambda-mu", check_generalized_theorem, lambda x: (3, 2, x, x), 4182),
-    ("ljunggren", check_ljunggren_q, lambda x: (16, x, 1), 193),
-    ("ljunggren-modulus", check_ljunggren_q, lambda x: (x, 0, 0), 7510),
-    ("wolstenholme-q", check_wolstenholme_q, lambda x: (x,), 532),
-    ("qbin-prop", check_qbin_prop, lambda x: (x, 2, 1, 1), 586),
-    ("qbin-prop-modulus", check_qbin_prop, lambda x: (x, 0, 0, 1), 7992),
+    ("corollary-m16", check_corollary, lambda x: (16, x), 1404),
+    ("corollary-m2", check_corollary, lambda x: (2, x), 2758),
+    ("corollary-m1", check_corollary, lambda x: (1, x), 3242),
+    ("corollary-m64", check_corollary, lambda x: (64, x), 805),
+    ("corollary-n4", check_corollary, lambda x: (x, 4), 1076),
+    ("main", check_main_theorem, lambda x: (16, (x, x, x, x)), 1103),
+    ("s1s2", check_s1_s2_decomposition, lambda x: (16, (x, x, x, x)), 1103),
+    ("generalized-lambda", check_generalized_theorem, lambda x: (3, 2, x, 0), 759855),
+    ("generalized-mu", check_generalized_theorem, lambda x: (3, 2, 2, x), 379926),
+    ("generalized-lambda-mu", check_generalized_theorem, lambda x: (3, 2, x, x), 189964),
+    ("ljunggren", check_ljunggren_q, lambda x: (16, x, 1), 1710092),
+    ("ljunggren-modulus", check_ljunggren_q, lambda x: (x, 0, 0), 7654),
+    ("wolstenholme-q", check_wolstenholme_q, lambda x: (x,), 5399),
+    ("qbin-prop", check_qbin_prop, lambda x: (x, 2, 1, 1), 8082),
+    ("qbin-prop-j", check_qbin_prop, lambda x: (x, 2, 1, 2), 2742),
+    ("qbin-prop-modulus", check_qbin_prop, lambda x: (x, 0, 0, 1), 8083),
     ("harmonic-sp1", check_harmonic_sp, lambda x: (x, "sp1"), 829),
     ("harmonic-sp2", check_harmonic_sp, lambda x: (x, "sp2"), 659),
     ("harmonic-sp3", check_harmonic_sp, lambda x: (x, "sp3"), 659),

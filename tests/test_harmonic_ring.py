@@ -131,8 +131,8 @@ def test_a_wrong_inverse_fails_only_the_cross_route(monkeypatch, residues, which
 
 @pytest.fixture
 def ring_calls(monkeypatch):
-    """Count the ring's multiples by [t]_q, record the bases of each sum of
-    powers and the operands of each product."""
+    """Count the ring's multiples by [t]_q, record the weights of each sum of
+    squares and the operands of each product."""
     calls = {"mul_q_integer": 0, "sum_of_powers": [], "mul": []}
     mul_q_integer, sum_of_powers, mul = (ResidueRing.mul_q_integer, ResidueRing.sum_of_powers,
                                          ResidueRing.mul)
@@ -142,7 +142,7 @@ def ring_calls(monkeypatch):
         return mul_q_integer(ring, a, t)
 
     def recording(ring, terms):
-        calls["sum_of_powers"].append([(w, e, g) for w, e, _, g in terms])
+        calls["sum_of_powers"].append([w for w, _ in terms])
         return sum_of_powers(ring, terms)
 
     def multiplying(ring, a, b):
@@ -163,7 +163,7 @@ def test_three_multiples_by_q_integers_a_step(ring_calls, which):
     assert ring_calls["mul_q_integer"] == 72
     # the cross route squares the 24 inverses with one fold, sp3 with +h1^2
     # in the same call, and sp1 none
-    want = {"sp1": [], "sp2": [[(1, 0, 2)] * 24], "sp3": [[(1, 0, 2)] + [(-1, 0, 2)] * 24]}
+    want = {"sp1": [], "sp2": [[1] * 24], "sp3": [[1] + [-1] * 24]}
     assert ring_calls["sum_of_powers"] == want[which]
 
 

@@ -1,5 +1,5 @@
 """The packed products: ``laurent._pack``/``_digits``, ``ResidueRing.mul``
-and ``ResidueRing.sum_of_powers``.
+and ``ResidueRing.sum_of_powers``, and the memos of rings and fields.
 
 ``ResidueRing.mul`` multiplies two elements as single integers and folds
 the packed product modulo (2^(wm) - 1)^k until it has k m balanced digits.
@@ -7,23 +7,26 @@ Its oracle is the product it replaced, kept here: the Kronecker product
 ``_dense_mul`` folded by the list fold ``_fold``.  The operands cover every
 struct digit width (1, 2, 4 and 8 bytes) and wide digits, squares, and
 operands of all +-(2^b - 1), which make the digit bound tight.
-``sum_of_powers`` is checked against the sum of w ``mul``(q^e, y^g) term
-by term, with shared bases, negative weights and exponents, and q^e in
-closed form against the binomial series.  The ring memo is checked as
-well: a kernel call leaves every cached unit equal to a freshly built one,
-and the calls on one ring share its prefix table without mutating it.
+``sum_of_powers``, the weighted sum of squares of ``harmonic-sp``, is
+checked against the sum of w ``mul``(y, y) term by term, with shared bases
+and weights of either sign, and q^e in closed form against the binomial
+series.  The memos are checked as well: ``harmonic-sp`` builds one ring per
+modulus, a kernel call leaves every lead ``cyclotomic._Field`` keeps equal
+to a freshly built one, and the calls at one m share those leads, built
+from the prefix products P_rho, without mutating them.
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qapery.cyclotomic
 import qapery.laurent
-from qapery.checks import check_corollary
-from qapery.cyclotomic import (Modulus, ResidueRing, _binomial, binomial_sum_residue,
-                               residue_ring)
+from qapery.checks import check_corollary, check_harmonic_sp
+from qapery.cyclotomic import (Modulus, ResidueRing, _binomial, _Field, _field,
+                               binomial_sum_residue, residue_ring)
 from qapery.laurent import LaurentPoly, _dense_mul, _digits, _fold, _pack, _width, _wrap
 
 
@@ -121,9 +124,9 @@ def test_headroom_is_read_off_the_columns_of_q_powers(m, k):
 
 
 def folded_powers(ring, terms):
-    """sum w q^e y^g from ``mul``, ``q_power`` and ``power``, term by term."""
+    """sum w y^2 from ``mul``, term by term."""
     return [sum(c) for c in zip([0] * ring.size, *(
-        [w * c for c in ring.mul(ring.q_power(e), ring.power(y, g))] for w, e, y, g in terms))]
+        [w * c for c in ring.mul(y, y)] for w, y in terms))]
 
 
 def folded_squares(ring, vectors):
@@ -131,7 +134,7 @@ def folded_squares(ring, vectors):
 
 
 def squares(vectors):
-    return [(1, 0, v, 2) for v in vectors]
+    return [(1, v) for v in vectors]
 
 
 @st.composite
@@ -155,7 +158,7 @@ def square_sums(draw):
 @settings(max_examples=300, deadline=None)
 @given(square_sums())
 def test_sum_of_squares_is_the_sum_of_folded_squares(case):
-    # sum_of_powers at e = 0 and g = 2: the sum of squares of harmonic-sp's cross route
+    # the sum of squares of harmonic-sp's cross route for sp2
     m, k, vectors = case
     ring = ResidueRing(m, k)
     assert ring.sum_of_powers(squares(vectors)) == folded_squares(ring, vectors)
@@ -178,16 +181,11 @@ def test_sum_of_squares_of_extreme_elements(m, k):
                 assert ring.sum_of_powers(squares(copies)) == folded_squares(ring, vectors)
 
 
-#: exponents of q: negative, zero, below and above k m, and above 10^4
-EXPONENTS = st.one_of(st.integers(-60, 60), st.integers(10_000, 10_100),
-                      st.integers(-10_100, -10_000))
-
-
 @st.composite
 def power_sums(draw):
-    """(m, k, terms): up to 12 (w, e, y, g) terms, g in {1, 2, 3, 6}, weights
-    of either sign, and bases drawn from a pool of at most 4, so several
-    terms share a base (as one list) and some share (y, g)."""
+    """(m, k, terms): up to 12 (w, y) terms, weights of either sign, and
+    bases drawn from a pool of at most 4, so several terms share a base
+    (as one list)."""
     m, k = draw(st.integers(1, 12)), draw(st.integers(1, 4))
     size = m * k
 
@@ -199,8 +197,7 @@ def power_sums(draw):
         return [top if kind == "+top" else -top] * size
 
     pool = [element() for _ in range(draw(st.integers(1, 4)))]
-    terms = [(draw(st.integers(-(1 << 20), 1 << 20)), draw(EXPONENTS),
-              draw(st.sampled_from(pool)), draw(st.sampled_from([1, 2, 3, 6])))
+    terms = [(draw(st.integers(-(1 << 20), 1 << 20)), draw(st.sampled_from(pool)))
              for _ in range(draw(st.integers(1, 12)))]
     return m, k, terms
 
@@ -216,19 +213,34 @@ def test_sum_of_powers_is_the_sum_of_folded_powers(case):
 @pytest.mark.parametrize("m", [1, 2, 5, 16])
 @pytest.mark.parametrize("k", range(1, 5))
 def test_sum_of_powers_of_extreme_elements(m, k):
-    # equal bases of all +-(2^b - 1), powers up to 6 and the q^e of largest
-    # entries below 10^4 in the ring put the canonical sum near the bound
+    # equal bases of all +-(2^b - 1) with weights of either sign, as sp3's
+    # +h1^2 - sum h_i^2 has, put the canonical sum near the bound; a base
+    # given twice as one list has its weights added first
     ring = ResidueRing(m, k)
-    e = max(range(0, 10_000, m), key=lambda e: max(abs(c) for c in ring.q_power(e)))
-    for bits in (1, 7, 29, 61):
+    for bits in (1, 7, 29, 61, 120):
         top = (1 << bits) - 1
         for sign in (1, -1):
             y = [sign * top] * ring.size
-            for g in (1, 2, 3, 6):
-                for count in (1, 3, 31):
-                    for shift in (0, e, -e - 1):
-                        terms = [(sign, shift, y, g)] * count
-                        assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+            for count in (1, 3, 31):
+                for weights in ((1,), (-1,), (1, -1), (count, -1)):
+                    terms = [(w, y) for w in weights] * count
+                    assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+                    terms = [(w, list(y)) for w in weights] * count
+                    assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+
+
+def x_series(ring, coeffs, r):
+    """q^r sum_j coeffs[j] x^j, x = q^m - 1, expanded by the binomial theorem."""
+    v = [0] * ring.size
+    for j, c in enumerate(coeffs):
+        for i in range(j + 1):
+            v[r + ring.m * i] += (-1) ** (j - i) * comb(j, i) * c
+    return v
+
+
+#: exponents of q: negative, zero, below and above k m, and above 10^4
+EXPONENTS = st.one_of(st.integers(-60, 60), st.integers(10_000, 10_100),
+                      st.integers(-10_100, -10_000))
 
 
 @settings(max_examples=300, deadline=None)
@@ -237,10 +249,10 @@ def test_q_power_is_the_binomial_series(m, k, e):
     # q^(a m + r) = q^r sum_{j<k} C(a, j) x^j, x = q^m - 1
     ring = ResidueRing(m, k)
     a, r = divmod(e, m)
-    assert ring.q_power(e) == ring.from_x([_binomial(a, j) for j in range(k)], r)
+    assert ring.q_power(e) == x_series(ring, [_binomial(a, j) for j in range(k)], r)
 
 
-# -- one ring per (m, k) ---------------------------------------------------------
+# -- one ring per (m, k), one field per m ---------------------------------------------
 
 
 def test_one_ring_per_modulus(monkeypatch):
@@ -250,87 +262,99 @@ def test_one_ring_per_modulus(monkeypatch):
                         lambda m, k: built.append((m, k)) or original(m, k))
     residue_ring.cache_clear()
     try:
-        # Phi_4-valuations 0 and 2: modulo Phi_4^3 the second term is summed
-        # in the ring of (4, 1); modulo Phi_4^2 it is dropped
-        terms = [(1, 0, ((12, 4, 1),)), (-1, 3, ((9, 2, 1), (5, 2, 1)))]
-        first = binomial_sum_residue(terms, [1, 2, 3], Modulus(4, 3))
+        # sp1 is decided modulo Phi_n^2, sp2 and sp3 modulo Phi_n; the kernel
+        # builds no ring at all
+        assert check_harmonic_sp(6, "sp1").holds
         count = len(built)
-        assert binomial_sum_residue(terms, [1, 2, 3], Modulus(4, 3)) == first
-        assert len(built) == count
-        binomial_sum_residue(terms, [], Modulus(4, 2))
-        assert sorted(built) == sorted(set(built)) == [(4, 1), (4, 2), (4, 3)]
-        assert residue_ring(4, 3) is residue_ring(4, 3)
+        assert check_harmonic_sp(6, "sp1").holds and len(built) == count
+        assert check_harmonic_sp(6, "sp2").holds and check_harmonic_sp(6, "sp3").holds
+        terms = [(1, 0, ((12, 4, 1),)), (-1, 3, ((9, 2, 1), (5, 2, 1)))]
+        binomial_sum_residue(terms, [1, 2, 3], Modulus(4, 3))
+        assert sorted(built) == sorted(set(built)) == [(6, 1), (6, 2)]
+        assert residue_ring(6, 2) is residue_ring(6, 2)
     finally:
         residue_ring.cache_clear()
 
 
+def field_state(field):
+    """Every lead the field keeps, as tuples."""
+    return {s: (tuple(v), e) for s, (v, e) in field._leads.items()}
+
+
+#: terms whose leads take the closed form (C(4m, 2m), C(2m, m - 1)), P_rho and
+#: Q_rho (C(3m + 1, m), C(m + 1, 1)), and are inverted
+KERNEL_TERMS = [lambda m: (1, 0, ((4 * m, 2 * m, 2),)),
+                lambda m: (3, -2, ((3 * m + 1, m, 1), (m + 1, 1, -1))),
+                lambda m: (-2, 5, ((2 * m, m, 1), (2 * m, m - 1, 1)))]
+
+
 @pytest.mark.parametrize("m, k", [(1, 3), (3, 3), (4, 2), (6, 3)])
 def test_a_kernel_call_mutates_no_cached_unit(m, k):
-    ring = residue_ring(m, k)
-    terms = [(1, 0, ((4 * m, 2 * m, 2),)), (3, -2, ((3 * m + 1, m, 1), (m + 1, 1, -1))),
-             (-2, 5, ((2 * m, m, 1), (2 * m, m - 1, 1)))]
+    # the leads, products of the units 1 - zeta^r, stay equal to freshly built ones
+    field = _field(m)
+    terms = [term(m) for term in KERNEL_TERMS]
     binomial_sum_residue(terms, [1, -1, 2][:k], Modulus(m, k))
     binomial_sum_residue(terms, [], Modulus(m, k))
-    assert ring._units
-    fresh = ResidueRing(m, k)
-    for j, unit in ring._units.items():
-        assert unit == fresh.unit(j)
-    assert ring.one == fresh.one == fresh.q_power(0)
+    assert field._leads or m == 1
+    fresh = _Field(m)
+    for signature in field._leads:
+        fresh.lead(signature)
+    assert field_state(field) == field_state(fresh)
+    assert field.one == fresh.one
 
 
 @pytest.fixture
-def fresh_rings():
-    """Empty the ring memo before and after a test, so that its rings start
-    with no prefix table."""
-    residue_ring.cache_clear()
+def fresh_fields():
+    """Empty the field memo before and after a test, so that its fields start
+    with no leads."""
+    _field.cache_clear()
     yield
-    residue_ring.cache_clear()
+    _field.cache_clear()
 
 
-def test_kernel_calls_on_one_ring_share_the_prefix_table(fresh_rings):
-    # every n at m = 3 reads the table of residue_ring(3, 3), which a larger
-    # top extends without replacing the entries read before
-    ring = residue_ring(3, 3)
-    assert check_corollary(3, 2).holds
-    entries = ring.prefix(0)
-    assert len(entries) == 2 * 3 * 2 + 1
-    assert check_corollary(3, 4).holds
-    table = ring.prefix(0)
-    assert len(table) == 2 * 3 * 4 + 1
-    assert all(table[i] is entry for i, entry in enumerate(entries))
-    assert ring.prefix(2 * 3 * 4) is table
+def test_kernel_calls_on_one_ring_share_the_prefix_table(fresh_fields):
+    # the prefix products P_rho enter a call through the leads, which the
+    # field keeps: every call at m = 9 reads the same lead objects
+    field = _field(9)
+    binomial_sum_residue([(1, 0, ((2, 1, 1),)), (1, 0, ((8, 4, 1),))], [], Modulus(9, 1))
+    entries = dict(field._leads)
+    assert len(entries) == 2
+    binomial_sum_residue([(1, 0, ((8, 4, 1),)), (1, 0, ((14, 6, 1),))], [], Modulus(9, 2))
+    assert len(field._leads) == 3
+    assert all(field._leads[s] is entry for s, entry in entries.items())
 
 
-def test_a_sweep_mutates_no_prefix_entry(fresh_rings):
-    ring = residue_ring(3, 3)
+def test_a_sweep_mutates_no_prefix_entry(fresh_fields):
+    field = _field(5)
     seen = {}
     for n in range(5):
-        assert check_corollary(3, n).holds
-        for entry in ring.prefix(0):
-            seen.setdefault(id(entry), (entry, hash(tuple(entry))))
-    assert all(hash(tuple(entry)) == before for entry, before in seen.values())
-    fresh = ResidueRing(3, 3)
-    assert ring.prefix(0) == fresh.prefix(2 * 3 * 4)
+        assert check_corollary(5, n).holds
+        for v, _ in field._leads.values():
+            seen.setdefault(id(v), (v, hash(tuple(v))))
+    assert all(hash(tuple(v)) == before for v, before in seen.values())
+    fresh = _Field(5)
+    assert field_state(field) == {s: (tuple(fresh.lead(s)[0]), e)
+                                  for s, (_, e) in field._leads.items()}
 
 
-def test_a_covered_top_makes_no_prefix_product(monkeypatch, fresh_rings):
-    ring = residue_ring(3, 3)
-    assert check_corollary(3, 4).holds
-    table = ring.prefix(0)
+def test_a_covered_top_makes_no_prefix_product(monkeypatch, fresh_fields):
+    # once a lead is kept, no P_rho is formed for it again; the leads of
+    # C(m n, k)_q take no P_rho at all
+    terms = [(1, 0, ((8, 4, 1),)), (2, 1, ((12, 5, 1), (5, 2, -1)))]
+    binomial_sum_residue(terms, [], Modulus(9, 1))
     products = []
-    mul = ResidueRing.mul
+    prefix = _Field.prefix
 
-    def recording(ring, a, b):
-        products.append((a, b))
-        return mul(ring, a, b)
+    def recording(field, rho):
+        products.append(rho)
+        return prefix(field, rho)
 
-    monkeypatch.setattr(ResidueRing, "mul", recording)
-    assert check_corollary(3, 2).holds and check_corollary(3, 4).holds
+    monkeypatch.setattr(_Field, "prefix", recording)
+    binomial_sum_residue(terms, [], Modulus(9, 1))
+    assert check_corollary(9, 2).holds
+    assert products == []
+    binomial_sum_residue([(1, 0, ((7, 3, 1),))], [], Modulus(9, 1))
     assert products
-    # F(j) = F(j - 1) u_j is not formed again
-    assert not [a for a, b in products
-                if any(a == table[j - 1] and b == ring.unit(j) for j in range(1, len(table)))]
-    assert ring.prefix(0) is table
 
 
 # -- LaurentPoly fast paths -------------------------------------------------------

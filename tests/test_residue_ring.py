@@ -19,7 +19,7 @@ instance.
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,12 +42,15 @@ from qapery.cyclotomic import (
     NotInvertibleError,
     ResidueRing,
     _binomial,
+    _Field,
+    _field,
+    _mobius_product,
     binomial_sum_residue,
     cyclotomic,
     inverse_mod,
     reduce_mod,
 )
-from qapery.laurent import LaurentPoly, divrem, exact_div, q_power
+from qapery.laurent import LaurentPoly, _power, divrem, exact_div, q_power
 from qapery.qcombinatorics import binom, check_q_lucas, q_integer, qbin
 from qapery.reports import WORK_BUDGET, PreconditionError, modulus_work, qbin_work
 from qapery.sequences import (
@@ -355,42 +358,67 @@ def test_ring_q_power_and_power(mk, e, p):
     ring, mod = ResidueRing(m, k), Modulus(m, k)
     v = ring.q_power(e)
     assert reduce_mod(ring.to_poly(v), mod) == reduce_mod(q_power(e), mod)
-    assert reduce_mod(ring.to_poly(ring.power(v, p)), mod) == reduce_mod(q_power(e * p), mod)
+    power = _power(v, p, ring.mul, ring.one)
+    assert reduce_mod(ring.to_poly(power), mod) == reduce_mod(q_power(e * p), mod)
 
 
-@settings(max_examples=80, deadline=None)
-@given(moduli, st.integers(1, 80))
-def test_ring_unit_is_one_minus_q_power_without_phi(mk, j):
-    m, k = mk
-    ring, mod = ResidueRing(m, k), Modulus(m, k)
-    want = 1 - q_power(j)
-    if j % m == 0:
-        want = exact_div(want, cyclotomic(m))
-    u = ring.to_poly(ring.unit(j))
-    assert reduce_mod(u, mod) == reduce_mod(want, mod)
-    assert not reduce_mod(u, Modulus(m, 1)).is_zero()
+def coordinates(f, m):
+    """The coordinates of f(zeta_m) in 1, zeta, .., zeta^(phi(m)-1), padded."""
+    r = reduce_mod(f, Modulus(m, 1))
+    return [r.coefficient(i) for i in range(cyclotomic(m).degree())]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_field_products_of_one_minus_zeta_powers(m):
+    # P_rho = prod_{r<=rho} (1 - zeta^r), Q_rho = prod_{rho<r<m} (1 - zeta^r) and
+    # P_rho Q_rho = m; the lead of C(t, b)_q with b + (t - b) = m modulo m in
+    # closed form equals its product form Q_beta Q_gamma, and its inverse
+    # Q_0 P_beta P_gamma / m^3
+    field = _Field(m)
+    for rho in range(m):
+        prefix = prod((1 - q_power(r) for r in range(1, rho + 1)), start=LaurentPoly.one())
+        suffix = prod((1 - q_power(r) for r in range(rho + 1, m)), start=LaurentPoly.one())
+        assert field.coordinates(field.prefix(rho)) == coordinates(prefix, m)
+        assert field.coordinates(field.suffix(rho)) == coordinates(suffix, m)
+        assert field.coordinates(field.mul(field.prefix(rho), field.suffix(rho))) == \
+            coordinates(LaurentPoly.constant(m), m)
+    for beta in range(1, m):
+        gamma = m - beta
+        table = field.mul(field.suffix(beta), field.suffix(gamma))
+        inverse = field.mul(field.mul(field.suffix(0), field.prefix(beta)), field.prefix(gamma))
+        for p in (1, 2, -1, -2):
+            v, s = field.lead(((beta, gamma, p),))
+            want = _power(table if p > 0 else inverse, abs(p), field.mul, None)
+            assert [Fraction(c) * Fraction(m) ** s for c in field.coordinates(v)] == \
+                [c / Fraction(m) ** (3 * -p if p < 0 else 0) for c in field.coordinates(want)]
 
 
 def test_phi_and_psi_are_built_on_first_use(monkeypatch):
-    # Phi_m and Psi_m are each one Moebius product, (m, False) and (m, True)
+    # a vanishing sum reads neither Phi_m nor Psi_m: the field reads Phi_m for
+    # the coordinates of a nonzero image, and Psi_m = (q^m - 1)/Phi_m to divide
+    # by Phi_m(zeta e^L), each a Moebius product, (m, False) and (m, True)
+    mod = Modulus(6, 2)
     built = []
     product = qapery.cyclotomic._mobius_product
     monkeypatch.setattr(qapery.cyclotomic, "_CYCLOTOMIC", {})
     monkeypatch.setattr(qapery.cyclotomic, "_mobius_product",
                         lambda m, inverse=False: built.append((m, inverse)) or product(m, inverse))
-    ring = ResidueRing(6, 2)
-    ring.mul_q_integer(ring.mul(ring.q_power(7), ring.unit(5)), 4)
-    ring.q_integer_inverse(5)
+    _field.cache_clear()
+    holding = [(1, 2, ((12, 5, 1),)), (-1, 2, ((12, 5, 1),)), (3, 0, ((7, 2, 1), (4, 1, -1)))]
+    holding.append((-3, 0, ((7, 2, 1), (4, 1, -1))))
+    assert binomial_sum_residue(holding, [], mod).is_zero()
     assert built == []
-    assert ring.unit(12) and built == [(6, True)]
-    assert ring.phi and built == [(6, True), (6, False)]
-    assert ring.unit(18) and ring.phi and len(built) == 2
+    assert not binomial_sum_residue(holding[:1], [], mod).is_zero()
+    assert built == [(6, False), (6, True)]
+    assert not binomial_sum_residue(holding[2:3], [1], mod).is_zero()
+    assert built.count((6, False)) == 1
+    _field.cache_clear()
 
 
 def test_psi_is_q_m_minus_one_over_phi():
     for m in range(1, 300):
         want = exact_div(q_power(m) - 1, cyclotomic(m))
-        assert ResidueRing(m, 2)._psi == ResidueRing(m, 2).from_poly(want), m
+        assert LaurentPoly({i: c for i, c in enumerate(_mobius_product(m, True))}) == want, m
 
 
 def built_term(w, e, triples, mod):
@@ -629,79 +657,75 @@ def test_every_valuation_group_matches_the_built_residue(m, k, data):
     assert not want_broken.is_zero()
 
 
-def denominator_factorials(terms, m, k):
-    """(B, d): the largest index of a denominator factorial (q;q)_i, and
-    the most denominator factorials of one term, with equal factorials
-    cancelled, over the terms of Phi_m-valuation below k (no q-binomial of
-    the checkers here vanishes)."""
-    bottom = depth = 0
-    for _, _, triples in terms:
-        counts = Counter()
-        for t, b, p in triples:
-            counts[t] += p
-            counts[b] -= p
-            counts[t - b] -= p
-        if sum(n * (i // m) for i, n in counts.items()) < k:
-            below = {i: n for i, n in counts.items() if n < 0 and i}
-            bottom = max([bottom, *below])
-            depth = max(depth, -sum(below.values()))
-    return bottom, depth
-
-
-def kernel_products(monkeypatch, terms, rhs, mod):
-    """The (m, k) ring, and both operands, of every ring product of one
-    kernel call."""
-    products = []
-    mul = ResidueRing.mul
-
-    def recording(ring, a, b):
-        products.append(((ring.m, ring.k), a, b))
-        return mul(ring, a, b)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(ResidueRing, "mul", recording)
-        binomial_sum_residue(terms, rhs, mod)
-    return products
-
-
 @pytest.mark.parametrize("run, params", [(check_corollary, (5, 3)), (check_qbin_prop, (6, 3, 1, 2))],
                          ids=["corollary", "qbin-prop"])
-def test_a_valuation_group_is_multiplied_in_its_ring_and_lifted_once(monkeypatch, run, params):
+def test_a_checker_term_is_read_in_closed_form(monkeypatch, run, params):
+    # a checker's terms of valuation 0 have residues 0, whose series is in
+    # closed form, and the others are read to their leads alone: no term is
+    # multiplied out factor by factor, and a holding statement recovers no
+    # residue; the terms span valuations 0 .. k - 1
     calls = record_kernel(monkeypatch)
+    monkeypatch.setattr(qapery.cyclotomic, "_add_in_full", unreachable("a term was multiplied out"))
+    monkeypatch.setattr(_Field, "residue", unreachable("a residue was recovered"))
     assert run(*params).holds
     assert calls
     for terms, rhs, mod, _ in calls:
-        m, k = mod.m, mod.k
-        valuations = {phi_valuation(triples, m) for _, _, triples in terms} - {0}
-        assert valuations and max(valuations) < k
-        binomial_sum_residue(terms, rhs, mod)
-        products = kernel_products(monkeypatch, terms, rhs, mod)
-        # more terms of valuation v >= 1 add products in their rings alone;
-        # they come in +- pairs, so the statement still holds
-        more = kernel_products(monkeypatch, terms + [(s * w, e + 1, triples) for w, e, triples in terms
-                                                     if phi_valuation(triples, m) for s in (1, -1)],
-                               rhs, mod)
-        for recorded in (products, more):
-            assert {ring for ring, _, _ in recorded} == {(m, k)} | {(m, k - v) for v in valuations}
-            assert all(len(a) == len(b) == ring[0] * ring[1] for ring, a, b in recorded)
+        valuations = {phi_valuation(triples, mod.m) for _, _, triples in terms}
+        assert max(valuations) == mod.k - 1
 
-        def count(recorded, ring):
-            return sum(r == ring for r, _, _ in recorded)
-        assert count(more, (m, k)) == count(products, (m, k))
-        assert all(count(more, (m, k - v)) > count(products, (m, k - v)) for v in valuations)
-        # the lifts: a full-ring product by Phi_m^v whose other side is no power of Phi_m
-        ring = ResidueRing(m, k)
-        phi_powers = [ring.from_poly(cyclotomic(m) ** v) for v in range(k)]
-        lifts = [phi_powers.index(b) for r, a, b in products
-                 if r == (m, k) and b in phi_powers[1:] and a not in phi_powers]
-        assert sorted(lifts) == sorted(valuations)
-        # the statement holds, so D = G(0)^depth is never formed: no full-ring
-        # product multiplies two powers of G(0) = F(B)
-        bottom, depth = denominator_factorials(terms, m, k)
-        assert bottom and depth > 1
-        g0 = reduce(ring.mul, [ring.unit(j) for j in range(1, bottom + 1)])
-        g0_powers = [ring.power(g0, j) for j in range(1, depth + 1)]
-        assert not [a for r, a, b in products if r == (m, k) and a in g0_powers and b in g0_powers]
+
+# -- vanishing sums that are not a sum less itself ---------------------------------
+
+common_products = st.lists(st.tuples(st.integers(0, 20), st.integers(-1, 21), st.integers(-1, 3)),
+                           max_size=2)
+
+
+def vanishing_or_refused(terms, rhs, mod, broken):
+    """The kernel finds the sum ``terms`` less rhs zero, as the built route
+    does, or refuses it with the built route; and ``broken``, the statement
+    with one term perturbed, has the built residue."""
+    try:
+        assert built_residue(terms, rhs, mod).is_zero()
+        want = built_residue(broken, rhs, mod)
+    except NotInvertibleError:
+        for statement in (terms, broken):
+            with pytest.raises(NotInvertibleError):
+                binomial_sum_residue(statement, rhs, mod)
+        return
+    assert binomial_sum_residue(terms, rhs, mod).is_zero()
+    assert binomial_sum_residue(broken, rhs, mod) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli, st.integers(1, 20), st.data())
+def test_q_pascal_times_a_common_product_vanishes(mk, t, data):
+    # C(t, b) = C(t-1, b-1) + q^b C(t-1, b) = q^(t-b) C(t-1, b-1) + C(t-1, b)
+    mod = Modulus(*mk)
+    b = data.draw(st.integers(0, t))
+    common = tuple(data.draw(common_products))
+    w, e = data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(-30, 30))
+    low, high = (b, 0) if data.draw(st.booleans()) else (0, t - b)
+    terms = [(w, e, ((t, b, 1),) + common), (-w, e + high, ((t - 1, b - 1, 1),) + common),
+             (-w, e + low, ((t - 1, b, 1),) + common)]
+    broken = terms[:2] + [(-w, e + low + 1, ((t - 1, b, 1),) + common)]
+    vanishing_or_refused(terms, [], mod, broken)
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli, st.integers(0, 20), st.data())
+def test_quotient_by_a_q_binomial_vanishes(mk, t, data):
+    # C(t, b)^p C(t, b)^-p y - y for a term y of valuation 0 .. k - 1: the leads
+    # of C(t, b)_q and of its inverse, carried or not, multiply to 1, and so do
+    # their series; at valuation k - 1 only the leads are read
+    m, k = mk
+    mod = Modulus(m, k)
+    b = data.draw(st.integers(0, t))
+    p = data.draw(st.integers(1, 2))
+    w, e, common = valued_term(data, m, data.draw(st.integers(0, k - 1)) if m > 1 else 0)
+    w = w or 1
+    terms = [(w, e, ((t, b, p), (t, b, -p)) + common), (-w, e, common)]
+    broken = [(w, e, ((t, b, p), (t, b, -p)) + common), (-w, e + 1, common)]
+    vanishing_or_refused(terms, [], mod, broken)
 
 
 # -- reach: instances whose left side would be large fail when perturbed -------
@@ -751,6 +775,17 @@ def test_corollary_reach_can_fail(monkeypatch):
     assert report.first_residue_coeff not in (None, 0)
 
 
+@pytest.mark.parametrize("m, n", [(16, 256), (64, 64), (2, 1024)])
+def test_corollary_at_m_n_4096_and_2048_holds_and_can_fail(monkeypatch, m, n):
+    # m n = 4096 and 2048: admitted by the work budget, each well under a
+    # second; the full left side at (16, 256) would have degree 33,554,432
+    assert check_corollary(m, n).holds
+    monkeypatch.setattr(checks, "correction_R_lambda_mu", plus_one(checks.correction_R_lambda_mu))
+    report = check_corollary(m, n)
+    assert report.holds is False
+    assert report.first_residue_coeff not in (None, 0)
+
+
 def test_main_reach_can_fail(monkeypatch):
     n = (8, 8, 8, 8)
     assert check_main_theorem(5, n, "ksq").holds
@@ -767,10 +802,10 @@ OVERSIZED = [
     ("corollary", {"m": 1000, "n": 1000}),
     ("main", {"m": 1000, "n1": 1000, "n2": 1, "n3": 1, "n4": 1, "alpha": "ksq"}),
     ("generalized", {"m": 1000, "n": 1000, "lambda": 2, "mu": 1, "alpha": "ksq"}),
-    ("ljunggren", {"n": 1000, "a": 1000, "b": 1}),
-    ("wolstenholme-q", {"n": 3000}),
-    ("s1s2", {"m": 40, "n1": 40, "n2": 40, "n3": 40, "n4": 40, "alpha": "ksq"}),
-    ("qbin-prop", {"m": 100, "n": 50, "k": 25, "j": 1}),
+    ("ljunggren", {"n": 16, "a": 10 ** 7, "b": 1}),
+    ("wolstenholme-q", {"n": 6000}),
+    ("s1s2", {"m": 16, "n1": 2000, "n2": 2000, "n3": 2000, "n4": 2000, "alpha": "ksq"}),
+    ("qbin-prop", {"m": 9000, "n": 50, "k": 25, "j": 1}),
     ("lucas", {"n": 100, "a": 50, "b": 3, "r": 25, "s": 1}),
 ]
 
@@ -845,10 +880,10 @@ def test_lucas_guard_admits_the_last_degree(monkeypatch):
 
 
 # Instances with a large base: A_q(5000) at m = 1, and a base with
-# q-binomials to the power lambda = 100000.
+# q-binomials to the power lambda = 10^7.
 OVERSIZED_BASE = [
     ["corollary", "--m", "1", "--n", "5000"],
-    ["generalized", "--m", "2", "--n", "3", "--lambda", "100000", "--mu", "0"],
+    ["generalized", "--m", "2", "--n", "3", "--lambda", "10000000", "--mu", "0"],
 ]
 
 
@@ -873,7 +908,7 @@ def test_oversized_base_sweep_instances_are_skipped(no_base_is_built):
     specs = [
         SweepSpec("corollary", ranges={"m": (1, 1, 1), "n": (5000, 5000, 1)}, jobs=1),
         SweepSpec("generalized", ranges={"m": (2, 2, 1), "n": (3, 3, 1),
-                                         "lambda": (100000, 100000, 1), "mu": (0, 0, 1)},
+                                         "lambda": (10 ** 7, 10 ** 7, 1), "mu": (0, 0, 1)},
                   jobs=1),
     ]
     for spec in specs:
