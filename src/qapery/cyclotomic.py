@@ -646,7 +646,8 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     sum_{0<r<m} 1/(1 - zeta^r)^2 = -(m - 1)(m - 5)/12 (at m = 1, the
     Mann-Whitney cumulants of C(T, B)_q); such terms are summed with their
     exponentials over the denominators i! 24^i of L^i.  Any other term that
-    needs a series coefficient is multiplied out factor by factor
+    needs a series coefficient, or that divides by a q-binomial whose
+    integer part is not 1, is multiplied out factor by factor
     (``_add_in_full``).  The right side is rational: x = e^(mL) - 1.  Only a
     nonzero image is turned into the residue (``_Field.residue``).
     """
@@ -657,7 +658,7 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     weight = [[factorial(i) // factorial(j) * d ** (i - j) for j in range(i + 1)] for i in range(k)]
     # the classes are summed times the lcm of the denominators of rhs
     scale = lcm(*[Fraction(r).denominator for r in rhs])
-    classes, extra, rational = {}, [None] * k, False
+    classes, extra = {}, [None] * k
     for w, e, triples in terms:
         valuation, num, den, signature, plain, binomials, vanishes = 0, w, 1, [], True, [], False
         for t, b, p in triples:
@@ -689,7 +690,7 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
         order = k - 1 - valuation
         if order < 0:
             continue
-        if order and not (plain and order <= 2):
+        if den != 1 or order and not (plain and order <= 2):
             extra = _add_in_full(field, extra, w, e, binomials, valuation)
             continue
         series = [1]
@@ -703,8 +704,6 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
             a1, a2 = 12 * m * m * a1 + d * e, m * m * a2
             series = [1, a1, a1 * a1 + 2 * a2 * d]
         lead = num * scale
-        if den != 1:
-            lead, rational = Fraction(lead, den), True
         key = e % m, tuple(signature)
         sums = classes.get(key)
         if sums is None:
@@ -734,9 +733,7 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
                 u[r] += sums[i]
             if any(u):
                 y = field.project(u)
-                if signature:
-                    y = (field.rmul if rational else field.mul)(y, v)
-                total[i] = _add(total[i], y)
+                total[i] = _add(total[i], field.mul(y, v) if signature else y)
     low, combined = min(totals, default=0), [None] * k
     for s, total in totals.items():
         for i, y in enumerate(total):
