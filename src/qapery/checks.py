@@ -14,19 +14,22 @@ prod [j]_q, it must vanish as a polynomial.
 Every q-binomial congruence but ``lucas`` states its lhs as weighted
 summand specs, (w, e, ((top, bottom, power), ...)) for w q^e times a product
 of q-binomial powers, and its right side as coefficients of x = q^m - 1.
-``cyclotomic.binomial_sum_residue`` reduces the difference without building
-it and returns the canonical residue, the one the full-polynomial route
-(kept in the tests as the oracle) gives.  The q-Ljunggren, corollary, main
-and generalized theorems read lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3)
-and share ``_cube_congruence``.  As x divides q^(m^2) - 1, the right side
-needs only the base's value at q = 1 and its first two moments, which
-``_cube_rhs`` reads off the base's specs in closed form.
+``cyclotomic.binomial_sum_residue`` decides the difference without building
+it, from its image at q = zeta_m e^L, where by q-Lucas each q-binomial is a
+classical binomial in m-th of its indices times an element of Q(zeta_m)
+that depends on its residues alone; a nonzero difference yields the
+canonical residue, the one the full-polynomial route (kept in the tests as
+the oracle) gives.  The q-Ljunggren, corollary, main and generalized
+theorems read lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3) and share
+``_cube_congruence``.  As x divides q^(m^2) - 1, the right side needs only
+the base's value at q = 1 and its first two moments, which ``_cube_rhs``
+reads off the base's specs in closed form.
 
-``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)`` as
-well, with no product of the [i]_q and no Euclid loop: the primary route
-steps the last three elementary symmetric functions of the [i]_q and reads
-the squared sums off them by Newton's identity, and the cross route sums
-the squares of the inverses with one fold.
+``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)``,
+Z[q]/((q^n - 1)^k), with no product of the [i]_q and no Euclid loop: the
+primary route steps the last three elementary symmetric functions of the
+[i]_q and reads the squared sums off them by Newton's identity, and the
+cross route sums the squares of the inverses with one fold.
 
 Every checker first passes the estimated work of its route, the modulus
 and any powers lambda and mu included, to ``reports.admit``, which refuses

@@ -450,12 +450,11 @@ class _Field:
         return u
 
     def mul(self, a: list, b: list) -> list:
-        """The product of two elements of integer lists."""
+        """The product of two elements given by integer lists."""
         return [x // self._rad for x in _fold(_dense_mul(a, b), self.m, self._wrap)]
 
     def rmul(self, a: list, b: list) -> list:
-        """The product of two elements of lists of rationals, over the
-        product of their common denominators."""
+        """The product of two elements given by lists of rationals."""
         da, db = lcm(*[c.denominator for c in a]), lcm(*[c.denominator for c in b])
         c = _dense_mul([c.numerator * (da // c.denominator) for c in a],
                        [c.numerator * (db // c.denominator) for c in b])
@@ -489,31 +488,26 @@ class _Field:
         return v
 
     def suffix(self, rho: int) -> list:
-        """Q_rho = prod_{rho<r<m} (1 - zeta^r), so that P_rho Q_rho = m, the
-        value at 1 of (q^m - 1)/(q - 1).  With s = m - r,
-        1 - zeta^r = -zeta^(-s) (1 - zeta^s), so Q_rho = (-1)^n zeta^(-n(n+1)/2) P_n
-        with n = m - 1 - rho."""
+        """Q_rho = prod_{rho<r<m} (1 - zeta^r) = (-1)^n zeta^(-n(n+1)/2) P_n,
+        n = m - 1 - rho, as 1 - zeta^(m-s) = -zeta^(-s) (1 - zeta^s); P_rho Q_rho = m."""
         n = self.m - 1 - rho
         v = self.shift(self.prefix(n), -(n * (n + 1) // 2))
         return [-c for c in v] if n % 2 else v
 
     def lead(self, signature: tuple):
         """(v, s): m^s v is the product of the K parts, to the powers p, of
-        the leads of the q-binomials in ``signature``, a tuple of
-        (beta, gamma, p) with b = beta and t - b = gamma modulo m, both
-        nonzero; memoized in the field.
+        the leads of C(t, b)_q for the (beta, gamma, p) of ``signature``,
+        b = beta and t - b = gamma modulo m, both nonzero.
 
-        With rho = beta + gamma modulo m and the carry d = [beta + gamma >= m],
-        the K part is m^(2d) P_rho / (P_beta P_gamma) (see
-        ``binomial_sum_residue``), which P Q = m turns into
-        m^(2d - 2) P_rho Q_beta Q_gamma, and its inverse into
-        m^(-1 - 2d) Q_rho P_beta P_gamma: no inverse is taken.  When d = 0,
-        m^2 divides P_rho Q_beta Q_gamma, as the quotient is the value at
-        zeta of C(rho, beta)_q, a polynomial with integer coefficients.
-        When beta + gamma = m, the lead of C(m n, k)_q with m not dividing k,
+        With rho = beta + gamma modulo m and the carry d, the K part
+        m^(2d) P_rho / (P_beta P_gamma) (see ``binomial_sum_residue``) is
+        m^(2d - 2) P_rho Q_beta Q_gamma, and its inverse
+        m^(-1 - 2d) Q_rho P_beta P_gamma.  When d = 0, m^2 divides
+        P_rho Q_beta Q_gamma, the value at zeta of the integer polynomial
+        C(rho, beta)_q.  When beta + gamma = m, as for C(m n, k)_q,
         Q_gamma = (-1)^(beta-1) zeta^(-beta(beta-1)/2) P_(beta-1) and
-        P_(beta-1) Q_beta = m/(1 - zeta^beta) (``weighted``) give the K part
-        and its inverse in closed form.
+        P_(beta-1) Q_beta = m/(1 - zeta^beta) (``weighted``) give both in
+        closed form.
         """
         found = self._leads.get(signature)
         if found is None:
@@ -704,32 +698,30 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
             a1, a2 = 12 * m * m * a1 + d * e, m * m * a2
             series = [1, a1, a1 * a1 + 2 * a2 * d]
         lead = num * scale
-        key = e % m, tuple(signature)
-        sums = classes.get(key)
+        members = classes.setdefault(tuple(signature), {})
+        sums = members.get(e % m)
         if sums is None:
-            sums = classes[key] = [0] * k
+            sums = members[e % m] = [0] * k
         for j in range(order + 1):
             i = valuation + j
             sums[i] += lead * series[j] * weight[i][j]
     if any(rhs):
         # -sum_j rhs[j] x^j, x = e^(mL) - 1; i! times the L^i coefficient of x is m^i, so
         # that of x^j is power[i] below, an integer, and the sum needs no Fraction
-        sums = classes.setdefault((0, ()), [0] * k)
+        sums = classes.setdefault((), {}).setdefault(0, [0] * k)
         power = [1] + [0] * (k - 1)
         for r in rhs:
             for i in range(k):
                 sums[i] -= int(r * scale) * power[i] * d ** i
             power = [sum(comb(i, j) * power[j] * m ** (i - j) for j in range(i)) for i in range(k)]
-    signatures, totals = {}, {}
-    for (r, signature), sums in classes.items():
-        signatures.setdefault(signature, []).append((r, sums))
-    for signature, members in signatures.items():
+    totals = {}
+    for signature, members in classes.items():
         # sum_r sums[i] zeta^r times the class's K part m^s v, kept by s
         v, s = field.lead(signature)
         total = totals.setdefault(s, [None] * k)
         for i in range(k):
             u = [0] * m
-            for r, sums in members:
+            for r, sums in members.items():
                 u[r] += sums[i]
             if any(u):
                 y = field.project(u)

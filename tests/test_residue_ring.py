@@ -1,19 +1,20 @@
-"""The residue-ring route of the Phi_m^k q-binomial checkers.
+"""The kernel route of the Phi_m^k q-binomial checkers.
 
-``cyclotomic.binomial_sum_residue`` reduces a weighted sum of q-binomial
-products in Z[q]/((q^m - 1)^k) without building it.  The full-polynomial
-route is the oracle, kept here: ``cube_residue`` of the built left side and
-base for the Phi_m^3 checkers, and the built statements of
-``wolstenholme-q``, ``s1s2`` and ``qbin-prop``.  On every acceptance grid
+``cyclotomic.binomial_sum_residue`` decides a weighted sum of q-binomial
+products from its image at q = zeta_m e^L without building it.  The
+full-polynomial route is the oracle, kept here: ``cube_residue`` of the
+built left side and base for the Phi_m^3 checkers, and the built statements
+of ``wolstenholme-q``, ``s1s2`` and ``qbin-prop``.  On every acceptance grid
 the two must give identical residues, for the statement as given and
 perturbed (the correction factor c raised by one, or a weight raised by
-one), which makes every residue nonzero.  The kernel's parts, and the
-closed-form right sides ``checks._cube_rhs`` reads off a base's specs (also
-against the kernel at m = 1), are compared with ``LaurentPoly`` arithmetic
-under hypothesis, and so is each valuation group, whose ring products are
-recorded as well; with every builder made to raise, no checker builds a
-q-binomial; and the work budget is tested without running an oversized
-instance.
+one), which makes every residue nonzero.  The kernel, the field's products
+and leads, and the closed-form right sides ``checks._cube_rhs`` reads off a
+base's specs (also against the kernel at m = 1), are compared with
+``LaurentPoly`` arithmetic under hypothesis, on terms of every valuation
+and on sums that vanish without being a sum less itself (q-Pascal, and a
+quotient by a q-binomial); with every builder made to raise, no checker
+builds a q-binomial; and the work budget is tested without running an
+oversized instance.
 """
 
 import itertools
@@ -368,29 +369,29 @@ def coordinates(f, m):
     return [r.coefficient(i) for i in range(cyclotomic(m).degree())]
 
 
-@pytest.mark.parametrize("m", range(1, 13))
-def test_field_products_of_one_minus_zeta_powers(m):
+def test_field_products_of_one_minus_zeta_powers():
     # P_rho = prod_{r<=rho} (1 - zeta^r), Q_rho = prod_{rho<r<m} (1 - zeta^r) and
     # P_rho Q_rho = m; the lead of C(t, b)_q with b + (t - b) = m modulo m in
     # closed form equals its product form Q_beta Q_gamma, and its inverse
     # Q_0 P_beta P_gamma / m^3
-    field = _Field(m)
-    for rho in range(m):
-        prefix = prod((1 - q_power(r) for r in range(1, rho + 1)), start=LaurentPoly.one())
-        suffix = prod((1 - q_power(r) for r in range(rho + 1, m)), start=LaurentPoly.one())
-        assert field.coordinates(field.prefix(rho)) == coordinates(prefix, m)
-        assert field.coordinates(field.suffix(rho)) == coordinates(suffix, m)
-        assert field.coordinates(field.mul(field.prefix(rho), field.suffix(rho))) == \
-            coordinates(LaurentPoly.constant(m), m)
-    for beta in range(1, m):
-        gamma = m - beta
-        table = field.mul(field.suffix(beta), field.suffix(gamma))
-        inverse = field.mul(field.mul(field.suffix(0), field.prefix(beta)), field.prefix(gamma))
-        for p in (1, 2, -1, -2):
-            v, s = field.lead(((beta, gamma, p),))
-            want = _power(table if p > 0 else inverse, abs(p), field.mul, None)
-            assert [Fraction(c) * Fraction(m) ** s for c in field.coordinates(v)] == \
-                [c / Fraction(m) ** (3 * -p if p < 0 else 0) for c in field.coordinates(want)]
+    for m in range(1, 13):
+        field = _Field(m)
+        for rho in range(m):
+            prefix = prod((1 - q_power(r) for r in range(1, rho + 1)), start=LaurentPoly.one())
+            suffix = prod((1 - q_power(r) for r in range(rho + 1, m)), start=LaurentPoly.one())
+            assert field.coordinates(field.prefix(rho)) == coordinates(prefix, m)
+            assert field.coordinates(field.suffix(rho)) == coordinates(suffix, m)
+            assert field.coordinates(field.mul(field.prefix(rho), field.suffix(rho))) == \
+                coordinates(LaurentPoly.constant(m), m)
+        for beta in range(1, m):
+            gamma = m - beta
+            table = field.mul(field.suffix(beta), field.suffix(gamma))
+            inverse = field.mul(field.mul(field.suffix(0), field.prefix(beta)), field.prefix(gamma))
+            for p in (1, 2, -1, -2):
+                v, s = field.lead(((beta, gamma, p),))
+                want = _power(table if p > 0 else inverse, abs(p), field.mul, None)
+                assert [Fraction(c) * Fraction(m) ** s for c in field.coordinates(v)] == \
+                    [c / Fraction(m) ** (3 * -p if p < 0 else 0) for c in field.coordinates(want)]
 
 
 def test_phi_and_psi_are_built_on_first_use(monkeypatch):
@@ -584,7 +585,7 @@ def test_dropping_a_term_of_valuation_k_leaves_the_residue(m, k, data):
     assert with_term == built_residue(others + [dropped], rhs, mod)
 
 
-# -- the valuation groups: a term of valuation v summed modulo Phi_m^(k - v) ------
+# -- terms of every valuation v < k, read to L^(k - 1 - v) ----------------------
 
 
 def phi_valuation(triples, m):
