@@ -14,16 +14,19 @@ prod [j]_q, it must vanish as a polynomial.
 Every q-binomial congruence but ``lucas`` states its lhs as weighted
 summand specs, (w, e, ((top, bottom, power), ...)) for w q^e times a product
 of q-binomial powers, and its right side as coefficients of x = q^m - 1.
-``cyclotomic.binomial_sum_residue`` decides the difference without building
-it, from its image at q = zeta_m e^L, where by q-Lucas each q-binomial is a
-classical binomial in m-th of its indices times an element of Q(zeta_m)
-that depends on its residues alone; a nonzero difference yields the
-canonical residue, the one the full-polynomial route (kept in the tests as
-the oracle) gives.  The q-Ljunggren, corollary, main and generalized
-theorems read lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3) and share
-``_cube_congruence``.  As x divides q^(m^2) - 1, the right side needs only
-the base's value at q = 1 and its first two moments, which ``_cube_rhs``
-reads off the base's specs in closed form.
+``cyclotomic.binomial_sum_residue(terms, rhs, m, k)`` decides the
+difference without building it or Phi_m^k, from its image at
+q = zeta_m e^L, where by q-Lucas each q-binomial is a classical binomial in
+m-th of its indices times an element of Q(zeta_m) that depends on its
+residues alone.  Every term these checkers pass is read from that lead
+alone, or, when its q-binomials have residues 0, from their closed-form
+series to L^2; a nonzero difference yields the canonical residue, the one
+the full-polynomial route (kept in the tests as the oracle) gives.  The
+q-Ljunggren, corollary, main and generalized theorems read
+lhs == base(q^(m^2)) - c x^2 (mod Phi_m^3) and share ``_cube_congruence``.
+As x divides q^(m^2) - 1, the right side needs only the base's value at
+q = 1 and its first two moments, which ``_cube_rhs`` reads off the base's
+specs in closed form.
 
 ``harmonic-sp`` decides both of its routes in ``ResidueRing(n, k)``,
 Z[q]/((q^n - 1)^k), with no product of the [i]_q and no Euclid loop: the
@@ -110,10 +113,9 @@ def _cube_congruence(name, params, m, terms, base, c, started):
     specs, each of weight 1, and neither is built; the residue is the
     canonical one, equal to reducing the built difference.
     """
-    mod = Modulus(m, 3)
     terms = [(1, e, triples) for e, triples in terms]
-    residue = binomial_sum_residue(terms, _cube_rhs(m, base, c), mod)
-    return _finish_poly(name, params, [residue], mod, started)
+    residue = binomial_sum_residue(terms, _cube_rhs(m, base, c), m, 3)
+    return _finish_poly(name, params, [residue], "Phi(%d)^3" % m, started)
 
 
 def check_ljunggren_q(n: int, a: int, b: int) -> CongruenceReport:
@@ -147,12 +149,11 @@ def check_wolstenholme_q(n: int) -> CongruenceReport:
     if n < 1:
         raise PreconditionError("requires n >= 1")
     admit(2 * _cube_work(n, 0, 2, 2), "wolstenholme-q")
-    mod = Modulus(n, 3)
     lhs = [(1, 0, ((2 * n, n, 1),))]
     forms = [_cube_rhs(n, [(0, ((2, 1, 1),))], Fraction(n * n - 1, 12)),
              [2, n, Fraction((n - 1) * (5 * n - 1), 12)]]
-    residues = [binomial_sum_residue(lhs, rhs, mod) for rhs in forms]
-    return _finish_poly("wolstenholme-q", params, residues, mod, started)
+    residues = [binomial_sum_residue(lhs, rhs, n, 3) for rhs in forms]
+    return _finish_poly("wolstenholme-q", params, residues, "Phi(%d)^3" % n, started)
 
 
 def _q_integer_cofactors(n):
@@ -251,7 +252,7 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
         num = ring.sum_of_powers([(1, h1)] + [(-1, h) for h in hs])
         scale = 2 * den * den
     cross = _harmonic_residue(ring, mod, num, scale, ring.one, rhs)
-    return _finish_poly("harmonic-sp", params, [primary, cross], mod, started)
+    return _finish_poly("harmonic-sp", params, [primary, cross], str(mod), started)
 
 
 def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
@@ -271,15 +272,14 @@ def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
         raise PreconditionError("requires n, k >= 0")
     # [j]_q = C(j, 1)_q has the lead P_j Q_1 Q_(j-1) / m^2, read off P_rho for j > 1
     admit(2 * kernel_work(m, 2, 2, 2 * n + 64, j > 1), "qbin-prop")
-    mod = Modulus(m, 2)
     # the right side's weight -(-1)^(j-1) C(n-1, k) and exponent, an integer
     weight, e = (-1) ** j * binom(n - 1, k), (j - 1) * (2 * m - j) // 2
     lhs = (m * n, m * k + j, 1)
     primary = binomial_sum_residue(
-        [(1, 0, ((j, 1, 1), lhs)), (weight, e, ((m * n, 1, 1),))], [], mod)
+        [(1, 0, ((j, 1, 1), lhs)), (weight, e, ((m * n, 1, 1),))], [], m, 2)
     cross = binomial_sum_residue(
-        [(1, 0, (lhs,)), (weight, e, ((m * n, 1, 1), (j, 1, -1)))], [], mod)
-    return _finish_poly("qbin-prop", params, [primary, cross], mod, started)
+        [(1, 0, (lhs,)), (weight, e, ((m * n, 1, 1), (j, 1, -1)))], [], m, 2)
+    return _finish_poly("qbin-prop", params, [primary, cross], "Phi(%d)^2" % m, started)
 
 
 def check_main_theorem(m: int, n, alpha="ksq") -> CongruenceReport:
@@ -359,7 +359,6 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
         raise PreconditionError("requires m >= 1 and nonnegative indices")
     admit(_cube_work(m, min(n[0], n[2]), max(n[0] + n[1], n[2] + n[3]), 6), "s1s2")
     base = apery_q_multivariate_terms(n, alpha)
-    mod = Modulus(m, 3)
     terms = [(1, e, triples) for e, triples
              in apery_q_multivariate_terms(tuple(m * ni for ni in n), alpha)]
 
@@ -370,10 +369,10 @@ def check_s1_s2_decomposition(m: int, n, alpha="ksq") -> CongruenceReport:
 
     factor = Fraction(m * m - 1, 12)
     s1_rhs = _cube_rhs(m, base, factor * r1)
-    residues = [binomial_sum_residue(terms[::m], s1_rhs, mod),
+    residues = [binomial_sum_residue(terms[::m], s1_rhs, m, 3),
                 binomial_sum_residue([t for k, t in enumerate(terms) if k % m],
-                                     [0, 0, -factor * k2sum], mod)]
-    return _finish_poly("s1s2", params, residues, mod, started)
+                                     [0, 0, -factor * k2sum], m, 3)]
+    return _finish_poly("s1s2", params, residues, "Phi(%d)^3" % m, started)
 
 
 def check_harmonic_identity_classical(n: int) -> CongruenceReport:

@@ -20,9 +20,11 @@ from its image at q = zeta e^L in K[L]/(L^k), K = Q(zeta_m), which vanishes
 exactly when Phi_m^k divides the sum.  By the q-Lucas theorem a q-binomial
 there is L^d times an integer, a binomial in m-th of its indices, times an
 element of K that depends only on its residues modulo m, times a series
-that is rational through L^2 when the residues are 0; so nearly every term
-is summed as integers, in classes of its K part, and the canonical residue
-is read off the image's Phi_m-adic digits only when it is nonzero.
+that is rational through L^2 when the residues are 0.  A term is read from
+its lead alone, or, when its residues are all 0, from that closed-form
+series; so every term is summed as integers, in classes of its K part, any
+other term is refused, and the canonical residue is read off the image's
+Phi_m-adic digits only when it is nonzero.
 ``harmonic-sp`` is decided in ``ResidueRing(n, k)``, Z[q]/((q^n - 1)^k),
 which multiplies by [t]_q without a product, inverts [i]_q in closed form
 and sums the squares of many elements with one fold.
@@ -31,7 +33,7 @@ and sums the squares of many elements with one fold.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
 
 from .laurent import (LaurentPoly, _bias, _dense_mul, _digits, _divide, _euclid, _fold,
@@ -259,23 +261,17 @@ class ResidueRing:
         elements y, with one fold: the sums of squares of ``harmonic-sp``'s
         cross route.
 
-        Every base is packed once, at one width for the call, and squared as
-        an integer, left unfolded; the weights of a base given more than
-        once, as one list, are added first.  ``_fold_packed`` reads the
-        digits of the sum once.  Each canonical y^2 is below ``mul``'s
-        bound, so the width is ``mul``'s for the widest base plus
-        bits(sum |w|).
+        Every base is packed at one width for the call and squared as an
+        integer, left unfolded; ``_fold_packed`` reads the digits of the sum
+        once.  Each canonical y^2 is below ``mul``'s bound, so the width is
+        ``mul``'s for the widest base plus bits(sum |w|).
         """
-        weights, bases = {}, {}
-        for w, y in terms:
-            bases[id(y)] = y
-            weights[id(y)] = weights.get(id(y), 0) + w
-        bits = max((max(map(abs, y)).bit_length() for y in bases.values()), default=0)
+        bits = max((max(map(abs, y)).bit_length() for _, y in terms), default=0)
         width, bias = self._digit_layout(2 * bits + sum(abs(w) for w, _ in terms).bit_length())
         total = 0
-        for key, y in bases.items():
+        for w, y in terms:
             packed = _pack(y, width, bias)
-            total += weights[key] * packed * packed
+            total += w * packed * packed
         return self._fold_packed(total, width)
 
     def _digit_layout(self, bits: int):
@@ -305,12 +301,7 @@ class ResidueRing:
         Q > 8 k m, so V = r(Q) and its digits are r.  Nothing here bounds
         c's degree or coefficients, only r's: ``sum_of_powers`` passes sums
         of unfolded squares, and its width bounds the canonical sum r.
-        ``_fold_int`` runs the rounds and returns V.
         """
-        return _digits(self._fold_int(u, width), self.size, width, self._layouts[width][0])
-
-    def _fold_int(self, u: int, width: int) -> int:
-        """V = r(Q), the packed canonical element of ``_fold_packed``'s u."""
         bias, shift, mask, wrap = self._layouts[width]
         u += bias
         hi = u >> shift
@@ -319,7 +310,7 @@ class ResidueRing:
             for offset, weight in wrap:
                 u += weight * (hi << offset)
             hi = u >> shift
-        return u - bias
+        return _digits(u - bias, self.size, width, bias)
 
     def _layout(self, width: int):
         """(bias, shift, mask, wrap) of ``_fold_packed`` at ``width`` bytes a
@@ -536,26 +527,6 @@ class _Field:
                 self._leads[signature] = found
         return found
 
-    def factor(self, j: int, n: int):
-        """(f, g): the series to L^(n-1) of (1 - q^j) / L^[m | j] at
-        q = zeta e^L, and the inverse g of its constant term.
-
-        That is (1 - zeta^j) - zeta^j (e^(jL) - 1) when m does not divide j
-        (``weighted`` inverts 1 - zeta^j), and -j (e^(jL) - 1)/(jL) when it
-        does."""
-        if j % self.m:
-            z = self.shift(self.one, j)
-            f = [[a - b for a, b in zip(self.one, z)]]
-            f += [[-Fraction(j ** l, factorial(l)) * c for c in z] for l in range(1, n)]
-            return f, [Fraction(-c, self.m) for c in self.weighted(j)]
-        f = [[-Fraction(j ** (l + 1), factorial(l + 1)) * c for c in self.one] for l in range(n)]
-        return f, [Fraction(-c, j) for c in self.one]
-
-    def series_mul(self, a: list, b: list) -> list:
-        """The product of two series of elements, to the length of a."""
-        return [reduce(_add, [self.rmul(a[i], b[l - i]) for i in range(l + 1)])
-                for l in range(len(a))]
-
     def series_div(self, a: list, f: list, inverse: list) -> list:
         """The series g with f g = a, to the length of a, for ``inverse`` the
         inverse of f's constant term."""
@@ -607,7 +578,7 @@ def _field(m: int) -> _Field:
     return _Field(m)
 
 
-def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
+def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
     """The canonical residue modulo Phi_m^k of
 
         sum over terms of w q^e prod C(t, b)_q^p  -  sum_j rhs[j] x^j,
@@ -639,22 +610,22 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
     sum_{0<r<m} 1/(1 - zeta^r) = (m - 1)/2 and
     sum_{0<r<m} 1/(1 - zeta^r)^2 = -(m - 1)(m - 5)/12 (at m = 1, the
     Mann-Whitney cumulants of C(T, B)_q); such terms are summed with their
-    exponentials over the denominators i! 24^i of L^i.  Any other term that
-    needs a series coefficient, or that divides by a q-binomial whose
-    integer part is not 1, is multiplied out factor by factor
-    (``_add_in_full``).  The right side is rational: x = e^(mL) - 1.  Only a
-    nonzero image is turned into the residue (``_Field.residue``).
+    exponentials over the denominators i! 24^i of L^i.  Every other term
+    raises a ValueError that names it: one that needs a series coefficient
+    and has a nonzero residue, one that needs more than L^2, and one that
+    divides by q-binomials whose integer parts multiply to other than 1.  The
+    right side is rational: x = e^(mL) - 1.  Only a nonzero image is turned
+    into the residue (``_Field.residue``).
     """
-    m, k = mod.m, mod.k
     field, d = _field(m), 24
     # the L^i coefficient of a class is its sum over i! d^i: a term's L^j is read
     # over j! d^j and weighed by weight[i][j] = i!/j! d^(i-j), i = j + valuation
     weight = [[factorial(i) // factorial(j) * d ** (i - j) for j in range(i + 1)] for i in range(k)]
     # the classes are summed times the lcm of the denominators of rhs
     scale = lcm(*[Fraction(r).denominator for r in rhs])
-    classes, extra = {}, [None] * k
+    classes = {}
     for w, e, triples in terms:
-        valuation, num, den, signature, plain, binomials, vanishes = 0, w, 1, [], True, [], False
+        valuation, num, den, signature, plain, vanishes = 0, w, 1, [], True, False
         for t, b, p in triples:
             if not p:
                 continue
@@ -676,7 +647,6 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
             if beta and gamma:
                 signature.append((beta, gamma, p))
             plain = plain and not (beta or gamma)
-            binomials.append((t, b, p))
         if vanishes:
             continue
         if valuation < 0:
@@ -685,12 +655,12 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
         if order < 0:
             continue
         if den != 1 or order and not (plain and order <= 2):
-            extra = _add_in_full(field, extra, w, e, binomials, valuation)
-            continue
+            raise ValueError("the term %r is outside the kernel's closed forms at Phi(%d)^%d"
+                             % ((w, e, triples), m, k))
         series = [1]
         if order:
             a1 = a2 = 0
-            for t, b, p in binomials:
+            for t, b, p in triples:
                 big_t, big_b = t // m, b // m
                 a1 += p * big_b * (big_t - big_b)
                 a2 += p * big_b * (big_t - big_b) * (m * m * big_t + 1)
@@ -731,36 +701,10 @@ def binomial_sum_residue(terms, rhs, mod: Modulus) -> LaurentPoly:
         for i, y in enumerate(total):
             if y:
                 combined[i] = _add(combined[i], y, m ** (s - low))
-    if not any(extra) and not any(v and any(v) for v in combined):
+    if not any(v and any(v) for v in combined):
         return LaurentPoly.zero()
-    image = [_add(extra[i], v, Fraction(m) ** low / (weight[i][0] * scale)) if v
-             else extra[i] or [0] * m for i, v in enumerate(combined)]
-    if not any(any(v) for v in image):
-        return LaurentPoly.zero()
-    return field.residue(image)
-
-
-def _add_in_full(field, image, w, e, binomials, valuation):
-    """``image`` plus the series of the term w q^e prod C(t, b)_q^p, of
-    Phi_m-valuation ``valuation``, at q = zeta e^L, read to L^(len(image) - 1):
-    C(t, b)_q = prod_{0<i<=b} (1 - q^(t-b+i))/(1 - q^i) is multiplied and
-    divided factor by factor (``_Field.factor``), and q^e is zeta^e e^(eL)."""
-    n = len(image) - valuation
-    z = field.shift(field.one, e)
-    series = [[Fraction(w * e ** l, factorial(l)) * c for c in z] for l in range(n)]
-    for t, b, p in binomials:
-        tops, bottoms = range(t - b + 1, t + 1), range(1, b + 1)
-        if p < 0:
-            tops, bottoms = bottoms, tops
-        binomial = [field.one] + [[0] * field.m] * (n - 1)
-        for j in tops:
-            binomial = field.series_mul(binomial, field.factor(j, n)[0])
-        for j in bottoms:
-            binomial = field.series_div(binomial, *field.factor(j, n))
-        for _ in range(abs(p)):
-            series = field.series_mul(series, binomial)
-    return image[:valuation] + [v if x is None else _add(x, v)
-                                for x, v in zip(image[valuation:], series)]
+    return field.residue([_add(None, v, Fraction(m) ** low / (weight[i][0] * scale)) if v
+                          else [0] * m for i, v in enumerate(combined)])
 
 
 def integer_coefficient_check(f: LaurentPoly) -> bool:

@@ -202,7 +202,7 @@ def check_q_lucas(n: int, a: int, b: int, r: int, s: int) -> CongruenceReport:
     mod = Modulus(n, 1)
     lhs = qbin(a * n + b, r * n + s)
     rhs = binom(a, r) * qbin(b, s)
-    return _finish_poly("lucas", params, [reduce_mod(lhs - rhs, mod)], mod, started)
+    return _finish_poly("lucas", params, [reduce_mod(lhs - rhs, mod)], str(mod), started)
 
 
 def _compositions(total: int, parts: int, cap: int):

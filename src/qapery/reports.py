@@ -62,7 +62,9 @@ def kernel_work(m: int, k: int, terms: int, bits: int, table: bool = False) -> i
     at most min(m, terms) lead classes, each a few products of m digits of
     up to ``bits`` bits at each power of L below k; and with ``table``, a
     lead read off P_rho, up to m shift-subtracts of m numbers of up to m/4
-    bits each."""
+    bits each.  The kernel builds no Phi_m^k; ``modulus_work(m, k)`` bounds
+    ``_Field.residue``, which takes k remainders by Phi_m of a failing
+    instance's image."""
     work = terms * (TERM + TERM_PRODUCTS * _product_work(bits))
     work += LEAD * k * m * min(m, terms) * (256 + bits) >> 8
     if table:
@@ -144,18 +146,18 @@ def finish_report(check_name, parameters, modulus, holds, started,
     )
 
 
-def _finish_poly(name, params, residues, mod, started):
+def _finish_poly(name, params, residues, modulus, started):
     """Report builder for a conjunction of polynomial congruences.
 
     `residues` are the reduced differences, which all vanish when the
-    statement holds; `mod` is the Modulus (or "identity").  A failing
-    report carries the first nonzero residue's value at q = 1 and its
-    lowest coefficient.
+    statement holds; `modulus` is the text the report prints, such as
+    "Phi(5)^3" or "identity".  A failing report carries the first nonzero
+    residue's value at q = 1 and its lowest coefficient.
     """
     bad = next((r for r in residues if not r.is_zero()), None)
     holds = bad is None
     return finish_report(
-        name, params, str(mod), holds, started,
+        name, params, modulus, holds, started,
         residue_at_one=Fraction(0) if holds else bad(1),
         first_residue_coeff=None if holds else Fraction(bad.coefficient(bad.min_degree())),
     )

@@ -186,9 +186,9 @@ class TestS1S2:
             built.append(args)
             return summand(*args)
 
-        def recording(terms, rhs, mod):
-            moduli.append(mod)
-            return kernel(terms, rhs, mod)
+        def recording(terms, rhs, m, k):
+            moduli.append((m, k))
+            return kernel(terms, rhs, m, k)
 
         def reading(m, base, c):
             reads.append(base)
@@ -201,7 +201,7 @@ class TestS1S2:
         specs = sequences.apery_q_multivariate_terms((2, 2, 2, 2), "ksq")
         assert built == []
         assert reads == [specs]
-        assert moduli == [Modulus(4, 3)] * 2
+        assert moduli == [(4, 3)] * 2
 
 
 class TestIdentities:
@@ -312,7 +312,7 @@ class TestFailureReporting:
 
         residue = reduce_mod(q - 1, Modulus(2, 1))
         assert residue == LaurentPoly({0: -2})
-        report = _finish_poly("demo", {"n": 1}, [residue], Modulus(2, 1), time.perf_counter())
+        report = _finish_poly("demo", {"n": 1}, [residue], "Phi(2)^1", time.perf_counter())
         assert not report.holds
         assert report.residue_at_one == -2
         assert report.first_residue_coeff == -2

@@ -1,5 +1,7 @@
 """Every module in the package uses every name it imports, every
-module-level private name is referenced somewhere in the package, only
+module-level private name is referenced somewhere in the package, every
+private method, or method of a private class, is read as an attribute
+somewhere in the package, only
 ``laurent.py`` reads the fields of a ``LaurentPoly``, no re-export hides
 a submodule, and importing the package fills no memo.
 
@@ -46,14 +48,26 @@ def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _unreferenced_private_names(sources):
     """(module, name) for each module-level ``_private`` function, class or
-    constant in ``sources`` (module -> text) that no module references."""
+    constant in ``sources`` (module -> text) that no module references, and
+    (module, "Class.method") for each method, not a dunder, that is private
+    or belongs to a private class and that no module reads as an attribute
+    (``x.method``)."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    defined = []
-    referenced = set()
+    defined, methods = [], []
+    referenced, attributes = set(), set()
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                methods += [(module, node.name, item.name) for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not item.name.startswith("__")
+                            and (item.name.startswith("_") or _private(node.name))]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
@@ -62,15 +76,18 @@ def _unreferenced_private_names(sources):
                 names = [node.target.id]
             else:
                 names = []
-            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(module, n) for n in names if _private(n)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    return sorted((module, name) for module, name in defined if name not in referenced)
+    return sorted([(module, name) for module, name in defined if name not in referenced]
+                  + [(module, "%s.%s" % (cls, name)) for module, cls, name in methods
+                     if name not in attributes])
 
 
 def test_detector_flags_an_unreferenced_private_name():
@@ -79,6 +96,19 @@ def test_detector_flags_an_unreferenced_private_name():
         "b": "from a import _Kept\nimport a\nx = a._dead\n__all__ = []\n",
     }
     assert _unreferenced_private_names(sources) == [("a", "_SET_ONLY")]
+
+
+def test_detector_flags_an_uncalled_private_method():
+    # a method is used only when read as an attribute: a bare name in the
+    # class body, or a call of the same name elsewhere, does not count
+    sources = {
+        "a": ("class _P:\n    def __init__(self):\n        self.read()\n"
+              "    def read(self):\n        return dead\n    def dead(self):\n        pass\n"
+              "class Q:\n    def public(self):\n        pass\n    def _kept(self):\n        pass\n"
+              "    def _gone(self):\n        pass\n"),
+        "b": "from a import _P, Q\nQ()._kept()\n_gone = 1\nprint(_gone)\n",
+    }
+    assert _unreferenced_private_names(sources) == [("a", "Q._gone"), ("a", "_P.dead")]
 
 
 def test_no_unreferenced_private_names():

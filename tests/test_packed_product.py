@@ -25,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 import qapery.cyclotomic
 import qapery.laurent
 from qapery.checks import check_corollary, check_harmonic_sp
-from qapery.cyclotomic import (Modulus, ResidueRing, _binomial, _Field, _field,
-                               binomial_sum_residue, residue_ring)
+from qapery.cyclotomic import (ResidueRing, _binomial, _Field, _field, binomial_sum_residue,
+                               residue_ring)
 from qapery.laurent import LaurentPoly, _dense_mul, _digits, _fold, _pack, _width, _wrap
 
 
@@ -176,7 +176,6 @@ def test_sum_of_squares_of_extreme_elements(m, k):
             for sign in (1, -1):
                 vectors = [[sign * top] * ring.size] * count
                 assert ring.sum_of_powers(squares(vectors)) == folded_squares(ring, vectors)
-                # the same base as distinct lists is packed once per list
                 copies = [list(v) for v in vectors]
                 assert ring.sum_of_powers(squares(copies)) == folded_squares(ring, vectors)
 
@@ -214,8 +213,8 @@ def test_sum_of_powers_is_the_sum_of_folded_powers(case):
 @pytest.mark.parametrize("k", range(1, 5))
 def test_sum_of_powers_of_extreme_elements(m, k):
     # equal bases of all +-(2^b - 1) with weights of either sign, as sp3's
-    # +h1^2 - sum h_i^2 has, put the canonical sum near the bound; a base
-    # given twice as one list has its weights added first
+    # +h1^2 - sum h_i^2 has, put the canonical sum near the bound, whether
+    # a base is given as one list or as copies
     ring = ResidueRing(m, k)
     for bits in (1, 7, 29, 61, 120):
         top = (1 << bits) - 1
@@ -269,7 +268,7 @@ def test_one_ring_per_modulus(monkeypatch):
         assert check_harmonic_sp(6, "sp1").holds and len(built) == count
         assert check_harmonic_sp(6, "sp2").holds and check_harmonic_sp(6, "sp3").holds
         terms = [(1, 0, ((12, 4, 1),)), (-1, 3, ((9, 2, 1), (5, 2, 1)))]
-        binomial_sum_residue(terms, [1, 2, 3], Modulus(4, 3))
+        binomial_sum_residue(terms, [1, 2, 3], 4, 3)
         assert sorted(built) == sorted(set(built)) == [(6, 1), (6, 2)]
         assert residue_ring(6, 2) is residue_ring(6, 2)
     finally:
@@ -281,20 +280,22 @@ def field_state(field):
     return {s: (tuple(v), e) for s, (v, e) in field._leads.items()}
 
 
-#: terms whose leads take the closed form (C(4m, 2m), C(2m, m - 1)), P_rho and
-#: Q_rho (C(3m + 1, m), C(m + 1, 1)), and are inverted
-KERNEL_TERMS = [lambda m: (1, 0, ((4 * m, 2 * m, 2),)),
-                lambda m: (3, -2, ((3 * m + 1, m, 1), (m + 1, 1, -1))),
-                lambda m: (-2, 5, ((2 * m, m, 1), (2 * m, m - 1, 1)))]
+#: terms inside the closed forms at Phi_m^k whose leads take the closed form
+#: (C(2m, m - 1), carried to valuation k - 1) and P_rho Q_beta Q_gamma,
+#: inverted (C(m - 1, 1)); C(4m, 2m) has residues 0 and is read to L^2
+KERNEL_TERMS = [lambda m, k: (1, 0, ((4 * m, 2 * m, 2),)),
+                lambda m, k: (3, -2, ((3 * m + 1, m, 1), (m - 1, 1 if m > 1 else 0, -1),
+                                      (2 * m, m - 1, k - 1))),
+                lambda m, k: (-2, 5, ((2 * m, m, 1), (2 * m, m - 1, k - 1)))]
 
 
 @pytest.mark.parametrize("m, k", [(1, 3), (3, 3), (4, 2), (6, 3)])
 def test_a_kernel_call_mutates_no_cached_unit(m, k):
     # the leads, products of the units 1 - zeta^r, stay equal to freshly built ones
     field = _field(m)
-    terms = [term(m) for term in KERNEL_TERMS]
-    binomial_sum_residue(terms, [1, -1, 2][:k], Modulus(m, k))
-    binomial_sum_residue(terms, [], Modulus(m, k))
+    terms = [term(m, k) for term in KERNEL_TERMS]
+    binomial_sum_residue(terms, [1, -1, 2][:k], m, k)
+    binomial_sum_residue(terms, [], m, k)
     assert field._leads or m == 1
     fresh = _Field(m)
     for signature in field._leads:
@@ -314,13 +315,16 @@ def fresh_fields():
 
 def test_kernel_calls_on_one_ring_share_the_prefix_table(fresh_fields):
     # the prefix products P_rho enter a call through the leads, which the
-    # field keeps: every call at m = 9 reads the same lead objects
+    # field keeps: every call at m = 9, at any k, reads the same lead objects
     field = _field(9)
-    binomial_sum_residue([(1, 0, ((2, 1, 1),)), (1, 0, ((8, 4, 1),))], [], Modulus(9, 1))
+    binomial_sum_residue([(1, 0, ((2, 1, 1),)), (1, 0, ((8, 4, 1),))], [], 9, 1)
     entries = dict(field._leads)
     assert len(entries) == 2
-    binomial_sum_residue([(1, 0, ((8, 4, 1),)), (1, 0, ((14, 6, 1),))], [], Modulus(9, 2))
+    binomial_sum_residue([(1, 0, ((8, 4, 1),)), (1, 0, ((16, 6, 1),))], [], 9, 1)
     assert len(field._leads) == 3
+    # C(14, 6)_q has valuation 1, so at k = 2 it is read from its lead alone
+    binomial_sum_residue([(1, 0, ((14, 6, 1),))], [], 9, 2)
+    assert len(field._leads) == 4
     assert all(field._leads[s] is entry for s, entry in entries.items())
 
 
@@ -341,7 +345,7 @@ def test_a_covered_top_makes_no_prefix_product(monkeypatch, fresh_fields):
     # once a lead is kept, no P_rho is formed for it again; the leads of
     # C(m n, k)_q take no P_rho at all
     terms = [(1, 0, ((8, 4, 1),)), (2, 1, ((12, 5, 1), (5, 2, -1)))]
-    binomial_sum_residue(terms, [], Modulus(9, 1))
+    binomial_sum_residue(terms, [], 9, 1)
     products = []
     prefix = _Field.prefix
 
@@ -350,10 +354,10 @@ def test_a_covered_top_makes_no_prefix_product(monkeypatch, fresh_fields):
         return prefix(field, rho)
 
     monkeypatch.setattr(_Field, "prefix", recording)
-    binomial_sum_residue(terms, [], Modulus(9, 1))
+    binomial_sum_residue(terms, [], 9, 1)
     assert check_corollary(9, 2).holds
     assert products == []
-    binomial_sum_residue([(1, 0, ((7, 3, 1),))], [], Modulus(9, 1))
+    binomial_sum_residue([(1, 0, ((7, 3, 1),))], [], 9, 1)
     assert products
 
 

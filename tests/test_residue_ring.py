@@ -10,17 +10,19 @@ perturbed (the correction factor c raised by one, or a weight raised by
 one), which makes every residue nonzero.  The kernel, the field's products
 and leads, and the closed-form right sides ``checks._cube_rhs`` reads off a
 base's specs (also against the kernel at m = 1), are compared with
-``LaurentPoly`` arithmetic under hypothesis, on terms of every valuation
-and on sums that vanish without being a sum less itself (q-Pascal, and a
-quotient by a q-binomial); with every builder made to raise, no checker
-builds a q-binomial; and the work budget is tested without running an
-oversized instance.
+``LaurentPoly`` arithmetic under hypothesis, on terms drawn inside the
+kernel's closed forms (read from the lead alone, or with residues 0 to
+L^2) and on sums that vanish without being a sum less itself (q-Pascal, and
+a quotient by a q-binomial); a term outside them is refused by name, and no
+checker passes one.  With every builder made to raise, no checker builds a
+q-binomial, nor, with ``_modulus_parts`` made to raise, a ``Modulus``; and
+the work budget is tested without running an oversized instance.
 """
 
 import itertools
-from collections import Counter
+import re
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,9 +137,9 @@ def record_kernel(monkeypatch):
     calls = []
     kernel = checks.binomial_sum_residue
 
-    def recording(terms, rhs, mod):
-        residue = kernel(terms, rhs, mod)
-        calls.append((terms, rhs, mod, residue))
+    def recording(terms, rhs, m, k):
+        residue = kernel(terms, rhs, m, k)
+        calls.append((terms, rhs, m, k, residue))
         return residue
 
     monkeypatch.setattr(checks, "binomial_sum_residue", recording)
@@ -167,19 +169,20 @@ def test_ring_and_full_routes_give_identical_residues(monkeypatch, name):
         assert run(*args).holds, args
         # one kernel call, at the instance's own modulus: the base is read
         # in closed form, with no kernel call at m = 1
-        (terms, rhs, mod, residue), = calls
+        (terms, rhs, kernel_m, k, residue), = calls
         (m, read_base, c), = sides
         calls.clear()
         sides.clear()
         assert m == modulus_index(*args)
-        assert mod == Modulus(m, 3)
+        assert (kernel_m, k) == (m, 3)
+        mod = Modulus(m, 3)
         base = built_base(*args)
         assert rhs == substituted_rhs(m, base, c), args
         lhs = built_lhs(*args)
         assert residue == cube_residue(m, lhs, base, c, mod), args
         raised_rhs = _cube_rhs(m, read_base, c + 1)
         assert raised_rhs == substituted_rhs(m, base, c + 1), args
-        raised = binomial_sum_residue(terms, raised_rhs, mod)
+        raised = binomial_sum_residue(terms, raised_rhs, m, 3)
         assert list(raised.terms()) == list(cube_residue(m, lhs, base, c + 1, mod).terms()), args
         raised_nonzero += not raised.is_zero()
     assert raised_nonzero == len(instances)
@@ -226,14 +229,14 @@ def qbin_prop_full(m, n, k, j, delta):
             reduce_mod(lhs - right * inverse_mod(q_integer(j), mod), mod)]
 
 
-def raise_c(terms, rhs, mod):
-    return terms, rhs[:2] + [rhs[2] - 1], mod
+def raise_c(terms, rhs, m, k):
+    return terms, rhs[:2] + [rhs[2] - 1], m, k
 
 
-def raise_weight(terms, rhs, mod):
+def raise_weight(terms, rhs, m, k):
     # the last term is the right side's, -s q^e C(n-1, k) [mn]_q (/ [j]_q)
     w, e, triples = terms[-1]
-    return terms[:-1] + [(w + 1, e, triples)], rhs, mod
+    return terms[:-1] + [(w + 1, e, triples)], rhs, m, k
 
 
 #: checker name -> (instances, run one, full route, perturbation of a kernel call)
@@ -270,7 +273,7 @@ def test_moved_checkers_match_the_full_route(monkeypatch, name):
     for args in instances:
         assert run(*args).holds, args
         assert [residue for *_, residue in calls] == full_route(*args, 0), args
-        raised = [binomial_sum_residue(*perturb(*call[:3])) for call in calls]
+        raised = [binomial_sum_residue(*perturb(*call[:4])) for call in calls]
         calls.clear()
         want = full_route(*args, 1)
         assert [list(r.terms()) for r in raised] == [list(r.terms()) for r in want], args
@@ -329,7 +332,7 @@ KERNEL_DECIDED = [
 @pytest.mark.parametrize("name, params", KERNEL_DECIDED, ids=[c[0] for c in KERNEL_DECIDED])
 def test_the_kernel_alone_decides(monkeypatch, name, params):
     assert checks.run_named_check(name, params).holds
-    monkeypatch.setattr(checks, "binomial_sum_residue", lambda terms, rhs, mod: q_power(1))
+    monkeypatch.setattr(checks, "binomial_sum_residue", lambda *call: q_power(1))
     report = checks.run_named_check(name, params)
     assert report.holds is False and report.first_residue_coeff == 1
 
@@ -398,7 +401,6 @@ def test_phi_and_psi_are_built_on_first_use(monkeypatch):
     # a vanishing sum reads neither Phi_m nor Psi_m: the field reads Phi_m for
     # the coordinates of a nonzero image, and Psi_m = (q^m - 1)/Phi_m to divide
     # by Phi_m(zeta e^L), each a Moebius product, (m, False) and (m, True)
-    mod = Modulus(6, 2)
     built = []
     product = qapery.cyclotomic._mobius_product
     monkeypatch.setattr(qapery.cyclotomic, "_CYCLOTOMIC", {})
@@ -407,11 +409,11 @@ def test_phi_and_psi_are_built_on_first_use(monkeypatch):
     _field.cache_clear()
     holding = [(1, 2, ((12, 5, 1),)), (-1, 2, ((12, 5, 1),)), (3, 0, ((7, 2, 1), (4, 1, -1)))]
     holding.append((-3, 0, ((7, 2, 1), (4, 1, -1))))
-    assert binomial_sum_residue(holding, [], mod).is_zero()
+    assert binomial_sum_residue(holding, [], 6, 2).is_zero()
     assert built == []
-    assert not binomial_sum_residue(holding[:1], [], mod).is_zero()
+    assert not binomial_sum_residue(holding[:1], [], 6, 2).is_zero()
     assert built == [(6, False), (6, True)]
-    assert not binomial_sum_residue(holding[2:3], [1], mod).is_zero()
+    assert not binomial_sum_residue(holding[2:3], [1], 6, 2).is_zero()
     assert built.count((6, False)) == 1
     _field.cache_clear()
 
@@ -444,44 +446,111 @@ def built_term(w, e, triples, mod):
     return w * q_power(e) * num * inverse_mod(den, mod)
 
 
-def built_residue(terms, rhs, mod):
+def built_residue(terms, rhs, m, k):
+    mod = Modulus(m, k)
     lhs = sum((built_term(*term, mod) for term in terms), LaurentPoly.zero())
-    return reduce_mod(lhs - x_poly(mod.m, rhs), mod)
+    return reduce_mod(lhs - x_poly(m, rhs), mod)
 
 
-def spec_terms(powers):
-    triple = st.tuples(st.integers(0, 20), st.integers(-1, 21), powers)
-    return st.lists(st.tuples(st.integers(-3, 3), st.integers(-30, 30),
-                              st.lists(triple, max_size=3)), max_size=3)
+# -- terms inside the kernel's closed forms --------------------------------------
+#
+# At Phi_m^k the kernel reads a term of valuation v to L^(k - 1 - v): from its
+# lead alone when v = k - 1, from the closed-form series to L^2 when every
+# q-binomial has residues 0 (then v = 0 and k <= 3), and not at all when v >= k.
+# A divisor must leave the term an integer part of 1.  So at m = 1, where every
+# residue is 0, k is at most 3.
+
+kernel_moduli = st.integers(1, 12).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, 3 if m == 1 else 4)))
+
+
+def plain_term(draw, m, vanishing=True):
+    """A spec of C(a m, c m)_q to powers 0..3, residues 0 and valuation 0;
+    with ``vanishing``, c may lie outside 0..a."""
+    bottoms = (lambda a: st.integers(-1, a + 1)) if vanishing else (lambda a: st.integers(0, a))
+    triples = draw(st.lists(st.integers(0, 3).flatmap(
+        lambda a: st.tuples(st.just(a), bottoms(a), st.integers(0, 3))), max_size=3))
+    return (draw(st.integers(-3, 3)), draw(st.integers(-30, 30)),
+            tuple((a * m, c * m, p) for a, c, p in triples))
+
+
+def carried_unit(draw, m):
+    """(t, b) of C(m + rho, beta)_q, rho < beta < m: valuation 1, integer
+    part -1."""
+    rho = draw(st.integers(0, m - 2))
+    return m + rho, draw(st.integers(rho + 1, m - 1))
+
+
+def unit_divisor(draw, m, top):
+    """(t, b), t <= top, of a C(t, b)_q with no carry and integer part
+    C(t // m, b // m) = 1: a divisor of valuation 0 inside the closed forms."""
+    t = draw(st.integers(0, top))
+    return t, draw(st.sampled_from([b for b in range(t + 1) if b % m + (t - b) % m < m
+                                    and comb(t // m, b // m) == 1]))
+
+
+def valued_term(draw, m, v):
+    """A (w, e, triples) spec of Phi_m-valuation v (v = 0 when m = 1) with
+    powers -2..3, whose divisors leave an integer part of 1: prime to Phi_m,
+    or the square of a ``carried_unit`` against a factor of valuation 2."""
+    def phi_once():
+        # C(a m, c m + r)_q with 0 < r < m has valuation exactly 1
+        a = draw(st.integers(1, 3))
+        return a * m, draw(st.integers(0, a - 1)) * m + draw(st.integers(1, m - 1))
+
+    triples, left = [], v
+    while left:
+        p = draw(st.integers(1, min(3, left)))
+        triples.append((*phi_once(), p))
+        left -= p
+    if m > 1 and draw(st.booleans()):
+        triples += [(*carried_unit(draw, m), -2), (*phi_once(), 2)]
+    # factors prime to Phi_m: C(t, b)_q with t < m, and C(a m, c m)_q, whose
+    # integer part C(a, c) keeps it from dividing
+    prime = st.one_of(
+        st.integers(0, m - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t))),
+        st.integers(0, 3).flatmap(lambda a: st.tuples(st.just(a * m), st.integers(0, a).map(lambda c: c * m))))
+    triples += [(t, b, draw(st.integers(-1 if t < m else 0, 3))) for t, b in draw(st.lists(prime, max_size=2))]
+    if draw(st.booleans()):
+        triples.append((*unit_divisor(draw, m, 2 * m - 1), -1))
+    return draw(st.integers(-3, 3)), draw(st.integers(-30, 30)), tuple(triples)
+
+
+@st.composite
+def kernel_terms(draw, m, k):
+    """Up to three specs inside the closed forms at Phi_m^k: with residues 0
+    when k <= 3 (always when m = 1), or of valuation k - 1 or k."""
+    def term():
+        if m == 1 or k <= 3 and draw(st.booleans()):
+            return plain_term(draw, m)
+        return valued_term(draw, m, draw(st.integers(k - 1, k)))
+    return [term() for _ in range(draw(st.integers(0, 3)))]
 
 
 x_coefficients = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=24), max_size=4)
 
 
 @settings(max_examples=80, deadline=None)
-@given(moduli, spec_terms(st.integers(-1, 3)), x_coefficients)
-def test_binomial_sum_residue_equals_built_residue(mk, terms, rhs):
-    mod = Modulus(*mk)
-    rhs = rhs[:mod.k]
-    try:
-        want = built_residue(terms, rhs, mod)
-    except NotInvertibleError:
-        with pytest.raises(NotInvertibleError):
-            binomial_sum_residue(terms, rhs, mod)
-    else:
-        assert binomial_sum_residue(terms, rhs, mod) == want
+@given(kernel_moduli, x_coefficients, st.data())
+def test_binomial_sum_residue_equals_built_residue(mk, rhs, data):
+    m, k = mk
+    terms = data.draw(kernel_terms(m, k))
+    assert binomial_sum_residue(terms, rhs[:k], m, k) == built_residue(terms, rhs[:k], m, k)
 
 
 @settings(max_examples=60, deadline=None)
-@given(moduli, spec_terms(st.integers(0, 3)), x_coefficients, st.data())
-def test_dividing_by_q_binomials_prime_to_phi(mk, terms, rhs, data):
-    # C(t, b)_q with t < m has no factor Phi_m, so every such quotient has a residue
+@given(kernel_moduli, x_coefficients, st.data())
+def test_dividing_by_q_binomials_prime_to_phi(mk, rhs, data):
+    # C(t, b)_q with t < m has no factor Phi_m and integer part 1, so every
+    # such quotient has a residue; its residues are not 0, so at k > 1 the
+    # terms have valuation k - 1 or k (at m = 1 the divisor is 1)
     m, k = mk
-    mod = Modulus(m, k)
     divisor = st.integers(0, m - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t)))
-    terms = [(w, e, triples + [(t, b, -1) for t, b in data.draw(st.lists(divisor, max_size=2))])
+    terms = [valued_term(data.draw, m, data.draw(st.integers(k - 1, k)) if m > 1 else 0)
+             for _ in range(data.draw(st.integers(0, 3)))]
+    terms = [(w, e, triples + tuple((t, b, -1) for t, b in data.draw(st.lists(divisor, max_size=2))))
              for w, e, triples in terms]
-    assert binomial_sum_residue(terms, rhs[:k], mod) == built_residue(terms, rhs[:k], mod)
+    assert binomial_sum_residue(terms, rhs[:k], m, k) == built_residue(terms, rhs[:k], m, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,12 +566,30 @@ def test_both_routes_refuse_a_term_of_negative_valuation(m, k, data):
         (2, 3, ((a * m, c * m + r, -1), (m - 1, 1, 1))),
         (-1, 0, ((a, a + 1, -1),)),
     ]))
-    others = data.draw(spec_terms(st.integers(0, 3)))
-    mod = Modulus(m, k)
+    others = data.draw(kernel_terms(m, k))
     with pytest.raises(NotInvertibleError):
-        built_residue(others + [refused], [], mod)
+        built_residue(others + [refused], [], m, k)
     with pytest.raises(NotInvertibleError):
-        binomial_sum_residue(others + [refused], [], mod)
+        binomial_sum_residue(others + [refused], [], m, k)
+
+
+#: (term, m, k) outside the closed forms, each with a residue the built route finds
+OUTSIDE = [
+    # residues 1 and 2 and valuation 0: a series coefficient at a nonzero residue
+    ((1, 0, ((3, 1, 1),)), 5, 2),
+    # residues 0, but read to L^3
+    ((2, 1, ((10, 5, 1),)), 5, 4),
+    # 1/C(2m, m)_q: the integer part C(2, 1) = 2 divides
+    ((1, 0, ((6, 3, -1),)), 3, 1),
+]
+
+
+@pytest.mark.parametrize("term, m, k", OUTSIDE, ids=["nonzero-residue", "past-L2", "divisor-2"])
+def test_terms_outside_the_closed_forms_are_refused(term, m, k):
+    assert not built_residue([term], [], m, k).is_zero()
+    with pytest.raises(ValueError, match=re.escape(repr(term))) as refused:
+        binomial_sum_residue([term], [], m, k)
+    assert not isinstance(refused.value, NotInvertibleError)
 
 
 # bases as the Phi_m^3 checkers pass them: weight-1 specs with exponents of
@@ -541,7 +628,7 @@ def test_cube_rhs_is_the_substituted_base(m, base, c):
 def test_cube_rhs_moments_match_the_kernel_and_the_built_base(m, specs, c):
     # the kernel reads the base modulo (q - 1)^3, as x divides q^(m^2) - 1,
     # and so does reduce_mod of the built base
-    kernel_read = binomial_sum_residue([(1, e, triples) for e, triples in specs], [], Modulus(1, 3))
+    kernel_read = binomial_sum_residue([(1, e, triples) for e, triples in specs], [], 1, 3)
     assert kernel_read == reduce_mod(summed_base(specs), Modulus(1, 3))
     rhs = _cube_rhs(m, specs, c)
     assert all(isinstance(r, (int, Fraction)) for r in rhs)
@@ -556,13 +643,14 @@ def test_cube_rhs_refuses_a_base_that_divides(specs):
 
 
 def test_a_divided_q_integer_matches_inverse_mod():
-    # the cross route of qbin-prop: 1/[j]_q is the spec factor (j, 1, -1)
+    # the cross route of qbin-prop: 1/[j]_q is the spec factor (j, 1, -1);
+    # C(3 m, m + 1)_q has valuation 1, so k is at most qbin-prop's 2
     for m in range(2, 9):
-        for k in (1, 2, 3):
+        for k in (1, 2):
             mod = Modulus(m, k)
             for j in range(1, m):
                 want = reduce_mod(q_power(2) * qbin(3 * m, m + 1) * inverse_mod(q_integer(j), mod), mod)
-                assert binomial_sum_residue([(1, 2, ((3 * m, m + 1, 1), (j, 1, -1)))], [], mod) \
+                assert binomial_sum_residue([(1, 2, ((3 * m, m + 1, 1), (j, 1, -1)))], [], m, k) \
                     == want, (m, k, j)
 
 
@@ -576,16 +664,15 @@ def test_dropping_a_term_of_valuation_k_leaves_the_residue(m, k, data):
     p = data.draw(st.integers(k, k + 1))
     e = data.draw(st.integers(-20, 20))
     dropped = (data.draw(st.integers(-3, 3)), e, ((a * m, c * m + r, p),))
-    others = data.draw(spec_terms(st.integers(0, 3)))
+    others = data.draw(kernel_terms(m, k))
     rhs = data.draw(x_coefficients)[:k]
-    mod = Modulus(m, k)
-    assert reduce_mod(built_term(*dropped, mod), mod).is_zero()
-    with_term = binomial_sum_residue(others + [dropped], rhs, mod)
-    assert with_term == binomial_sum_residue(others, rhs, mod)
-    assert with_term == built_residue(others + [dropped], rhs, mod)
+    assert reduce_mod(built_term(*dropped, Modulus(m, k)), Modulus(m, k)).is_zero()
+    with_term = binomial_sum_residue(others + [dropped], rhs, m, k)
+    assert with_term == binomial_sum_residue(others, rhs, m, k)
+    assert with_term == built_residue(others + [dropped], rhs, m, k)
 
 
-# -- terms of every valuation v < k, read to L^(k - 1 - v) ----------------------
+# -- the valuations the closed forms read: k - 1 from the lead, 0 to L^(k-1) -----
 
 
 def phi_valuation(triples, m):
@@ -602,131 +689,132 @@ def phi_valuation(triples, m):
     return total
 
 
-def valued_term(data, m, v):
-    """A (w, e, triples) spec of Phi_m-valuation v (v = 0 when m = 1), with
-    powers -1..3; an optional divisor C(t, b)_q, t < 2m, may lower it by one
-    or, at v = 0, make the term refused."""
-    def phi_once():
-        # C(a m, c m + r)_q with 0 < r < m has valuation exactly 1
-        a = data.draw(st.integers(1, 3))
-        return a * m, data.draw(st.integers(0, a - 1)) * m + data.draw(st.integers(1, m - 1))
-
-    triples, left = [], v
-    while left:
-        p = data.draw(st.integers(1, min(3, left)))
-        triples.append((*phi_once(), p))
-        left -= p
-    if m > 1 and data.draw(st.booleans()):
-        triples += [(*phi_once(), -1), (*phi_once(), 1)]
-    # factors prime to Phi_m: C(t, b)_q with t < m, and C(a m, c m)_q
-    prime = st.one_of(
-        st.integers(0, m - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t))),
-        st.integers(0, 3).flatmap(lambda a: st.tuples(st.just(a * m), st.integers(0, a).map(lambda c: c * m))))
-    triples += [(t, b, data.draw(st.integers(-1, 3))) for t, b in data.draw(st.lists(prime, max_size=2))]
-    if data.draw(st.booleans()):
-        t = data.draw(st.integers(0, 2 * m - 1))
-        triples.append((t, data.draw(st.integers(0, t)), -1))
-    return data.draw(st.integers(-3, 3)), data.draw(st.integers(-30, 30)), tuple(triples)
-
-
 @settings(max_examples=50, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 4), st.data())
-def test_every_valuation_group_matches_the_built_residue(m, k, data):
-    # one term of every valuation 0..k-1, then the statement made to hold by
-    # its own negation, and broken by raising one term's weight by one
-    mod = Modulus(m, k)
-    top = k - 1 if m > 1 else 0
-    terms = [valued_term(data, m, v) for v in range(top + 1)]
-    terms += [valued_term(data, m, data.draw(st.integers(0, top)))
-              for _ in range(data.draw(st.integers(0, 2)))]
+@given(kernel_moduli, st.data())
+def test_every_valuation_group_matches_the_built_residue(mk, data):
+    # a term of valuation k - 1 (m > 1) and, for k <= 3, one with residues 0,
+    # and up to three more; then the statement made to hold by its own
+    # negation, and broken by raising one of the first terms' weight by one
+    m, k = mk
+    terms = [valued_term(data.draw, m, k - 1)] if m > 1 else []
+    if k <= 3:
+        terms.append(plain_term(data.draw, m, vanishing=False))
+    first = len(terms)
+    terms += data.draw(kernel_terms(m, k))
     rhs = data.draw(x_coefficients)[:k]
-    i = data.draw(st.integers(0, len(terms) - 1))
+    i = data.draw(st.integers(0, first - 1))
     holding = terms + [(-w, e, triples) for w, e, triples in terms]
     w, e, triples = holding[len(terms) + i]
     broken = holding[:len(terms) + i] + [(w + 1, e, triples)] + holding[len(terms) + i + 1:]
-    try:
-        want = built_residue(terms, rhs, mod)
-        want_broken = built_residue(broken, [], mod)
-    except NotInvertibleError:
-        for statement in (terms, broken):
-            with pytest.raises(NotInvertibleError):
-                binomial_sum_residue(statement, rhs, mod)
-        return
-    assert binomial_sum_residue(terms, rhs, mod) == want
-    assert binomial_sum_residue(holding, [], mod).is_zero()
-    assert binomial_sum_residue(broken, [], mod) == want_broken
+    want_broken = built_residue(broken, [], m, k)
+    assert binomial_sum_residue(terms, rhs, m, k) == built_residue(terms, rhs, m, k)
+    assert binomial_sum_residue(holding, [], m, k).is_zero()
+    assert binomial_sum_residue(broken, [], m, k) == want_broken
     assert not want_broken.is_zero()
 
 
-@pytest.mark.parametrize("run, params", [(check_corollary, (5, 3)), (check_qbin_prop, (6, 3, 1, 2))],
-                         ids=["corollary", "qbin-prop"])
-def test_a_checker_term_is_read_in_closed_form(monkeypatch, run, params):
-    # a checker's terms of valuation 0 have residues 0, whose series is in
-    # closed form, and the others are read to their leads alone: no term is
-    # multiplied out factor by factor, and a holding statement recovers no
-    # residue; the terms span valuations 0 .. k - 1
+def four_index_edges():
+    alphas = [a.name for a in list_alphas() if a.arity in (0, 4)]
+    return [(m, t, alpha) for m in (1, 3) for t in ((0, 0, 0, 0), (2, 1, 0, 1), (1, 2, 2, 1))
+            for alpha in alphas]
+
+
+#: every kernel checker at its edges: m = 1, n = 0, a bottom index out of
+#: range, qbin-prop's k in {0, n, n + 1} with every j < m, and every alpha
+EDGES = {
+    "ljunggren": (check_ljunggren_q, [(1, 3, 2), (4, 0, 0), (3, 2, 3), (5, 4, 2), (2, 5, 5)]),
+    "wolstenholme-q": (check_wolstenholme_q, [(1,), (2,), (5,)]),
+    "corollary": (check_corollary, [(1, 0), (1, 3), (4, 0), (5, 3)]),
+    "main": (check_main_theorem, four_index_edges()),
+    "s1s2": (check_s1_s2_decomposition, four_index_edges()),
+    "generalized": (check_generalized_theorem, [
+        (m, n, lam, mu, alpha.name) for m in (1, 3) for n in (0, 2) for lam, mu in ((2, 0), (3, 1))
+        for alpha in list_alphas() if alpha.arity in (0, 1)]),
+    "qbin-prop": (check_qbin_prop, [(m, n, k, j) for m in (2, 4) for n in (0, 2)
+                                    for k in sorted({0, n, n + 1}) for j in range(1, m)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_a_checker_term_is_read_in_closed_form(monkeypatch, name):
+    # every term a kernel checker passes has valuation k - 1 or more, or
+    # residues 0 and k <= 3, and divides only by q-binomials prime to Phi_m:
+    # none reaches the refusal, and a holding statement recovers no residue
+    run, instances = EDGES[name]
     calls = record_kernel(monkeypatch)
-    monkeypatch.setattr(qapery.cyclotomic, "_add_in_full", unreachable("a term was multiplied out"))
     monkeypatch.setattr(_Field, "residue", unreachable("a residue was recovered"))
-    assert run(*params).holds
+    for args in instances:
+        assert run(*args).holds, args
     assert calls
-    for terms, rhs, mod, _ in calls:
-        valuations = {phi_valuation(triples, mod.m) for _, _, triples in terms}
-        assert max(valuations) == mod.k - 1
+    for terms, _, m, k, _ in calls:
+        for _, _, triples in terms:
+            live = [(t, b, p) for t, b, p in triples if p]
+            if any(not 0 <= b <= t for t, b, _ in live):
+                continue  # a vanishing term, skipped
+            plain = all(t % m == b % m == 0 for t, b, _ in live)
+            assert phi_valuation(live, m) >= k - 1 or plain and k <= 3, (name, triples)
+            assert all(t < m for t, _, p in live if p < 0), (name, triples)
+
+
+@pytest.mark.parametrize("name", sorted(EDGES))
+def test_no_kernel_checker_builds_a_modulus(monkeypatch, name):
+    # neither as stated nor perturbed, where a residue is read, is Phi_m^k formed
+    run, instances = EDGES[name]
+    monkeypatch.setattr(qapery.cyclotomic, "_modulus_parts", unreachable("a Modulus was built"))
+    for args in instances:
+        assert run(*args).holds, args
+    kernel = checks.binomial_sum_residue
+    perturb = raise_weight if name == "qbin-prop" else raise_c
+    monkeypatch.setattr(checks, "binomial_sum_residue", lambda *call: kernel(*perturb(*call)))
+    for args in instances:
+        # [m n]_q, the term qbin-prop's weight multiplies, is 0 at n = 0
+        assert run(*args).holds is (name == "qbin-prop" and args[1] == 0), args
 
 
 # -- vanishing sums that are not a sum less itself ---------------------------------
 
-common_products = st.lists(st.tuples(st.integers(0, 20), st.integers(-1, 21), st.integers(-1, 3)),
-                           max_size=2)
 
-
-def vanishing_or_refused(terms, rhs, mod, broken):
-    """The kernel finds the sum ``terms`` less rhs zero, as the built route
-    does, or refuses it with the built route; and ``broken``, the statement
-    with one term perturbed, has the built residue."""
-    try:
-        assert built_residue(terms, rhs, mod).is_zero()
-        want = built_residue(broken, rhs, mod)
-    except NotInvertibleError:
-        for statement in (terms, broken):
-            with pytest.raises(NotInvertibleError):
-                binomial_sum_residue(statement, rhs, mod)
-        return
-    assert binomial_sum_residue(terms, rhs, mod).is_zero()
-    assert binomial_sum_residue(broken, rhs, mod) == want
+def vanishes_and_breaks(terms, m, k, broken):
+    """The kernel finds the sum ``terms`` zero, as the built route does, and
+    ``broken``, the statement with one term perturbed, has the built residue."""
+    assert built_residue(terms, [], m, k).is_zero()
+    assert binomial_sum_residue(terms, [], m, k).is_zero()
+    assert binomial_sum_residue(broken, [], m, k) == built_residue(broken, [], m, k)
 
 
 @settings(max_examples=80, deadline=None)
-@given(moduli, st.integers(1, 20), st.data())
+@given(kernel_moduli, st.integers(1, 20), st.data())
 def test_q_pascal_times_a_common_product_vanishes(mk, t, data):
-    # C(t, b) = C(t-1, b-1) + q^b C(t-1, b) = q^(t-b) C(t-1, b-1) + C(t-1, b)
-    mod = Modulus(*mk)
+    # C(t, b) = C(t-1, b-1) + q^b C(t-1, b) = q^(t-b) C(t-1, b-1) + C(t-1, b),
+    # times a common product of valuation k - 1, so that each term has
+    # valuation k - 1 or k (at m = 1, every term has residues 0)
+    m, k = mk
     b = data.draw(st.integers(0, t))
-    common = tuple(data.draw(common_products))
+    _, _, common = valued_term(data.draw, m, k - 1 if m > 1 else 0)
     w, e = data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(-30, 30))
     low, high = (b, 0) if data.draw(st.booleans()) else (0, t - b)
     terms = [(w, e, ((t, b, 1),) + common), (-w, e + high, ((t - 1, b - 1, 1),) + common),
              (-w, e + low, ((t - 1, b, 1),) + common)]
     broken = terms[:2] + [(-w, e + low + 1, ((t - 1, b, 1),) + common)]
-    vanishing_or_refused(terms, [], mod, broken)
+    vanishes_and_breaks(terms, m, k, broken)
 
 
 @settings(max_examples=80, deadline=None)
-@given(moduli, st.integers(0, 20), st.data())
-def test_quotient_by_a_q_binomial_vanishes(mk, t, data):
-    # C(t, b)^p C(t, b)^-p y - y for a term y of valuation 0 .. k - 1: the leads
-    # of C(t, b)_q and of its inverse, carried or not, multiply to 1, and so do
-    # their series; at valuation k - 1 only the leads are read
+@given(kernel_moduli, st.data())
+def test_quotient_by_a_q_binomial_vanishes(mk, data):
+    # C(t, b)^p C(t, b)^-p y - y for a term y of valuation k - 1 (0 at m = 1):
+    # the leads of C(t, b)_q and of its inverse multiply to 1, carried or not;
+    # the divisor has integer part 1, or -1 to an even power
     m, k = mk
-    mod = Modulus(m, k)
-    b = data.draw(st.integers(0, t))
-    p = data.draw(st.integers(1, 2))
-    w, e, common = valued_term(data, m, data.draw(st.integers(0, k - 1)) if m > 1 else 0)
+    if m > 1 and data.draw(st.booleans()):
+        (t, b), p = carried_unit(data.draw, m), 2
+    else:
+        (t, b), p = unit_divisor(data.draw, m, 20), data.draw(st.integers(1, 2))
+    w, e, common = valued_term(data.draw, m, k - 1 if m > 1 else 0)
     w = w or 1
     terms = [(w, e, ((t, b, p), (t, b, -p)) + common), (-w, e, common)]
     broken = [(w, e, ((t, b, p), (t, b, -p)) + common), (-w, e + 1, common)]
-    vanishing_or_refused(terms, [], mod, broken)
+    vanishes_and_breaks(terms, m, k, broken)
 
 
 # -- reach: instances whose left side would be large fail when perturbed -------
@@ -744,7 +832,7 @@ def test_corollary_builds_only_the_small_side(monkeypatch, m, n):
     sides = record_cube_rhs(monkeypatch)
     assert check_corollary(m, n).holds
     assert [base for _, base, _ in sides] == [apery_q_lambda_mu_terms(n, 2, 2, "nksq")]
-    assert [mod for *_, mod, _ in calls] == [Modulus(m, 3)]
+    assert [call[2:4] for call in calls] == [(m, 3)]
 
 
 #: every Phi_m^3 checker at m = 2 and at m = 1
@@ -763,7 +851,7 @@ def test_a_cube_check_calls_the_kernel_at_m_1_only_when_its_m_is_1(monkeypatch, 
     calls = record_kernel(monkeypatch)
     for m in (2, 1):
         assert run(m).holds
-        assert calls and {mod for *_, mod, _ in calls} == {Modulus(m, 3)}, m
+        assert calls and {call[2:4] for call in calls} == {(m, 3)}, m
         calls.clear()
 
 
