@@ -32,7 +32,8 @@ specs in closed form.
 Z[q]/((q^n - 1)^k), with no product of the [i]_q and no Euclid loop: the
 primary route steps the last three elementary symmetric functions of the
 [i]_q and reads the squared sums off them by Newton's identity, and the
-cross route sums the squares of the inverses with one fold.
+cross route sums the squares of the inverses with one fold.  Each call
+builds its own ring, in O(k n), and keeps nothing between calls.
 
 Every checker first passes the estimated work of its route, the modulus
 and any powers lambda and mu included, to ``reports.admit``, which refuses
@@ -45,7 +46,7 @@ import time
 from fractions import Fraction
 from math import comb, lcm, prod
 
-from .cyclotomic import Modulus, _factorize, binomial_sum_residue, reduce_mod, residue_ring
+from .cyclotomic import Modulus, ResidueRing, _factorize, binomial_sum_residue, reduce_mod
 from .laurent import LaurentPoly, _make, _over_one_minus, _times_one_minus, q_power
 from .qcombinatorics import (
     binom,
@@ -220,7 +221,7 @@ def check_harmonic_sp(n: int, which: str) -> CongruenceReport:
     k = 2 if which == "sp1" else 1
     admit(harmonic_work(n, k), "harmonic-sp")
     mod = Modulus(n, k)
-    ring = residue_ring(n, k)
+    ring = ResidueRing(n, k)
     rhs = _harmonic_rhs(n, which)
     rhs_den = lcm(*(Fraction(c).denominator for _, c in rhs.terms()))
     rhs = ring.from_poly(rhs * rhs_den), rhs_den

@@ -27,7 +27,9 @@ other term is refused, and the canonical residue is read off the image's
 Phi_m-adic digits only when it is nonzero.
 ``harmonic-sp`` is decided in ``ResidueRing(n, k)``, Z[q]/((q^n - 1)^k),
 which multiplies by [t]_q without a product, inverts [i]_q in closed form
-and sums the squares of many elements with one fold.
+and sums the squares of many elements with one fold; its product, like the
+field's, is the Kronecker product ``laurent._dense_mul`` folded by
+``laurent._fold``.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def reduce_mod(f: LaurentPoly, mod: Modulus) -> LaurentPoly:
     m, k = mod.m, mod.k
     if not f.is_ordinary():
         a = -(f.min_degree() // m)
-        ring = residue_ring(m, k)
+        ring = ResidueRing(m, k)
         f = ring.to_poly(ring.q_power(-m * a)) * (q_power(m * a) * f)
     return _residue(f, m, mod.wrap, mod.lower, mod.polynomial.degree())
 
@@ -216,45 +218,26 @@ class ResidueRing:
     """Z[q]/((q^m - 1)^k) on lists of k*m integers, the coefficients of
     q^0 .. q^(km-1), the canonical representatives; Phi_m^k divides
     (q^m - 1)^k, so ``reduce_mod(to_poly(v), Modulus(m, k))`` is the residue
-    of whatever v stands for.  ``mul`` finds a product as one integer (see
-    there), reduced by the sparse relation (q^m - 1)^k = 0, and
-    ``sum_of_powers`` adds many packed squares as integers; both read their
-    digits through one fold, ``_fold_packed``.  With x = q^m - 1,
+    of whatever v stands for.  ``mul`` is the Kronecker product
+    ``laurent._dense_mul`` folded by the sparse relation (q^m - 1)^k = 0
+    (``laurent._fold``), as ``_Field.mul`` is, and ``sum_of_powers`` adds
+    many packed squares as integers and folds once.  With x = q^m - 1,
     q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
     well, in closed form (``q_power``); a multiple by [t]_q takes no product
     (``mul_q_integer``), and the inverse of [i]_q has a closed form modulo
-    Phi_m that Newton steps lift (``q_integer_inverse``).  ``residue_ring``
-    memoizes one ring per (m, k) with its digit headroom and fold layouts.
-    Elements are lists that no method mutates, so they may be shared.
+    Phi_m that Newton steps lift (``q_integer_inverse``).  A ring costs
+    O(k m) to build and keeps nothing else.  Elements are lists that no
+    method mutates, so they may be shared.
     """
 
     def __init__(self, m: int, k: int):
         self.m, self.k, self.size = m, k, m * k
         self._wrap = _wrap(m, k)
         self.one = self.q_power(0)
-        self._layouts = {}
-        # q^(a m + r) has the entries of q^(a m), moved up by r; below q^(2km - 1),
-        # r = 0 takes every a up to 2k - 1 (2k - 2 when m = 1), so its columns sum largest
-        powers = [self.q_power(a * m) for a in range(2 * k - (1 if m > 1 else 2) + 1)]
-        g = max(sum(abs(v[m * i]) for v in powers) for i in range(k)).bit_length()
-        self._headroom = self.size.bit_length() + g + 2
 
     def mul(self, a: list, b: list) -> list:
-        """The product of two elements, as one integer product.
-
-        With Q = 2^w, a(Q) b(Q) = c(Q) for the product c of degree below
-        2km - 1.  Let r be the canonical product, c folded below q^(km).
-        Each coefficient r_i = sum_{s,t} a_s b_t c(q^(s+t))_i, where
-        c(q^e) is the element of q^e; an exponent s + t is hit at most km
-        times, so |r_i| < 2^(bits(max|a|) + bits(max|b|) + bits(km) + g) with
-        g = bits(max_i sum_{e<2km-1} |c(q^e)_i|), a constant of the ring.
-        Two more bits make |r_i| < Q/4.  ``_fold_packed`` reads r off c(Q).
-        """
-        width, bias = self._digit_layout(max(map(abs, a)).bit_length()
-                                         + max(map(abs, b)).bit_length())
-        packed_a = _pack(a, width, bias)
-        return self._fold_packed(packed_a * (packed_a if a is b else _pack(b, width, bias)),
-                                 width)
+        """The product of two elements, folded below q^(km)."""
+        return _fold(_dense_mul(a, b), self.m, self._wrap)
 
     def sum_of_powers(self, terms) -> list:
         """sum w y^2 over the pairs (w, y) of ``terms``, integers w and
@@ -262,63 +245,22 @@ class ResidueRing:
         cross route.
 
         Every base is packed at one width for the call and squared as an
-        integer, left unfolded; ``_fold_packed`` reads the digits of the sum
-        once.  Each canonical y^2 is below ``mul``'s bound, so the width is
-        ``mul``'s for the widest base plus bits(sum |w|).
+        integer, left unfolded.  A coefficient of an unfolded square is a
+        sum of at most k m products below 2^(2 bits), bits that of the
+        widest base, so the coefficients of the weighted sum fit in
+        2 bits + bits(km) + bits(sum |w|) bits and a sign bit; the sum is
+        read back as 2km - 1 digits and folded once.
         """
         bits = max((max(map(abs, y)).bit_length() for _, y in terms), default=0)
-        width, bias = self._digit_layout(2 * bits + sum(abs(w) for w, _ in terms).bit_length())
+        width = _width(2 * bits + self.size.bit_length()
+                       + sum(abs(w) for w, _ in terms).bit_length() + 1)
+        count = 2 * self.size - 1
+        bias = _bias(count, width)
         total = 0
         for w, y in terms:
             packed = _pack(y, width, bias)
             total += w * packed * packed
-        return self._fold_packed(total, width)
-
-    def _digit_layout(self, bits: int):
-        """(width, bias) of digits for canonical coefficients of ``bits``
-        bits before the ring's headroom, building the fold's layout at that
-        width on first use."""
-        width = _width(bits + self._headroom)
-        layout = self._layouts.get(width)
-        if layout is None:
-            layout = self._layouts.setdefault(width, self._layout(width))
-        return width, layout[0]
-
-    def _fold_packed(self, u: int, width: int) -> list:
-        """The element whose digits at ``width`` bytes are u = c(Q),
-        Q = 2^(8 width), for an integer polynomial c congruent modulo
-        (q^m - 1)^k to an r whose coefficients are below Q/4.
-
-        u plus the bias H = sum_{i<km} (Q/2) Q^i is folded: U = hi Q^(km) + lo
-        becomes hi W + lo, W = sum_j w_j Q^(m j) the image of q^(km) modulo
-        (q^m - 1)^k, which is U - hi R with R = (Q^m - 1)^k = Q^(km) - W, the
-        image of (q^m - 1)^k under q -> Q.  So every round is exact modulo R,
-        and it never overshoots: from above hi >= 1 and U - hi R >= lo >= 0,
-        from below hi <= -1 and U - hi R < lo.  The rounds stop at
-        0 <= U < Q^(km), where U - H is an integer V with km balanced digits
-        |v_i| <= Q/2, congruent to r(Q) modulo R.  Then
-        |V - r(Q)| < (3Q/4)(Q^(km) - 1)/(Q - 1), which is below R since
-        Q > 8 k m, so V = r(Q) and its digits are r.  Nothing here bounds
-        c's degree or coefficients, only r's: ``sum_of_powers`` passes sums
-        of unfolded squares, and its width bounds the canonical sum r.
-        """
-        bias, shift, mask, wrap = self._layouts[width]
-        u += bias
-        hi = u >> shift
-        while hi:
-            u &= mask
-            for offset, weight in wrap:
-                u += weight * (hi << offset)
-            hi = u >> shift
-        return _digits(u - bias, self.size, width, bias)
-
-    def _layout(self, width: int):
-        """(bias, shift, mask, wrap) of ``_fold_packed`` at ``width`` bytes a
-        digit: the bias of k m digits, the bits of k m digits and their
-        mask, and the wrap with its offsets in bits."""
-        shift = 8 * width * self.size
-        wrap = [(8 * width * offset, weight) for offset, weight in self._wrap]
-        return _bias(self.size, width), shift, (1 << shift) - 1, wrap
+        return _fold(_digits(total, count, width, bias), self.m, self._wrap)
 
     def mul_q_integer(self, a: list, t: int) -> list:
         """a [t]_q for t >= 1, with no product: a shift-subtract gives
@@ -387,14 +329,6 @@ class ResidueRing:
     def to_poly(self, v: list) -> LaurentPoly:
         """The polynomial sum_i v[i] q^i, which may share v's list."""
         return _make(0, v)
-
-
-@lru_cache(maxsize=64)
-def residue_ring(m: int, k: int) -> ResidueRing:
-    """The one ``ResidueRing(m, k)`` of a process, so that its digit
-    headroom and fold layouts are built once per ring, not once per call;
-    the least recently used of more than 64 rings is dropped."""
-    return ResidueRing(m, k)
 
 
 # -- the Phi_m^k kernel: the image at q = zeta e^L ------------------------------------
@@ -613,8 +547,8 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
     exponentials over the denominators i! 24^i of L^i.  Every other term
     raises a ValueError that names it: one that needs a series coefficient
     and has a nonzero residue, one that needs more than L^2, and one that
-    divides by q-binomials whose integer parts multiply to other than 1.  The
-    right side is rational: x = e^(mL) - 1.  Only a nonzero image is turned
+    divides by q-binomials whose integer parts multiply to other than +-1.
+    The right side is rational: x = e^(mL) - 1.  Only a nonzero image is turned
     into the residue (``_Field.residue``).
     """
     field, d = _field(m), 24
@@ -654,7 +588,7 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
         order = k - 1 - valuation
         if order < 0:
             continue
-        if den != 1 or order and not (plain and order <= 2):
+        if abs(den) != 1 or order and not (plain and order <= 2):
             raise ValueError("the term %r is outside the kernel's closed forms at Phi(%d)^%d"
                              % ((w, e, triples), m, k))
         series = [1]
@@ -667,7 +601,7 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
             # A_1 = a1 m^2 / 2 + e and A_2 = a2 m^2 / 24, over d
             a1, a2 = 12 * m * m * a1 + d * e, m * m * a2
             series = [1, a1, a1 * a1 + 2 * a2 * d]
-        lead = num * scale
+        lead = num * den * scale
         members = classes.setdefault(tuple(signature), {})
         sums = members.get(e % m)
         if sums is None:

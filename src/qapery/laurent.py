@@ -19,10 +19,11 @@ is built from ints by one normaliser, ``_make``.  Storage grows with the
 exponent span, not the number of nonzero terms, as a product's cost does.
 
 Two polynomials are multiplied by Kronecker substitution (Schoenhage 1982;
-Harvey, arXiv:0712.4046) in ``_dense_mul``; ``cyclotomic.ResidueRing.mul``
-is the only other product, and both move coefficients through one pair,
-``_pack`` and ``_digits``.  Each coefficient list is packed into a single
-Python int, one digit of ``w`` bits per exponent, with
+Harvey, arXiv:0712.4046) in ``_dense_mul``, the one product: the
+residue ring and the field of ``cyclotomic`` fold its result, and only
+``cyclotomic.ResidueRing.sum_of_powers`` packs its own squares, through
+the same pair, ``_pack`` and ``_digits``.  Each coefficient list is packed
+into a single Python int, one digit of ``w`` bits per exponent, with
 ``w >= bits(max|a|) + bits(max|b|) + bits(min(len(a), len(b))) + 1``; every
 coefficient of the product then fits a digit with its sign.  One bigint
 multiply (Karatsuba inside CPython) forms the packed product, which is read
@@ -34,7 +35,7 @@ time.  XORing the top bit of every digit (the bias) turns those into
 c + 2^(w-1), which a plain ``int.from_bytes`` reads with no carries, and
 subtracting the bias leaves sum c_i 2^(w i).  A product by a
 one-coefficient polynomial scales and shifts; ``_power`` is the one
-squaring loop, for polynomials and residue-ring elements alike.  A
+squaring loop, for polynomials and field elements alike.  A
 coefficient list is multiplied by 1 - q^a and divided by 1 - q^i without a
 product by ``_times_one_minus`` and ``_over_one_minus``, the steps of the
 q-binomial row recurrence, of Phi_m and Psi_m and of
@@ -372,12 +373,11 @@ def _bias(count: int, width: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _pack(coeffs: list, width: int, bias: int = None) -> int:
+def _pack(coeffs: list, width: int, bias: int) -> int:
     """The integer sum of coeffs[i] * 2**(8*width*i), each |coeffs[i]| below
-    half a digit; ``bias`` is ``_bias(len(coeffs), width)`` if known."""
+    half a digit; ``bias`` is ``_bias(n, width)`` for any n >= len(coeffs),
+    whose digits above the coefficients' add half and take it off again."""
     count = len(coeffs)
-    if bias is None:
-        bias = _bias(count, width)
     fmt = _FORMATS.get(width)
     if fmt:
         data = struct.pack("<%d%s" % (count, fmt), *coeffs)
@@ -388,14 +388,14 @@ def _pack(coeffs: list, width: int, bias: int = None) -> int:
     return (int.from_bytes(data, "little") ^ bias) - bias
 
 
-def _digits(packed: int, count: int, width: int, bias: int = None) -> list:
+def _digits(packed: int, count: int, width: int, bias: int) -> list:
     """The ``count`` balanced digits of ``width`` bytes of ``packed``, lowest
-    first; ``packed`` + the bias, ``_bias(count, width)``, must lie in
-    [0, 2**(8*width*count))."""
+    first; ``packed`` + ``_bias(count, width)`` must lie in
+    [0, 2**(8*width*count)), and ``bias`` is ``_bias(n, width)`` for any
+    n >= count."""
     # adding half a digit to every digit makes each one nonnegative, so the
     # sum has no carries; flipping the top bits again gives two's complement
-    if bias is None:
-        bias = _bias(count, width)
+    # and clears the bias's digits above count
     data = ((packed + bias) ^ bias).to_bytes(count * width, "little")
     fmt = _FORMATS.get(width)
     if fmt:
@@ -421,12 +421,15 @@ def _power(a, e: int, mul, one):
 
 def _dense_mul(a: list, b: list) -> list:
     """The product of two nonempty dense integer coefficient lists, by
-    Kronecker substitution; ``a is b`` packs once and squares."""
+    Kronecker substitution; ``a is b`` packs once and squares.  The two packs
+    and the unpack share the product's bias."""
+    count = len(a) + len(b) - 1
     width = _width(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
                    + min(len(a), len(b)).bit_length() + 1)
-    packed_a = _pack(a, width)
-    packed_b = packed_a if a is b else _pack(b, width)
-    return _digits(packed_a * packed_b, len(a) + len(b) - 1, width)
+    bias = _bias(count, width)
+    packed_a = _pack(a, width, bias)
+    packed_b = packed_a if a is b else _pack(b, width, bias)
+    return _digits(packed_a * packed_b, count, width, bias)
 
 
 def _times_one_minus(g: list, a: int) -> list:

@@ -2,9 +2,10 @@
 
 Every route is tested at the first instance of a ladder that its estimate
 refuses and at the last one it admits, with every builder made to raise:
-the polynomial and integer builders, the kernel, ``residue_ring``,
-``cyclotomic`` and ``Modulus``.  So nothing oversized runs, and an admitted
-instance shows that it got past the budget by reaching a builder.  Each
+the polynomial and integer builders, the integer corrections of the
+Phi_m^3 theorems, the kernel, ``ResidueRing``, ``cyclotomic`` and
+``Modulus``.  So nothing oversized runs, and an admitted instance shows
+that it got past the budget by reaching a builder.  Each
 estimate never decreases in any one parameter, but a q-binomial's bottom
 index, in which the work is symmetric (C(t, b) = C(t, t - b)).
 """
@@ -39,8 +40,8 @@ def builder(*args):
 @pytest.fixture
 def builders_raise(monkeypatch):
     for name in ("_q_integer_cofactors", "qbin_pow", "apery", "apery_lambda_mu", "binom",
-                 "almkvist_zudilin", "_is_prime", "binomial_sum_residue", "residue_ring",
-                 "Modulus"):
+                 "almkvist_zudilin", "_is_prime", "correction_R_lambda_mu",
+                 "correction_R_multivariate", "binomial_sum_residue", "ResidueRing", "Modulus"):
         monkeypatch.setattr(checks, name, builder)
     for name in ("qbin", "_compositions", "cyclotomic", "Modulus"):
         monkeypatch.setattr(qcombinatorics, name, builder)

@@ -190,7 +190,7 @@ def nothing_runs(monkeypatch):
     def unreachable(*args):
         raise AssertionError("an instance over the work budget got past it")
 
-    for name in ("Modulus", "residue_ring", "_harmonic_rhs"):
+    for name in ("Modulus", "ResidueRing", "_harmonic_rhs"):
         monkeypatch.setattr(checks, name, unreachable)
 
 

@@ -1,19 +1,18 @@
 """The packed products: ``laurent._pack``/``_digits``, ``ResidueRing.mul``
-and ``ResidueRing.sum_of_powers``, and the memos of rings and fields.
+and ``ResidueRing.sum_of_powers``, and the memo of fields.
 
-``ResidueRing.mul`` multiplies two elements as single integers and folds
-the packed product modulo (2^(wm) - 1)^k until it has k m balanced digits.
-Its oracle is the product it replaced, kept here: the Kronecker product
-``_dense_mul`` folded by the list fold ``_fold``.  The operands cover every
-struct digit width (1, 2, 4 and 8 bytes) and wide digits, squares, and
-operands of all +-(2^b - 1), which make the digit bound tight.
-``sum_of_powers``, the weighted sum of squares of ``harmonic-sp``, is
-checked against the sum of w ``mul``(y, y) term by term, with shared bases
-and weights of either sign, and q^e in closed form against the binomial
-series.  The memos are checked as well: ``harmonic-sp`` builds one ring per
-modulus, a kernel call leaves every lead ``cyclotomic._Field`` keeps equal
-to a freshly built one, and the calls at one m share those leads, built
-from the prefix products P_rho, without mutating them.
+``ResidueRing.mul`` folds the Kronecker product ``_dense_mul`` below
+q^(km), and ``sum_of_powers`` packs its own squares and folds their sum
+once.  Their oracle shares neither step: a schoolbook product, whose
+exponents s + t are read as the ring's closed-form powers q^(s+t)
+(``ResidueRing.q_power``, itself checked against the binomial series).
+The operands cover every struct digit width (1, 2, 4 and 8 bytes) and
+wide digits, squares, and operands of all +-(2^b - 1), which make the
+digit bound tight; the sums of squares have shared bases and weights of
+either sign.  The field memo is checked as well: a kernel call leaves
+every lead ``cyclotomic._Field`` keeps equal to a freshly built one, and
+the calls at one m share those leads, built from the prefix products
+P_rho, without mutating them.
 """
 
 from fractions import Fraction
@@ -22,16 +21,25 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qapery.cyclotomic
 import qapery.laurent
-from qapery.checks import check_corollary, check_harmonic_sp
-from qapery.cyclotomic import (ResidueRing, _binomial, _Field, _field, binomial_sum_residue,
-                               residue_ring)
-from qapery.laurent import LaurentPoly, _dense_mul, _digits, _fold, _pack, _width, _wrap
+from qapery.checks import check_corollary
+from qapery.cyclotomic import ResidueRing, _binomial, _Field, _field, binomial_sum_residue
+from qapery.laurent import LaurentPoly, _bias, _digits, _pack, _width
 
 
-def oracle(ring, a, b):
-    return _fold(_dense_mul(a, b), ring.m, _wrap(ring.m, ring.k))
+def schoolbook(ring, a, b):
+    """a b as sum_{s,t} a_s b_t q^(s+t), each q^(s+t) the ring's q_power."""
+    product = [0] * (2 * ring.size - 1)
+    for s, x in enumerate(a):
+        if x:
+            for t, y in enumerate(b):
+                product[s + t] += x * y
+    out = [0] * ring.size
+    for e, c in enumerate(product):
+        if c:
+            for i, x in enumerate(ring.q_power(e)):
+                out[i] += c * x
+    return out
 
 
 # -- _pack and _digits -----------------------------------------------------------
@@ -41,20 +49,23 @@ def oracle(ring, a, b):
 def test_digit_widths_round_trip_their_extremes(width):
     half = 1 << (8 * width - 1)
     coeffs = [-half, half - 1, 0, -1, 1, half - 1, -half]
-    packed = _pack(coeffs, width)
+    packed = _pack(coeffs, width, _bias(len(coeffs), width))
     assert packed == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
-    assert _digits(packed, len(coeffs), width) == coeffs
+    assert _digits(packed, len(coeffs), width, _bias(len(coeffs), width)) == coeffs
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([1, 2, 3, 4, 8, 9, 17]).flatmap(lambda width: st.tuples(
     st.just(width), st.lists(st.integers(-(1 << (8 * width - 1)), (1 << (8 * width - 1)) - 1),
-                             min_size=1, max_size=40))))
-def test_pack_and_digits_round_trip(case):
+                             min_size=1, max_size=40))), st.integers(0, 40))
+def test_pack_and_digits_round_trip(case, extra):
+    # a bias of more digits than the coefficients, as ``_dense_mul`` shares
+    # the product's between its operands, packs and reads the same
     width, coeffs = case
-    packed = _pack(coeffs, width)
+    bias = _bias(len(coeffs) + extra, width)
+    packed = _pack(coeffs, width, bias)
     assert packed == sum(c << (8 * width * i) for i, c in enumerate(coeffs))
-    assert _digits(packed, len(coeffs), width) == coeffs
+    assert _digits(packed, len(coeffs), width, bias) == coeffs
 
 
 def test_widths_round_up_to_struct_sizes():
@@ -62,7 +73,7 @@ def test_widths_round_up_to_struct_sizes():
         [1, 1, 2, 2, 4, 4, 8, 8, 9, 9, 10]
 
 
-# -- ResidueRing.mul against the list fold --------------------------------------
+# -- ResidueRing.mul against the schoolbook product ------------------------------
 
 #: coefficient bit sizes: every struct width for the product digits, then wide ones
 BITS = [0, 1, 2, 5, 12, 20, 27, 40, 58, 61, 62, 63, 64, 65, 100, 300]
@@ -92,45 +103,40 @@ def ring_operands(draw):
 def test_ring_product_is_the_folded_kronecker_product(case):
     m, k, a, b = case
     ring = ResidueRing(m, k)
-    assert ring.mul(a, b) == oracle(ring, a, b)
-    assert ring.mul(b, a) == oracle(ring, a, b)
+    expected = schoolbook(ring, a, b)
+    assert ring.mul(a, b) == expected
+    assert ring.mul(b, a) == expected
 
 
 @pytest.mark.parametrize("m", range(1, 17))
 @pytest.mark.parametrize("k", range(1, 5))
 def test_extreme_operands_at_every_ring(m, k):
     # operands of all +-(2^b - 1), b just below and at each struct width,
-    # put every product coefficient at the top of the bound
+    # put every product coefficient at the top of the bound; the products of
+    # +-top and -+top are the negated square
     ring = ResidueRing(m, k)
     for bits in (1, 3, 7, 13, 27, 29, 59, 61, 62, 64, 120):
         top = (1 << bits) - 1
+        square = schoolbook(ring, [top] * ring.size, [top] * ring.size)
         for a in ([top] * ring.size, [-top] * ring.size):
-            assert ring.mul(a, a) == oracle(ring, a, a)
+            assert ring.mul(a, a) == square
             b = [-c for c in a]
-            assert ring.mul(a, b) == oracle(ring, a, b)
+            assert ring.mul(a, b) == [-c for c in square]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 16])
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_headroom_is_read_off_the_columns_of_q_powers(m, k):
-    # g is the bit length of the largest column sum of |q^e| over e < 2km - 1
-    ring = ResidueRing(m, k)
-    columns = [ring.q_power(e) for e in range(2 * ring.size - 1)]
-    g = max(sum(abs(v[i]) for v in columns) for i in range(ring.size)).bit_length()
-    assert ring._headroom == ring.size.bit_length() + g + 2
+# -- ResidueRing.sum_of_powers against schoolbook squares -------------------------
 
 
-# -- ResidueRing.sum_of_powers against folded products ---------------------------
-
-
-def folded_powers(ring, terms):
-    """sum w y^2 from ``mul``, term by term."""
-    return [sum(c) for c in zip([0] * ring.size, *(
-        [w * c for c in ring.mul(y, y)] for w, y in terms))]
-
-
-def folded_squares(ring, vectors):
-    return [sum(c) for c in zip(*(oracle(ring, v, v) for v in vectors))]
+def schoolbook_powers(ring, terms):
+    """sum w y^2 from schoolbook squares, one per distinct base."""
+    squares = {}
+    out = [0] * ring.size
+    for w, y in terms:
+        key = tuple(y)
+        if key not in squares:
+            squares[key] = schoolbook(ring, y, y)
+        out = [c + w * x for c, x in zip(out, squares[key])]
+    return out
 
 
 def squares(vectors):
@@ -161,23 +167,24 @@ def test_sum_of_squares_is_the_sum_of_folded_squares(case):
     # the sum of squares of harmonic-sp's cross route for sp2
     m, k, vectors = case
     ring = ResidueRing(m, k)
-    assert ring.sum_of_powers(squares(vectors)) == folded_squares(ring, vectors)
+    assert ring.sum_of_powers(squares(vectors)) == schoolbook_powers(ring, squares(vectors))
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16])
 @pytest.mark.parametrize("k", range(1, 5))
 def test_sum_of_squares_of_extreme_elements(m, k):
-    # N equal elements of all +-(2^b - 1) put the sum at N times mul's bound,
-    # which the bits(N) added to the digit must hold; N = 2^j - 1 fills them
+    # N equal elements of all +-(2^b - 1) put the sum at N times a square's
+    # bound, which the bits(N) added to the digit must hold; N = 2^j - 1 fills them
     ring = ResidueRing(m, k)
     for bits in (1, 7, 29, 61, 120):
         top = (1 << bits) - 1
         for count in (1, 2, 3, 7, 30, 31):
             for sign in (1, -1):
                 vectors = [[sign * top] * ring.size] * count
-                assert ring.sum_of_powers(squares(vectors)) == folded_squares(ring, vectors)
+                expected = schoolbook_powers(ring, squares(vectors))
+                assert ring.sum_of_powers(squares(vectors)) == expected
                 copies = [list(v) for v in vectors]
-                assert ring.sum_of_powers(squares(copies)) == folded_squares(ring, vectors)
+                assert ring.sum_of_powers(squares(copies)) == expected
 
 
 @st.composite
@@ -206,15 +213,15 @@ def power_sums(draw):
 def test_sum_of_powers_is_the_sum_of_folded_powers(case):
     m, k, terms = case
     ring = ResidueRing(m, k)
-    assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+    assert ring.sum_of_powers(terms) == schoolbook_powers(ring, terms)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 16])
 @pytest.mark.parametrize("k", range(1, 5))
 def test_sum_of_powers_of_extreme_elements(m, k):
     # equal bases of all +-(2^b - 1) with weights of either sign, as sp3's
-    # +h1^2 - sum h_i^2 has, put the canonical sum near the bound, whether
-    # a base is given as one list or as copies
+    # +h1^2 - sum h_i^2 has, put the sum near the bound, whether a base is
+    # given as one list or as copies
     ring = ResidueRing(m, k)
     for bits in (1, 7, 29, 61, 120):
         top = (1 << bits) - 1
@@ -223,9 +230,10 @@ def test_sum_of_powers_of_extreme_elements(m, k):
             for count in (1, 3, 31):
                 for weights in ((1,), (-1,), (1, -1), (count, -1)):
                     terms = [(w, y) for w in weights] * count
-                    assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+                    expected = schoolbook_powers(ring, terms)
+                    assert ring.sum_of_powers(terms) == expected
                     terms = [(w, list(y)) for w in weights] * count
-                    assert ring.sum_of_powers(terms) == folded_powers(ring, terms)
+                    assert ring.sum_of_powers(terms) == expected
 
 
 def x_series(ring, coeffs, r):
@@ -251,28 +259,7 @@ def test_q_power_is_the_binomial_series(m, k, e):
     assert ring.q_power(e) == x_series(ring, [_binomial(a, j) for j in range(k)], r)
 
 
-# -- one ring per (m, k), one field per m ---------------------------------------------
-
-
-def test_one_ring_per_modulus(monkeypatch):
-    built = []
-    original = qapery.cyclotomic.ResidueRing
-    monkeypatch.setattr(qapery.cyclotomic, "ResidueRing",
-                        lambda m, k: built.append((m, k)) or original(m, k))
-    residue_ring.cache_clear()
-    try:
-        # sp1 is decided modulo Phi_n^2, sp2 and sp3 modulo Phi_n; the kernel
-        # builds no ring at all
-        assert check_harmonic_sp(6, "sp1").holds
-        count = len(built)
-        assert check_harmonic_sp(6, "sp1").holds and len(built) == count
-        assert check_harmonic_sp(6, "sp2").holds and check_harmonic_sp(6, "sp3").holds
-        terms = [(1, 0, ((12, 4, 1),)), (-1, 3, ((9, 2, 1), (5, 2, 1)))]
-        binomial_sum_residue(terms, [1, 2, 3], 4, 3)
-        assert sorted(built) == sorted(set(built)) == [(6, 1), (6, 2)]
-        assert residue_ring(6, 2) is residue_ring(6, 2)
-    finally:
-        residue_ring.cache_clear()
+# -- one field per m ------------------------------------------------------------------
 
 
 def field_state(field):

@@ -457,7 +457,7 @@ def built_residue(terms, rhs, m, k):
 # At Phi_m^k the kernel reads a term of valuation v to L^(k - 1 - v): from its
 # lead alone when v = k - 1, from the closed-form series to L^2 when every
 # q-binomial has residues 0 (then v = 0 and k <= 3), and not at all when v >= k.
-# A divisor must leave the term an integer part of 1.  So at m = 1, where every
+# A divisor must leave the term an integer part of +-1.  So at m = 1, where every
 # residue is 0, k is at most 3.
 
 kernel_moduli = st.integers(1, 12).flatmap(
@@ -491,8 +491,9 @@ def unit_divisor(draw, m, top):
 
 def valued_term(draw, m, v):
     """A (w, e, triples) spec of Phi_m-valuation v (v = 0 when m = 1) with
-    powers -2..3, whose divisors leave an integer part of 1: prime to Phi_m,
-    or the square of a ``carried_unit`` against a factor of valuation 2."""
+    powers -2..3, whose divisors leave an integer part of +-1: prime to
+    Phi_m, or a ``carried_unit`` to the power -1 or -2 against a factor of
+    that valuation."""
     def phi_once():
         # C(a m, c m + r)_q with 0 < r < m has valuation exactly 1
         a = draw(st.integers(1, 3))
@@ -504,7 +505,8 @@ def valued_term(draw, m, v):
         triples.append((*phi_once(), p))
         left -= p
     if m > 1 and draw(st.booleans()):
-        triples += [(*carried_unit(draw, m), -2), (*phi_once(), 2)]
+        p = draw(st.integers(1, 2))
+        triples += [(*carried_unit(draw, m), -p), (*phi_once(), p)]
     # factors prime to Phi_m: C(t, b)_q with t < m, and C(a m, c m)_q, whose
     # integer part C(a, c) keeps it from dividing
     prime = st.one_of(
@@ -590,6 +592,14 @@ def test_terms_outside_the_closed_forms_are_refused(term, m, k):
     with pytest.raises(ValueError, match=re.escape(repr(term))) as refused:
         binomial_sum_residue([term], [], m, k)
     assert not isinstance(refused.value, NotInvertibleError)
+
+
+def test_a_divisor_of_integer_part_minus_one_is_a_unit():
+    # C(5, 2)_q carries at m = 5, so its integer part is -1, and
+    # C(5, 3)_q / C(5, 2)_q = 1
+    term = (1, 0, ((5, 3, 1), (5, 2, -1)))
+    assert binomial_sum_residue([term], [1], 5, 1).is_zero()
+    assert binomial_sum_residue([term], [2], 5, 1) == -1 == built_residue([term], [2], 5, 1)
 
 
 # bases as the Phi_m^3 checkers pass them: weight-1 specs with exponents of
@@ -904,7 +914,7 @@ def nothing_runs(monkeypatch):
     """Make the kernel and every builder raise if an instance gets past the budget."""
     raising = unreachable("an instance over the work budget got past it")
     for name in ("binomial_sum_residue", "apery_q_multivariate_terms", "apery_q_lambda_mu_terms",
-                 "residue_ring", "Modulus"):
+                 "ResidueRing", "Modulus"):
         monkeypatch.setattr(checks, name, raising)
     for module, name in BUILDERS + [(qcombinatorics, "Modulus")]:
         monkeypatch.setattr(module, name, raising)
