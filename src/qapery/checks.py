@@ -263,7 +263,9 @@ def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
 
     Both routes are spec sums, with [i]_q = C(i, 1)_q: the primary form
     clears the denominator, the cross-check divides by [j]_q through the spec
-    factor (j, 1, -1), which is invertible since j < m.
+    factor (j, 1, -1), which is invertible since j < m.  The kernel reads the
+    lead of [j]_q and of its inverse in closed form, as it does that of
+    C(mn, mk + j)_q, whose residues are complementary.
     """
     started = time.perf_counter()
     params = {"m": m, "n": n, "k": k, "j": j}
@@ -271,8 +273,7 @@ def check_qbin_prop(m: int, n: int, k: int, j: int) -> CongruenceReport:
         raise PreconditionError("requires 0 < j < m")
     if n < 0 or k < 0:
         raise PreconditionError("requires n, k >= 0")
-    # [j]_q = C(j, 1)_q has the lead P_j Q_1 Q_(j-1) / m^2, read off P_rho for j > 1
-    admit(2 * kernel_work(m, 2, 2, 2 * n + 64, j > 1), "qbin-prop")
+    admit(2 * kernel_work(m, 2, 2, 2 * n + 64), "qbin-prop")
     # the right side's weight -(-1)^(j-1) C(n-1, k) and exponent, an integer
     weight, e = (-1) ** j * binom(n - 1, k), (j - 1) * (2 * m - j) // 2
     lhs = (m * n, m * k + j, 1)

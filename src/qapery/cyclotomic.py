@@ -20,11 +20,13 @@ from its image at q = zeta e^L in K[L]/(L^k), K = Q(zeta_m), which vanishes
 exactly when Phi_m^k divides the sum.  By the q-Lucas theorem a q-binomial
 there is L^d times an integer, a binomial in m-th of its indices, times an
 element of K that depends only on its residues modulo m, times a series
-that is rational through L^2 when the residues are 0.  A term is read from
-its lead alone, or, when its residues are all 0, from that closed-form
-series; so every term is summed as integers, in classes of its K part, any
-other term is refused, and the canonical residue is read off the image's
-Phi_m-adic digits only when it is nonzero.
+that is rational through L^2 when the residues are 0.  Where both residues
+are nonzero, that element has an O(m) closed form when they are
+complementary, as for C(m n, k)_q, or those of a q-integer C(rho, 1)_q.  A
+term is read from its lead alone, or, when its residues are all 0, from
+that closed-form series; so every term is summed as integers, in classes of
+its K part, any other term is refused, and the canonical residue is read
+off the image's Phi_m-adic digits only when it is nonzero.
 ``harmonic-sp`` is decided in ``ResidueRing(n, k)``, Z[q]/((q^n - 1)^k),
 which multiplies by [t]_q without a product, inverts [i]_q in closed form
 and sums the squares of many elements with one fold; its product, like the
@@ -355,7 +357,8 @@ class _Field:
     until ``coordinates`` reads a in the basis 1, zeta, .., zeta^(phi(m)-1).
 
     ``_field(m)`` memoizes one field per m, which keeps the leads of the
-    q-binomials (``lead``) that the calls read, up to 2^18 numbers in all.
+    q-binomials that the calls read, each an O(m) closed form (``lead``), up
+    to 2^18 numbers in all.
     Elements are lists that no method mutates, so they may be shared, and a
     fill is idempotent, so concurrent calls need no lock.
     """
@@ -405,55 +408,36 @@ class _Field:
             v[j * s % self.m] += s
         return self.project(v)
 
-    def prefix(self, rho: int) -> list:
-        """P_rho, by rho shift-subtracts: P_r = P_(r-1) - zeta^r P_(r-1)."""
-        v = self.one
-        for r in range(1, rho + 1):
-            v = [a - b for a, b in zip(v, self.shift(v, r))]
-        return v
-
-    def suffix(self, rho: int) -> list:
-        """Q_rho = prod_{rho<r<m} (1 - zeta^r) = (-1)^n zeta^(-n(n+1)/2) P_n,
-        n = m - 1 - rho, as 1 - zeta^(m-s) = -zeta^(-s) (1 - zeta^s); P_rho Q_rho = m."""
-        n = self.m - 1 - rho
-        v = self.shift(self.prefix(n), -(n * (n + 1) // 2))
-        return [-c for c in v] if n % 2 else v
-
     def lead(self, signature: tuple):
         """(v, s): m^s v is the product of the K parts, to the powers p, of
         the leads of C(t, b)_q for the (beta, gamma, p) of ``signature``,
-        b = beta and t - b = gamma modulo m, both nonzero.
+        b = beta and t - b = gamma modulo m, both nonzero, and either
+        complementary (beta + gamma = m) or those of a q-integer
+        (min(beta, gamma) = 1, rho = beta + gamma < m).
 
-        With rho = beta + gamma modulo m and the carry d, the K part
-        m^(2d) P_rho / (P_beta P_gamma) (see ``binomial_sum_residue``) is
-        m^(2d - 2) P_rho Q_beta Q_gamma, and its inverse
-        m^(-1 - 2d) Q_rho P_beta P_gamma.  When d = 0, m^2 divides
-        P_rho Q_beta Q_gamma, the value at zeta of the integer polynomial
-        C(rho, beta)_q.  When beta + gamma = m, as for C(m n, k)_q,
-        Q_gamma = (-1)^(beta-1) zeta^(-beta(beta-1)/2) P_(beta-1) and
-        P_(beta-1) Q_beta = m/(1 - zeta^beta) (``weighted``) give both in
-        closed form.
+        With W_j = ``weighted(j)`` = -m/(1 - zeta^j), both are O(m) closed
+        forms.  When beta + gamma = m, as for C(m n, k)_q, the K part
+        m^2 / (P_beta P_gamma) (see ``binomial_sum_residue``) is
+        (-1)^beta zeta^(-beta(beta-1)/2) W_beta, and its inverse
+        (-1)^beta zeta^(beta(beta-1)/2) (zeta^beta - 1) / m.  A q-integer's K
+        part is [rho]_zeta = (zeta^rho - 1) W_1 / m, and its inverse
+        (zeta - 1) W_rho / m.
         """
         found = self._leads.get(signature)
         if found is None:
             v, s = None, 0
             for beta, gamma, p in signature:
-                rho, carry = beta + gamma, beta + gamma >= self.m
-                rho -= self.m if carry else 0
-                if carry and not rho:
+                if beta + gamma == self.m:
                     turn, sign = beta * (beta - 1) // 2, (-1) ** beta
                     if p > 0:
                         f = self.shift([sign * c for c in self.weighted(beta)], -turn)
                     else:
                         f = [b - a for a, b in zip(self.one, self.shift(self.one, beta))]
                         f, s = self.shift([sign * c for c in f], turn), s + p
-                elif p > 0:
-                    f = self.mul(self.mul(self.prefix(rho), self.suffix(beta)), self.suffix(gamma))
-                    if not carry:
-                        f = [c // (self.m * self.m) for c in f]
                 else:
-                    f = self.mul(self.mul(self.suffix(rho), self.prefix(beta)), self.prefix(gamma))
-                    s -= (3 if carry else 1) * -p
+                    w = self.weighted(1 if p > 0 else beta + gamma)
+                    f = [b - a for a, b in zip(w, self.shift(w, beta + gamma if p > 0 else 1))]
+                    s -= abs(p)
                 f = _power(f, abs(p), self.mul, None)
                 v = f if v is None else self.mul(v, f)
             found = v or self.one, s
@@ -505,11 +489,9 @@ class _Field:
         return residue
 
 
-@lru_cache(maxsize=16)
-def _field(m: int) -> _Field:
-    """The one ``_Field(m)`` of a process, whose leads every call at m
-    shares; the least recently used of more than 16 is dropped."""
-    return _Field(m)
+# The one ``_Field(m)`` of a process, whose leads every call at m shares;
+# the least recently used of more than 16 is dropped.
+_field = lru_cache(maxsize=16)(_Field)
 
 
 def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
@@ -535,9 +517,11 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
     to a negative power, raises NotInvertibleError, and one with another
     vanishing q-binomial is skipped.  Only k - v series coefficients are read.
 
-    The K part of the lead depends on (beta, gamma) alone (``_Field.lead``,
-    1 when either is 0), so the integer parts are summed in classes of that
-    signature and of e modulo m, each multiplied out once.  When
+    The K part of the lead depends on (beta, gamma) alone: 1 when either is
+    0, and otherwise read in closed form (``_Field.lead``) when they are
+    complementary (beta + gamma = m) or those of a q-integer
+    (min(beta, gamma) = 1).  So the integer parts are summed in classes of
+    that signature and of e modulo m, each multiplied out once.  When
     beta = gamma = 0 the series is exp(A_1 L + A_2 L^2 + ..) with
     A_1 = m^2 B C / 2 and A_2 = m^2 B C (m^2 T + 1) / 24, the sums over j of
     the logarithms of E(jL) and of (1 - zeta^j e^(jL))/(1 - zeta^j), as
@@ -545,9 +529,12 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
     sum_{0<r<m} 1/(1 - zeta^r)^2 = -(m - 1)(m - 5)/12 (at m = 1, the
     Mann-Whitney cumulants of C(T, B)_q); such terms are summed with their
     exponentials over the denominators i! 24^i of L^i.  Every other term
-    raises a ValueError that names it: one that needs a series coefficient
-    and has a nonzero residue, one that needs more than L^2, and one that
-    divides by q-binomials whose integer parts multiply to other than +-1.
+    that is neither dropped nor skipped raises a ValueError that names it:
+    one with a q-binomial whose residues are both nonzero and neither
+    complementary nor those of a q-integer, one that needs a series
+    coefficient and has a nonzero residue, one that needs more than L^2,
+    and one that divides by q-binomials whose integer parts multiply to
+    other than +-1.
     The right side is rational: x = e^(mL) - 1.  Only a nonzero image is turned
     into the residue (``_Field.residue``).
     """
@@ -559,7 +546,7 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
     scale = lcm(*[Fraction(r).denominator for r in rhs])
     classes = {}
     for w, e, triples in terms:
-        valuation, num, den, signature, plain, vanishes = 0, w, 1, [], True, False
+        valuation, num, den, signature, plain, vanishes, outside = 0, w, 1, [], True, False, False
         for t, b, p in triples:
             if not p:
                 continue
@@ -580,6 +567,7 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
                 den *= factor ** -p
             if beta and gamma:
                 signature.append((beta, gamma, p))
+                outside = outside or beta + gamma != m and 1 not in (beta, gamma)
             plain = plain and not (beta or gamma)
         if vanishes:
             continue
@@ -588,7 +576,7 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
         order = k - 1 - valuation
         if order < 0:
             continue
-        if abs(den) != 1 or order and not (plain and order <= 2):
+        if abs(den) != 1 or outside or order and not (plain and order <= 2):
             raise ValueError("the term %r is outside the kernel's closed forms at Phi(%d)^%d"
                              % ((w, e, triples), m, k))
         series = [1]
@@ -603,9 +591,7 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
             series = [1, a1, a1 * a1 + 2 * a2 * d]
         lead = num * den * scale
         members = classes.setdefault(tuple(signature), {})
-        sums = members.get(e % m)
-        if sums is None:
-            sums = members[e % m] = [0] * k
+        sums = members.setdefault(e % m, [0] * k)
         for j in range(order + 1):
             i = valuation + j
             sums[i] += lead * series[j] * weight[i][j]
@@ -618,23 +604,18 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
             for i in range(k):
                 sums[i] -= int(r * scale) * power[i] * d ** i
             power = [sum(comb(i, j) * power[j] * m ** (i - j) for j in range(i)) for i in range(k)]
-    totals = {}
+    leads = {signature: field.lead(signature) for signature in classes}
+    low, combined = min((s for _, s in leads.values()), default=0), [None] * k
     for signature, members in classes.items():
-        # sum_r sums[i] zeta^r times the class's K part m^s v, kept by s
-        v, s = field.lead(signature)
-        total = totals.setdefault(s, [None] * k)
+        # sum_r sums[i] zeta^r times the class's K part m^s v, over m^low
+        v, s = leads[signature]
         for i in range(k):
             u = [0] * m
             for r, sums in members.items():
                 u[r] += sums[i]
             if any(u):
                 y = field.project(u)
-                total[i] = _add(total[i], field.mul(y, v) if signature else y)
-    low, combined = min(totals, default=0), [None] * k
-    for s, total in totals.items():
-        for i, y in enumerate(total):
-            if y:
-                combined[i] = _add(combined[i], y, m ** (s - low))
+                combined[i] = _add(combined[i], field.mul(y, v) if signature else y, m ** (s - low))
     if not any(v and any(v) for v in combined):
         return LaurentPoly.zero()
     return field.residue([_add(None, v, Fraction(m) ** low / (weight[i][0] * scale)) if v

@@ -21,7 +21,7 @@ WORK_BUDGET = 8 * 10 ** 9
 # Units per step, each fitted to the CPU times in its comment.
 PRODUCT = 2  # per b^1.5 bits(b) / 1024 of a b-bit product (the chu and classical-sc rows)
 TERM, LEAD = 10 ** 4, 2000  # a kernel term; a lead class per m digits: corollary (1581, 4) 14 s
-TERM_PRODUCTS, TABLE = 10, 40  # corollary (1, 3072) 5.3 s, (2, 3072) 7.1 s; qbin-prop m = 3000 1.5 s
+TERM_PRODUCTS = 10  # corollary (1, 3072) 5.3 s, (2, 3072) 7.1 s
 MODULUS = 15  # per (k m)^2, at the worst m: a remainder by Phi_15015 4.6 s, by Phi_9240 0.25 s
 QBIN, QBIN_BITS = 36, 400  # per row step, again per QBIN_BITS bits: qbin(600, 300) 2.1 s
 CHU = 2000  # per factor of a composition: chu-vandermonde (1148, 1, 1) 2.7 s
@@ -56,19 +56,16 @@ def modulus_work(m: int, k: int = 1) -> int:
     return MODULUS * (k * m) ** 2
 
 
-def kernel_work(m: int, k: int, terms: int, bits: int, table: bool = False) -> int:
+def kernel_work(m: int, k: int, terms: int, bits: int) -> int:
     """``binomial_sum_residue`` at Phi_m^k on ``terms`` terms whose integer
-    leads have up to ``bits`` bits: a few products of such integers a term;
-    at most min(m, terms) lead classes, each a few products of m digits of
-    up to ``bits`` bits at each power of L below k; and with ``table``, a
-    lead read off P_rho, up to m shift-subtracts of m numbers of up to m/4
-    bits each.  The kernel builds no Phi_m^k; ``modulus_work(m, k)`` bounds
-    ``_Field.residue``, which takes k remainders by Phi_m of a failing
-    instance's image."""
+    leads have up to ``bits`` bits: a few products of such integers a term,
+    and at most min(m, terms) lead classes, each a few products of m digits
+    of up to ``bits`` bits at each power of L below k; every lead's K part
+    is an O(m) closed form.  The kernel builds no Phi_m^k;
+    ``modulus_work(m, k)`` bounds ``_Field.residue``, which takes k
+    remainders by Phi_m of a failing instance's image."""
     work = terms * (TERM + TERM_PRODUCTS * _product_work(bits))
     work += LEAD * k * m * min(m, terms) * (256 + bits) >> 8
-    if table:
-        work += TABLE * m * m * (m + 256) >> 8
     return work + modulus_work(m, k)
 
 

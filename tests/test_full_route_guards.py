@@ -77,7 +77,7 @@ EDGES = [
     ("ljunggren-modulus", check_ljunggren_q, lambda x: (x, 0, 0), 7654),
     ("wolstenholme-q", check_wolstenholme_q, lambda x: (x,), 5399),
     ("qbin-prop", check_qbin_prop, lambda x: (x, 2, 1, 1), 8082),
-    ("qbin-prop-j", check_qbin_prop, lambda x: (x, 2, 1, 2), 2742),
+    ("qbin-prop-j", check_qbin_prop, lambda x: (x, 2, 1, 2), 8082),
     ("qbin-prop-modulus", check_qbin_prop, lambda x: (x, 0, 0, 1), 8083),
     ("harmonic-sp1", check_harmonic_sp, lambda x: (x, "sp1"), 829),
     ("harmonic-sp2", check_harmonic_sp, lambda x: (x, "sp2"), 659),

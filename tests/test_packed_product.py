@@ -11,8 +11,7 @@ wide digits, squares, and operands of all +-(2^b - 1), which make the
 digit bound tight; the sums of squares have shared bases and weights of
 either sign.  The field memo is checked as well: a kernel call leaves
 every lead ``cyclotomic._Field`` keeps equal to a freshly built one, and
-the calls at one m share those leads, built from the prefix products
-P_rho, without mutating them.
+the calls at one m share those leads without mutating them.
 """
 
 from fractions import Fraction
@@ -267,9 +266,10 @@ def field_state(field):
     return {s: (tuple(v), e) for s, (v, e) in field._leads.items()}
 
 
-#: terms inside the closed forms at Phi_m^k whose leads take the closed form
-#: (C(2m, m - 1), carried to valuation k - 1) and P_rho Q_beta Q_gamma,
-#: inverted (C(m - 1, 1)); C(4m, 2m) has residues 0 and is read to L^2
+#: terms inside the closed forms at Phi_m^k whose leads take both closed
+#: forms: complementary (C(2m, m - 1), carried to valuation k - 1) and the
+#: q-integer [m - 1]_q, inverted (C(m - 1, 1)); C(4m, 2m) has residues 0 and
+#: is read to L^2
 KERNEL_TERMS = [lambda m, k: (1, 0, ((4 * m, 2 * m, 2),)),
                 lambda m, k: (3, -2, ((3 * m + 1, m, 1), (m - 1, 1 if m > 1 else 0, -1),
                                       (2 * m, m - 1, k - 1))),
@@ -301,16 +301,16 @@ def fresh_fields():
 
 
 def test_kernel_calls_on_one_ring_share_the_prefix_table(fresh_fields):
-    # the prefix products P_rho enter a call through the leads, which the
-    # field keeps: every call at m = 9, at any k, reads the same lead objects
+    # the field keeps the leads, here of the q-integers [2]_q, [8]_q and
+    # [7]_q: every call at m = 9, at any k, reads the same lead objects
     field = _field(9)
-    binomial_sum_residue([(1, 0, ((2, 1, 1),)), (1, 0, ((8, 4, 1),))], [], 9, 1)
+    binomial_sum_residue([(1, 0, ((2, 1, 1),)), (1, 0, ((8, 1, 1),))], [], 9, 1)
     entries = dict(field._leads)
     assert len(entries) == 2
-    binomial_sum_residue([(1, 0, ((8, 4, 1),)), (1, 0, ((16, 6, 1),))], [], 9, 1)
+    binomial_sum_residue([(1, 0, ((8, 1, 1),)), (1, 0, ((16, 6, 1),))], [], 9, 1)
     assert len(field._leads) == 3
-    # C(14, 6)_q has valuation 1, so at k = 2 it is read from its lead alone
-    binomial_sum_residue([(1, 0, ((14, 6, 1),))], [], 9, 2)
+    # C(18, 4)_q has valuation 1, so at k = 2 it is read from its lead alone
+    binomial_sum_residue([(1, 0, ((18, 4, 1),))], [], 9, 2)
     assert len(field._leads) == 4
     assert all(field._leads[s] is entry for s, entry in entries.items())
 
@@ -326,26 +326,6 @@ def test_a_sweep_mutates_no_prefix_entry(fresh_fields):
     fresh = _Field(5)
     assert field_state(field) == {s: (tuple(fresh.lead(s)[0]), e)
                                   for s, (_, e) in field._leads.items()}
-
-
-def test_a_covered_top_makes_no_prefix_product(monkeypatch, fresh_fields):
-    # once a lead is kept, no P_rho is formed for it again; the leads of
-    # C(m n, k)_q take no P_rho at all
-    terms = [(1, 0, ((8, 4, 1),)), (2, 1, ((12, 5, 1), (5, 2, -1)))]
-    binomial_sum_residue(terms, [], 9, 1)
-    products = []
-    prefix = _Field.prefix
-
-    def recording(field, rho):
-        products.append(rho)
-        return prefix(field, rho)
-
-    monkeypatch.setattr(_Field, "prefix", recording)
-    binomial_sum_residue(terms, [], 9, 1)
-    assert check_corollary(9, 2).holds
-    assert products == []
-    binomial_sum_residue([(1, 0, ((7, 3, 1),))], [], 9, 1)
-    assert products
 
 
 # -- LaurentPoly fast paths -------------------------------------------------------

@@ -11,9 +11,10 @@ one), which makes every residue nonzero.  The kernel, the field's products
 and leads, and the closed-form right sides ``checks._cube_rhs`` reads off a
 base's specs (also against the kernel at m = 1), are compared with
 ``LaurentPoly`` arithmetic under hypothesis, on terms drawn inside the
-kernel's closed forms (read from the lead alone, or with residues 0 to
-L^2) and on sums that vanish without being a sum less itself (q-Pascal, and
-a quotient by a q-binomial); a term outside them is refused by name, and no
+kernel's closed forms (read from the lead alone, complementary or a
+q-integer where both residues are nonzero, or with residues 0 to L^2) and
+on sums that vanish without being a sum less itself (q-Pascal, and a
+quotient by a q-binomial); a term outside them is refused by name, and no
 checker passes one.  With every builder made to raise, no checker builds a
 q-binomial, nor, with ``_modulus_parts`` made to raise, a ``Modulus``; and
 the work budget is tested without running an oversized instance.
@@ -373,28 +374,39 @@ def coordinates(f, m):
 
 
 def test_field_products_of_one_minus_zeta_powers():
-    # P_rho = prod_{r<=rho} (1 - zeta^r), Q_rho = prod_{rho<r<m} (1 - zeta^r) and
-    # P_rho Q_rho = m; the lead of C(t, b)_q with b + (t - b) = m modulo m in
-    # closed form equals its product form Q_beta Q_gamma, and its inverse
-    # Q_0 P_beta P_gamma / m^3
+    # P_rho = prod_{r<=rho} (1 - q^r) and Q_rho = prod_{rho<r<m} (1 - q^r) at
+    # q = zeta, so P_rho Q_rho = m; the lead of C(t, b)_q with b + (t - b) = m
+    # modulo m in closed form equals its product form Q_beta Q_gamma, and its
+    # inverse Q_0 P_beta P_gamma / m^3; the lead of a q-integer, C(rho, 1)_q
+    # or C(rho, rho - 1)_q, equals [rho]_zeta, and its inverse 1/[rho]_zeta
+    def prefix(rho):
+        return prod((1 - q_power(r) for r in range(1, rho + 1)), start=LaurentPoly.one())
+
+    def suffix(rho):
+        return prod((1 - q_power(r) for r in range(rho + 1, m)), start=LaurentPoly.one())
+
+    def lead_coordinates(signature):
+        v, s = field.lead(signature)
+        return [Fraction(c) * Fraction(m) ** s for c in field.coordinates(v)]
+
     for m in range(1, 13):
-        field = _Field(m)
+        field, mod = _Field(m), Modulus(m, 1)
         for rho in range(m):
-            prefix = prod((1 - q_power(r) for r in range(1, rho + 1)), start=LaurentPoly.one())
-            suffix = prod((1 - q_power(r) for r in range(rho + 1, m)), start=LaurentPoly.one())
-            assert field.coordinates(field.prefix(rho)) == coordinates(prefix, m)
-            assert field.coordinates(field.suffix(rho)) == coordinates(suffix, m)
-            assert field.coordinates(field.mul(field.prefix(rho), field.suffix(rho))) == \
-                coordinates(LaurentPoly.constant(m), m)
+            assert coordinates(prefix(rho) * suffix(rho), m) == coordinates(LaurentPoly.constant(m), m)
         for beta in range(1, m):
             gamma = m - beta
-            table = field.mul(field.suffix(beta), field.suffix(gamma))
-            inverse = field.mul(field.mul(field.suffix(0), field.prefix(beta)), field.prefix(gamma))
+            table = suffix(beta) * suffix(gamma)
+            inverse = suffix(0) * prefix(beta) * prefix(gamma)
             for p in (1, 2, -1, -2):
-                v, s = field.lead(((beta, gamma, p),))
-                want = _power(table if p > 0 else inverse, abs(p), field.mul, None)
-                assert [Fraction(c) * Fraction(m) ** s for c in field.coordinates(v)] == \
-                    [c / Fraction(m) ** (3 * -p if p < 0 else 0) for c in field.coordinates(want)]
+                want = (table if p > 0 else inverse) ** abs(p)
+                assert lead_coordinates(((beta, gamma, p),)) == \
+                    [c / Fraction(m) ** (3 * -p if p < 0 else 0) for c in coordinates(want, m)]
+        for rho in range(2, m):
+            for p in (1, 2, -1, -2):
+                want = q_integer(rho) ** abs(p)
+                want = coordinates(want if p > 0 else inverse_mod(want, mod), m)
+                assert lead_coordinates(((1, rho - 1, p),)) == want, (m, rho, p)
+                assert lead_coordinates(((rho - 1, 1, p),)) == want, (m, rho, p)
 
 
 def test_phi_and_psi_are_built_on_first_use(monkeypatch):
@@ -407,8 +419,8 @@ def test_phi_and_psi_are_built_on_first_use(monkeypatch):
     monkeypatch.setattr(qapery.cyclotomic, "_mobius_product",
                         lambda m, inverse=False: built.append((m, inverse)) or product(m, inverse))
     _field.cache_clear()
-    holding = [(1, 2, ((12, 5, 1),)), (-1, 2, ((12, 5, 1),)), (3, 0, ((7, 2, 1), (4, 1, -1)))]
-    holding.append((-3, 0, ((7, 2, 1), (4, 1, -1))))
+    holding = [(1, 2, ((12, 5, 1),)), (-1, 2, ((12, 5, 1),)), (3, 0, ((6, 2, 1), (4, 1, -1)))]
+    holding.append((-3, 0, ((6, 2, 1), (4, 1, -1))))
     assert binomial_sum_residue(holding, [], 6, 2).is_zero()
     assert built == []
     assert not binomial_sum_residue(holding[:1], [], 6, 2).is_zero()
@@ -457,8 +469,10 @@ def built_residue(terms, rhs, m, k):
 # At Phi_m^k the kernel reads a term of valuation v to L^(k - 1 - v): from its
 # lead alone when v = k - 1, from the closed-form series to L^2 when every
 # q-binomial has residues 0 (then v = 0 and k <= 3), and not at all when v >= k.
-# A divisor must leave the term an integer part of +-1.  So at m = 1, where every
-# residue is 0, k is at most 3.
+# A divisor must leave the term an integer part of +-1, and a q-binomial whose
+# residues beta and gamma are both nonzero must be complementary
+# (beta + gamma = m) or a q-integer (min(beta, gamma) = 1).  So at m = 1, where
+# every residue is 0, k is at most 3.
 
 kernel_moduli = st.integers(1, 12).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(1, 3 if m == 1 else 4)))
@@ -474,26 +488,39 @@ def plain_term(draw, m, vanishing=True):
             tuple((a * m, c * m, p) for a, c, p in triples))
 
 
+def closed(t, b, m):
+    """Whether C(t, b)_q has a residue 0 or its lead in closed form."""
+    beta, gamma = b % m, (t - b) % m
+    return not (beta and gamma) or beta + gamma == m or 1 in (beta, gamma)
+
+
 def carried_unit(draw, m):
-    """(t, b) of C(m + rho, beta)_q, rho < beta < m: valuation 1, integer
-    part -1."""
-    rho = draw(st.integers(0, m - 2))
-    return m + rho, draw(st.integers(rho + 1, m - 1))
+    """(t, b) of C(m, beta)_q, 0 < beta < m: complementary, valuation 1,
+    integer part -1."""
+    return m, draw(st.integers(1, m - 1))
 
 
 def unit_divisor(draw, m, top):
-    """(t, b), t <= top, of a C(t, b)_q with no carry and integer part
-    C(t // m, b // m) = 1: a divisor of valuation 0 inside the closed forms."""
+    """(t, b), t <= top, of a C(t, b)_q with no carry, integer part
+    C(t // m, b // m) = 1 and a residue 0 or the lead of a q-integer: a
+    divisor of valuation 0 inside the closed forms."""
     t = draw(st.integers(0, top))
     return t, draw(st.sampled_from([b for b in range(t + 1) if b % m + (t - b) % m < m
-                                    and comb(t // m, b // m) == 1]))
+                                    and comb(t // m, b // m) == 1 and closed(t, b, m)]))
+
+
+def small_prime(m):
+    """(t, b) of a C(t, b)_q with t < m, prime to Phi_m, with a residue 0 or
+    the lead of a q-integer."""
+    return st.integers(0, m - 1).flatmap(lambda t: st.tuples(
+        st.just(t), st.sampled_from([b for b in range(t + 1) if min(b, t - b) <= 1])))
 
 
 def valued_term(draw, m, v):
     """A (w, e, triples) spec of Phi_m-valuation v (v = 0 when m = 1) with
-    powers -2..3, whose divisors leave an integer part of +-1: prime to
-    Phi_m, or a ``carried_unit`` to the power -1 or -2 against a factor of
-    that valuation."""
+    powers -2..3 inside the closed forms, whose divisors leave an integer
+    part of +-1: prime to Phi_m, or a ``carried_unit`` to the power -1 or -2
+    against a factor of that valuation."""
     def phi_once():
         # C(a m, c m + r)_q with 0 < r < m has valuation exactly 1
         a = draw(st.integers(1, 3))
@@ -510,9 +537,9 @@ def valued_term(draw, m, v):
     # factors prime to Phi_m: C(t, b)_q with t < m, and C(a m, c m)_q, whose
     # integer part C(a, c) keeps it from dividing
     prime = st.one_of(
-        st.integers(0, m - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t))),
+        small_prime(m),
         st.integers(0, 3).flatmap(lambda a: st.tuples(st.just(a * m), st.integers(0, a).map(lambda c: c * m))))
-    triples += [(t, b, draw(st.integers(-1 if t < m else 0, 3))) for t, b in draw(st.lists(prime, max_size=2))]
+    triples += [(t, b, draw(st.integers(-2 if t < m else 0, 3))) for t, b in draw(st.lists(prime, max_size=2))]
     if draw(st.booleans()):
         triples.append((*unit_divisor(draw, m, 2 * m - 1), -1))
     return draw(st.integers(-3, 3)), draw(st.integers(-30, 30)), tuple(triples)
@@ -547,7 +574,7 @@ def test_dividing_by_q_binomials_prime_to_phi(mk, rhs, data):
     # such quotient has a residue; its residues are not 0, so at k > 1 the
     # terms have valuation k - 1 or k (at m = 1 the divisor is 1)
     m, k = mk
-    divisor = st.integers(0, m - 1).flatmap(lambda t: st.tuples(st.just(t), st.integers(0, t)))
+    divisor = small_prime(m)
     terms = [valued_term(data.draw, m, data.draw(st.integers(k - 1, k)) if m > 1 else 0)
              for _ in range(data.draw(st.integers(0, 3)))]
     terms = [(w, e, triples + tuple((t, b, -1) for t, b in data.draw(st.lists(divisor, max_size=2))))
@@ -583,15 +610,33 @@ OUTSIDE = [
     ((2, 1, ((10, 5, 1),)), 5, 4),
     # 1/C(2m, m)_q: the integer part C(2, 1) = 2 divides
     ((1, 0, ((6, 3, -1),)), 3, 1),
+    # residues 3 and 4, no carry: neither complementary nor a q-integer
+    ((1, 0, ((7, 3, 1),)), 11, 1),
+    # residues 5 and 8, carried to rho = 4: valuation 1, read from its lead at k = 2
+    ((1, 0, ((13, 5, 1),)), 9, 2),
 ]
 
 
-@pytest.mark.parametrize("term, m, k", OUTSIDE, ids=["nonzero-residue", "past-L2", "divisor-2"])
+@pytest.mark.parametrize("term, m, k", OUTSIDE,
+                         ids=["nonzero-residue", "past-L2", "divisor-2", "no-carry", "carried"])
 def test_terms_outside_the_closed_forms_are_refused(term, m, k):
     assert not built_residue([term], [], m, k).is_zero()
     with pytest.raises(ValueError, match=re.escape(repr(term))) as refused:
         binomial_sum_residue([term], [], m, k)
     assert not isinstance(refused.value, NotInvertibleError)
+
+
+@pytest.mark.parametrize("m", [6, 10, 12, 15])
+def test_q_integer_leads_match_the_built_residue(m):
+    # [rho]_q = C(rho, 1)_q = C(rho, rho - 1)_q to the power p, at every rho < m,
+    # gcd(rho, m) > 1 included, times C(2m, m + 1)_q^(k - 1), complementary,
+    # so that the term is read from its lead alone
+    for k in (1, 2, 3):
+        for rho in range(2, m):
+            for b, p in itertools.product((1, rho - 1), (-2, -1, 1, 2)):
+                term = (3, rho, ((rho, b, p), (2 * m, m + 1, k - 1)))
+                assert binomial_sum_residue([term], [], m, k) == built_residue([term], [], m, k), \
+                    (m, k, rho, b, p)
 
 
 def test_a_divisor_of_integer_part_minus_one_is_a_unit():
@@ -793,13 +838,17 @@ def vanishes_and_breaks(terms, m, k, broken):
 
 
 @settings(max_examples=80, deadline=None)
-@given(kernel_moduli, st.integers(1, 20), st.data())
-def test_q_pascal_times_a_common_product_vanishes(mk, t, data):
+@given(kernel_moduli, st.data())
+def test_q_pascal_times_a_common_product_vanishes(mk, data):
     # C(t, b) = C(t-1, b-1) + q^b C(t-1, b) = q^(t-b) C(t-1, b-1) + C(t-1, b),
     # times a common product of valuation k - 1, so that each term has
-    # valuation k - 1 or k (at m = 1, every term has residues 0)
+    # valuation k - 1 or k (at m = 1, every term has residues 0); at
+    # t = a m and b = c m +- 1 each q-binomial has a residue 0, or its lead is
+    # complementary (C(t, b)) or a q-integer
     m, k = mk
-    b = data.draw(st.integers(0, t))
+    a = data.draw(st.integers(1, max(1, 20 // m)))
+    t = a * m
+    b = data.draw(st.sampled_from([c * m + 1 for c in range(a)] + [c * m - 1 for c in range(1, a + 1)]))
     _, _, common = valued_term(data.draw, m, k - 1 if m > 1 else 0)
     w, e = data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(-30, 30))
     low, high = (b, 0) if data.draw(st.booleans()) else (0, t - b)
