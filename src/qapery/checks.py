@@ -400,7 +400,7 @@ def check_harmonic_identity_classical(n: int) -> CongruenceReport:
     return finish_report(
         "harmonic-classical", params, "identity", holds, started,
         residue_at_one=total,
-        first_residue_coeff=None if holds else total,
+        first_residue_coeff=total,
     )
 
 
@@ -496,7 +496,7 @@ def check_classical_supercongruences(p: int, n: int, family: str,
     return finish_report(
         "classical-sc", params, "%d^3" % p, holds, started,
         residue_at_one=Fraction(residue),
-        first_residue_coeff=None if holds else Fraction(residue),
+        first_residue_coeff=Fraction(residue),
     )
 
 

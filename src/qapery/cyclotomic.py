@@ -29,16 +29,16 @@ its K part, any other term is refused, and the canonical residue is read
 off the image's Phi_m-adic digits only when it is nonzero.
 ``harmonic-sp`` is decided in ``ResidueRing(n, k)``, Z[q]/((q^n - 1)^k),
 which multiplies by [t]_q without a product, inverts [i]_q in closed form
-and sums the squares of many elements with one fold; its product, like the
-field's, is the Kronecker product ``laurent._dense_mul`` folded by
-``laurent._fold``.
+and sums the squares of many elements with one fold; its product is the
+Kronecker product ``laurent._dense_mul`` folded by ``laurent._fold``.  The
+kernel's field K is that ring at k = 1, on any lifts of its elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm
 
 from .laurent import (LaurentPoly, _bias, _dense_mul, _digits, _divide, _euclid, _fold,
                       _from_values, _integers, _lower_terms, _make, _over_one_minus, _pack, _power,
@@ -222,12 +222,13 @@ class ResidueRing:
     (q^m - 1)^k, so ``reduce_mod(to_poly(v), Modulus(m, k))`` is the residue
     of whatever v stands for.  ``mul`` is the Kronecker product
     ``laurent._dense_mul`` folded by the sparse relation (q^m - 1)^k = 0
-    (``laurent._fold``), as ``_Field.mul`` is, and ``sum_of_powers`` adds
-    many packed squares as integers and folds once.  With x = q^m - 1,
-    q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j, for negative a as
-    well, in closed form (``q_power``); a multiple by [t]_q takes no product
-    (``mul_q_integer``), and the inverse of [i]_q has a closed form modulo
-    Phi_m that Newton steps lift (``q_integer_inverse``).  A ring costs
+    (``laurent._fold``), which ``_Field`` inherits at k = 1, and
+    ``sum_of_powers`` adds many packed squares as integers and folds once.
+    With x = q^m - 1, q^(am+r) = q^r (1 + x)^a = q^r sum_{j<k} C(a, j) x^j,
+    for negative a as well, in closed form (``q_power``); a multiple by
+    [t]_q takes no product (``mul_q_integer``), and the inverse of [i]_q has
+    a closed form modulo Phi_m that Newton steps lift
+    (``q_integer_inverse``).  A ring costs
     O(k m) to build and keeps nothing else.  Elements are lists that no
     method mutates, so they may be shared.
     """
@@ -341,20 +342,17 @@ def _add(a: list, b: list, c=1) -> list:
     return [c * y for y in b] if a is None else [x + c * y for x, y in zip(a, b)]
 
 
-class _Field:
+class _Field(ResidueRing):
     """K = Q(zeta), zeta a primitive m-th root of unity, as ``binomial_sum_residue``
-    reads it.
+    reads it: the residue ring Z[q]/(q^m - 1) at k = 1, on rationals too.
 
-    An element a is kept as the list v of m numbers with
-    sum_j v[j] q^j == rad E a~ (mod q^m - 1) for a lift a~ of a to Z[q]:
-    rad is the product of the primes p | m, and E, the idempotent of
-    Q[q]/(q^m - 1) that is 1 modulo Phi_m and 0 modulo every other Phi_d,
-    d | m, has rad E = prod_p (p - sum_{i<p} q^(i m/p)) in Z[q] (``project``).
-    So v is zero exactly when a is, and it carries none of the other Phi_d,
-    which the lifts' products would.  A product is one Kronecker product
-    (``laurent._dense_mul``) folded modulo q^m - 1 and divided by rad
-    (E^2 = E), zeta^e a is a rotation, and nothing is divided by Phi_m
-    until ``coordinates`` reads a in the basis 1, zeta, .., zeta^(phi(m)-1).
+    An element a is kept as any lift, a list v of m numbers with
+    sum_j v[j] zeta^j = a.  Evaluation at zeta is a ring map from
+    Q[q]/(q^m - 1), so the inherited ``mul``, one Kronecker product
+    (``laurent._dense_mul``) folded modulo q^m - 1, multiplies lifts,
+    zeta^e a is a rotation, and nothing is divided by Phi_m until
+    ``coordinates`` reads a in the basis 1, zeta, .., zeta^(phi(m)-1), which
+    is also the test of a = 0.
 
     ``_field(m)`` memoizes one field per m, which keeps the leads of the
     q-binomials that the calls read, each an O(m) closed form (``lead``), up
@@ -364,29 +362,15 @@ class _Field:
     """
 
     def __init__(self, m: int):
-        self.m, self._primes, self._wrap = m, list(_factorize(m)), _wrap(m, 1)
-        self._rad = prod(self._primes)
-        self.one = self.project([1] + [0] * (m - 1))
+        super().__init__(m, 1)
         self._leads = {}
-
-    def project(self, u: list) -> list:
-        """rad E u for a list u of m numbers: a factor p - sum_{i<p} q^(i m/p)
-        takes p u less the sums of u over the classes modulo m/p."""
-        for p in self._primes:
-            h = self.m // p
-            u = [p * x - s for x, s in zip(u, [sum(u[c::h]) for c in range(h)] * p)]
-        return u
-
-    def mul(self, a: list, b: list) -> list:
-        """The product of two elements given by integer lists."""
-        return [x // self._rad for x in _fold(_dense_mul(a, b), self.m, self._wrap)]
 
     def rmul(self, a: list, b: list) -> list:
         """The product of two elements given by lists of rationals."""
         da, db = lcm(*[c.denominator for c in a]), lcm(*[c.denominator for c in b])
-        c = _dense_mul([c.numerator * (da // c.denominator) for c in a],
-                       [c.numerator * (db // c.denominator) for c in b])
-        return [Fraction(x, da * db * self._rad) for x in _fold(c, self.m, self._wrap)]
+        c = self.mul([c.numerator * (da // c.denominator) for c in a],
+                     [c.numerator * (db // c.denominator) for c in b])
+        return [Fraction(x, da * db) for x in c]
 
     def shift(self, a: list, e: int) -> list:
         """zeta^e a."""
@@ -395,10 +379,11 @@ class _Field:
 
     def coordinates(self, a: list) -> list:
         """The coordinates of a in the basis 1, zeta, .., zeta^(phi(m)-1): the
-        remainder of rad a~ by the monic Phi_m, over rad."""
+        remainder of its lift by the monic Phi_m, padded; all zero exactly
+        when a = 0."""
         phi = cyclotomic(self.m)
         v = _divide(list(a), _lower_terms(phi), phi.degree())
-        return [Fraction(c, self._rad) for c in v + [0] * (phi.degree() - len(v))]
+        return v + [0] * (phi.degree() - len(v))
 
     def weighted(self, j: int) -> list:
         """sum_{s<m} s zeta^(js), which is -m/(1 - zeta^j) for every m-th root
@@ -406,7 +391,7 @@ class _Field:
         v = [0] * self.m
         for s in range(1, self.m):
             v[j * s % self.m] += s
-        return self.project(v)
+        return v
 
     def lead(self, signature: tuple):
         """(v, s): m^s v is the product of the K parts, to the powers p, of
@@ -469,7 +454,7 @@ class _Field:
         m, phi = self.m, cyclotomic(self.m)
 
         def lifted(values):  # the element of sum_c values[c] q^c
-            return self.project(_fold(values, m, self._wrap))
+            return _fold(values, m, self._wrap)
 
         psi = [lifted([Fraction(x * c ** j, factorial(j)) for c, x in enumerate(_integers(phi))])
                for j in range(1, len(image))]
@@ -614,9 +599,8 @@ def binomial_sum_residue(terms, rhs, m: int, k: int) -> LaurentPoly:
             for r, sums in members.items():
                 u[r] += sums[i]
             if any(u):
-                y = field.project(u)
-                combined[i] = _add(combined[i], field.mul(y, v) if signature else y, m ** (s - low))
-    if not any(v and any(v) for v in combined):
+                combined[i] = _add(combined[i], field.mul(u, v) if signature else u, m ** (s - low))
+    if not any(v and any(field.coordinates(v)) for v in combined):
         return LaurentPoly.zero()
     return field.residue([_add(None, v, Fraction(m) ** low / (weight[i][0] * scale)) if v
                           else [0] * m for i, v in enumerate(combined)])

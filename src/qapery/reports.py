@@ -62,8 +62,8 @@ def kernel_work(m: int, k: int, terms: int, bits: int) -> int:
     and at most min(m, terms) lead classes, each a few products of m digits
     of up to ``bits`` bits at each power of L below k; every lead's K part
     is an O(m) closed form.  The kernel builds no Phi_m^k;
-    ``modulus_work(m, k)`` bounds ``_Field.residue``, which takes k
-    remainders by Phi_m of a failing instance's image."""
+    ``modulus_work(m, k)`` bounds the zero test's k remainders by Phi_m of
+    the image, and ``_Field.residue``'s k more of a failing instance's."""
     work = terms * (TERM + TERM_PRODUCTS * _product_work(bits))
     work += LEAD * k * m * min(m, terms) * (256 + bits) >> 8
     return work + modulus_work(m, k)

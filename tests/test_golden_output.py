@@ -3,10 +3,13 @@
 A small battery of sweeps, the seven kernel checkers, lucas and
 harmonic-sp, is run as stated, and the kernel checkers once more perturbed
 so that each reports failing rows, with their residues at q = 1 and first
-coefficients.  Each document is rendered as the CLI renders it, with the
-time fields masked, and its SHA-256 is compared with a digest recorded
-from an earlier tree: a change to the kernel that keeps every verdict but
-moves a residue, a first coefficient or the row order fails here.
+coefficients.  A second battery runs corollary, qbin-prop and generalized
+at m = 30 and 210, whose several primes give the kernel's field large
+radicals and many other cyclotomic components in its lifts.  Each document
+is rendered as the CLI renders it, with the time fields masked, and its
+SHA-256 is compared with a digest recorded from an earlier tree: a change
+to the kernel that keeps every verdict but moves a residue, a first
+coefficient or the row order fails here.
 """
 
 import hashlib
@@ -27,6 +30,12 @@ BATTERY = {
     "s1s2": {"m": (1, 3, 1), "n1": (0, 1, 1), "n2": (0, 1, 1), "n3": (0, 1, 1), "n4": (0, 2, 1)},
     "lucas": {"n": (2, 4, 1), "a": (0, 2, 1), "b": (0, 3, 1), "r": (0, 2, 1), "s": (0, 3, 1)},
     "harmonic-sp": {"n": (2, 12, 1)},
+}
+# many-prime moduli: m = 30 = 2 3 5 and 210 = 2 3 5 7
+MANY_PRIMES = {
+    "corollary": {"m": (30, 210, 180), "n": (1, 2, 1)},
+    "qbin-prop": {"m": (30, 30, 1), "n": (0, 2, 1), "k": (0, 1, 1), "j": (1, 29, 7)},
+    "generalized": {"m": (30, 30, 1), "n": (1, 2, 1), "lambda": (2, 3, 1), "mu": (0, 2, 1)},
 }
 CHOICES = {"harmonic-sp": {"which": ["sp1", "sp2", "sp3"]}}
 
@@ -74,6 +83,16 @@ DIGESTS = {
     ("wolstenholme-q", True): "8f1f04afaa53cdc4275b16ad356517c4dcdd29b7fce3522f802474e49ad29226",
 }
 
+# recorded from the tree whose field kept its elements projected by rad E
+MANY_PRIME_DIGESTS = {
+    ("corollary", False): "8563ef572ca1dd526291b0c9b8d172efdb636128c16f77ce72935b458e942a22",
+    ("corollary", True): "101dd15148598d715e9c73ae29ca8b90acd333d41f415bce8e66d2f90add4d31",
+    ("generalized", False): "dbf1176d978c777013f4b3a80f4565c7afe6c92c2e0ad427fbd14c453f801280",
+    ("generalized", True): "3a44163b5af667d77abcff4d6fc269459537c46a99065f494fdad806a0049159",
+    ("qbin-prop", False): "4a58fc11c446a6ec00954c51fcdcee1e87ba27bbc1d8a4daac3f8fd6b80d3e8f",
+    ("qbin-prop", True): "ad4ec9fcec051c527d0a95b00838b51650e21fca6827107e0ad91b3936d0b4d4",
+}
+
 
 def masked_json(document):
     for row in document["results"]:
@@ -82,17 +101,30 @@ def masked_json(document):
     return _document_text(document, "json")
 
 
-@pytest.mark.parametrize("name, perturbed", sorted(DIGESTS),
-                         ids=["%s-%s" % (n, "perturbed" if p else "stated") for n, p in sorted(DIGESTS)])
-def test_sweep_json_is_byte_identical(monkeypatch, name, perturbed):
+def sweep_digest(monkeypatch, name, ranges, perturbed):
+    """The digest of the masked JSON of a sweep of ``name`` over ``ranges``,
+    perturbed by ``PERTURBED`` when asked, checking its rows on the way."""
     if perturbed:
         attribute, wrap = PERTURBED[name]
         monkeypatch.setattr(checks, attribute, wrap(getattr(checks, attribute)))
-    spec = SweepSpec(name, ranges=BATTERY[name], choices=CHOICES.get(name, {}),
-                     output_format="json")
+    spec = SweepSpec(name, ranges=ranges, choices=CHOICES.get(name, {}), output_format="json")
     document = run_sweep(spec)
     if perturbed:
         assert document["summary"]["failed"] > 0
     assert all(Fraction(row["residue_at_one"]) == 0 for row in document["results"] if row["holds"])
-    digest = hashlib.sha256(masked_json(document).encode()).hexdigest()
-    assert digest == DIGESTS[name, perturbed]
+    return hashlib.sha256(masked_json(document).encode()).hexdigest()
+
+
+def ids(digests):
+    return ["%s-%s" % (n, "perturbed" if p else "stated") for n, p in sorted(digests)]
+
+
+@pytest.mark.parametrize("name, perturbed", sorted(DIGESTS), ids=ids(DIGESTS))
+def test_sweep_json_is_byte_identical(monkeypatch, name, perturbed):
+    assert sweep_digest(monkeypatch, name, BATTERY[name], perturbed) == DIGESTS[name, perturbed]
+
+
+@pytest.mark.parametrize("name, perturbed", sorted(MANY_PRIME_DIGESTS), ids=ids(MANY_PRIME_DIGESTS))
+def test_many_prime_sweep_json_is_byte_identical(monkeypatch, name, perturbed):
+    assert sweep_digest(monkeypatch, name, MANY_PRIMES[name], perturbed) \
+        == MANY_PRIME_DIGESTS[name, perturbed]

@@ -409,6 +409,23 @@ def test_field_products_of_one_minus_zeta_powers():
                 assert lead_coordinates(((rho - 1, 1, p),)) == want, (m, rho, p)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 6, 30, 105, 210]).flatmap(
+    lambda m: st.tuples(st.just(m), *[st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=m, max_size=m)] * 2,
+                        st.integers(-3 * m, 3 * m))))
+def test_field_products_and_shifts_are_ring_maps_on_any_lift(drawn):
+    # evaluation at zeta is a ring map, so the field multiplies and rotates any
+    # lists of m integers, not only those it built, as their polynomials do
+    m, a, b, e = drawn
+    field = _field(m)
+
+    def poly(v):
+        return LaurentPoly(dict(enumerate(v)))
+
+    assert field.coordinates(field.mul(a, b)) == coordinates(poly(a) * poly(b), m)
+    assert field.coordinates(field.shift(a, e)) == coordinates(q_power(e) * poly(a), m)
+
+
 def test_phi_and_psi_are_built_on_first_use(monkeypatch):
     # a vanishing sum reads neither Phi_m nor Psi_m: the field reads Phi_m for
     # the coordinates of a nonzero image, and Psi_m = (q^m - 1)/Phi_m to divide
